@@ -18,7 +18,7 @@ from graphmarkov.evaluation import (
     predict,
     residual_summary,
 )
-from graphmarkov.models import batch_from_samples, init_params
+from graphmarkov.models import init_params
 from graphmarkov.training import TrainConfig, train
 
 HISTORY = 4
@@ -61,9 +61,8 @@ def main():
     # Where do the dense model's errors live across the day?
     label_times = bundle.test_label_times
     predictions = predict(gmn_trained, bundle.test)
-    batch = batch_from_samples(bundle.test)
     summary = residual_summary(
-        predictions, batch.labels, batch.label_mask, label_times, "hour", bundle.stats
+        predictions, bundle.test.label, bundle.test.label_mask, label_times, "hour", bundle.stats
     )
     populated = summary.keys[summary.counts > 0]
     print(f"\nresiduals by hour: {populated.size} populated of {summary.keys.size} groups")

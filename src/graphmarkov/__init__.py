@@ -25,18 +25,18 @@ if _threads:
 
 from .data import (
     DatasetBundle,
+    LastObservations,
     NormStats,
-    Sample,
     SplitSpec,
     StateSeries,
     denormalize,
     ingest_csv,
     inject_missing,
+    last_observations,
     normalize,
     observed_stats,
     prepare_datasets,
     split,
-    window,
     write_speed_csv,
 )
 from .graph import (
@@ -58,8 +58,8 @@ __all__ = [
     "DatasetBundle",
     "Graph",
     "HopMaskSet",
+    "LastObservations",
     "NormStats",
-    "Sample",
     "SpectralBasis",
     "SplitSpec",
     "StateSeries",
@@ -69,6 +69,7 @@ __all__ = [
     "hop_masks",
     "ingest_csv",
     "inject_missing",
+    "last_observations",
     "normalize",
     "normalized_laplacian",
     "observed_stats",
@@ -78,7 +79,6 @@ __all__ = [
     "simulate_gmp",
     "split",
     "spectral_basis",
-    "window",
     "write_adjacency_csv",
     "write_speed_csv",
 ]

@@ -50,8 +50,8 @@ def load_params(path, graph: Graph):
     """Read a checkpoint back, rebuilding derived structure from the graph.
 
     Raises:
-        ValueError: unrecognized format, malformed blocks, or a graph whose
-            size disagrees with the checkpoint.
+        ValueError: unrecognized format, malformed blocks, non-finite values,
+            or a graph whose size disagrees with the checkpoint.
     """
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -91,6 +91,11 @@ def load_params(path, graph: Graph):
         if label != expected_label or index != k:
             raise ValueError(f"checkpoint {path}: expected block [{expected_label} {k}]")
         arr = np.array(rows)
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(
+                f"checkpoint {path}: block [{label} {k}] row {bad[0][0] + 1} holds a non-finite value"
+            )
         if kind == "gmn":
             if arr.shape != (size, size):
                 raise ValueError(f"checkpoint {path}: block {k} is {arr.shape}, want {size}x{size}")

@@ -395,13 +395,9 @@ def cmd_eval(args) -> int:
     }
 
     if args.residuals:
-        import numpy as np
-
-        pred = predict(params, bundle.test)
-        truth = np.stack([s.label for s in bundle.test])
-        mask = np.stack([s.label_mask for s in bundle.test])
         summary = residual_summary(
-            pred, truth, mask, bundle.test_label_times, args.residuals, bundle.stats
+            predict(params, bundle.test), bundle.test.label, bundle.test.label_mask,
+            bundle.test_label_times, args.residuals, bundle.stats,
         )
         residual_path = out / f"residuals_{args.residuals}.csv"
         write_residual_csv(residual_path, summary)

@@ -1,5 +1,5 @@
 """State-sequence ingestion, masking, missing-value injection, normalization,
-temporal splitting, and windowing into training samples.
+temporal splitting, and windowing into last-observation datasets.
 
 A state series is a T x S matrix of sensor readings plus a binary mask of the
 same shape; missing readings are zero-filled so that values * mask == values
@@ -72,21 +72,6 @@ class StateSeries:
     @property
     def size(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One training window: n input steps (oldest first) and the next step as
-    the label."""
-
-    inputs: np.ndarray
-    input_mask: np.ndarray
-    label: np.ndarray
-    label_mask: np.ndarray
-
-    @property
-    def history(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -289,13 +274,71 @@ def split(series: StateSeries, spec: SplitSpec) -> tuple[StateSeries, StateSerie
     return parts[0], parts[1], parts[2]
 
 
-def window(series: StateSeries, n: int, label_series: StateSeries | None = None) -> list[Sample]:
-    """Slide an n-step window over the series, producing T - n samples.
+@dataclass(frozen=True)
+class LastObservations:
+    """Forecasting windows, each reduced to its newest observed reading.
 
-    Sample k covers input steps k .. k+n-1 (oldest first) and the label step
-    k+n. Inputs and masks come from `series`; labels and label masks come
-    from `label_series` when given (so inputs can carry injected missingness
-    while labels keep the original observations), else from `series` itself.
+    Row k stands for an n-step input window and the step after it. Per
+    sensor, value holds the newest observed reading inside the window and lag
+    how many steps before the window's newest step it was taken (0..n-1);
+    a sensor with no observation in the window has value 0 and lag n. label
+    and label_mask are the step after the window. All four are N x S.
+
+    Rows can be taken by any numpy index (`data[rows]`), which keeps n.
+    """
+
+    value: np.ndarray
+    lag: np.ndarray
+    label: np.ndarray
+    label_mask: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("window length must be >= 1")
+        if self.value.ndim != 2 or self.value.shape[0] < 1:
+            raise ValueError(f"empty dataset or not N x S: value has shape {self.value.shape}")
+        for name in ("lag", "label", "label_mask"):
+            if getattr(self, name).shape != self.value.shape:
+                raise ValueError(f"{name} shape must match value shape {self.value.shape}")
+        if np.any((self.lag < 0) | (self.lag > self.n)):
+            raise ValueError(f"lags must lie in 0..{self.n}")
+        if np.any(self.value[self.lag == self.n] != 0.0):
+            raise ValueError("sensors without an observation must have value 0")
+
+    def __len__(self) -> int:
+        return self.value.shape[0]
+
+    def __getitem__(self, rows) -> "LastObservations":
+        return LastObservations(
+            value=self.value[rows],
+            lag=self.lag[rows],
+            label=self.label[rows],
+            label_mask=self.label_mask[rows],
+            n=self.n,
+        )
+
+    @property
+    def size(self) -> int:
+        return self.value.shape[1]
+
+    def at_lag(self, i: int) -> np.ndarray:
+        """N x S input of the state i steps back: the reading where it is the
+        newest observed one, else 0."""
+        return np.where(self.lag == i, self.value, 0.0)
+
+
+def last_observations(
+    series: StateSeries, n: int, label_series: StateSeries | None = None
+) -> LastObservations:
+    """The T - n windows of n steps over the series, with one forward-fill
+    scan over the observed steps.
+
+    Window k covers input steps k .. k+n-1 and the label step k+n. Inputs
+    come from `series`; labels and label masks come from `label_series` when
+    given (so inputs can carry injected missingness while labels keep the
+    original observations), else from `series` itself. No window reaches
+    outside the series.
 
     Raises:
         ValueError: fewer than n+1 steps, or label series mismatch.
@@ -307,27 +350,30 @@ def window(series: StateSeries, n: int, label_series: StateSeries | None = None)
     labels = series if label_series is None else label_series
     if labels.steps != series.steps or labels.size != series.size:
         raise ValueError("label series shape must match the input series")
-    samples = []
-    for k in range(series.steps - n):
-        samples.append(
-            Sample(
-                inputs=series.values[k : k + n],
-                input_mask=series.mask[k : k + n],
-                label=labels.values[k + n],
-                label_mask=labels.mask[k + n],
-            )
-        )
-    return samples
+    steps = np.arange(series.steps)[:, None]
+    last = np.where(series.mask == 1.0, steps, -1)
+    np.maximum.accumulate(last, axis=0, out=last)
+    last = last[n - 1 : -1]
+    lag = np.minimum(steps[n - 1 : -1] - last, n).astype(np.min_scalar_type(n))
+    value = np.take_along_axis(series.values, last, axis=0)
+    value[lag == n] = 0.0
+    return LastObservations(
+        value=value,
+        lag=lag,
+        label=labels.values[n:],
+        label_mask=labels.mask[n:],
+        n=n,
+    )
 
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Windowed train/val/test samples plus everything needed to interpret
-    them: the normalization stats and the label-step timestamps per part."""
+    """Train/val/test windows plus everything needed to interpret them: the
+    normalization stats and the label-step timestamps per part."""
 
-    train: list
-    val: list
-    test: list
+    train: LastObservations
+    val: LastObservations
+    test: LastObservations
     stats: NormStats
     train_label_times: np.ndarray
     val_label_times: np.ndarray
@@ -354,21 +400,22 @@ def prepare_datasets(
     injected = inject_missing(series, missing_rate, seed)
 
     n_train = int(spec.train_fraction * series.steps)
-    train_slice = StateSeries(
-        values=injected.values[:n_train],
-        mask=injected.mask[:n_train],
-        timestamps=injected.timestamps[:n_train],
+    stats = observed_stats(
+        StateSeries(
+            values=injected.values[:n_train],
+            mask=injected.mask[:n_train],
+            timestamps=injected.timestamps[:n_train],
+        )
     )
-    stats = observed_stats(train_slice)
 
-    injected_norm, _ = normalize(injected, stats)
-    original_norm, _ = normalize(series, stats)
-
-    in_parts = split(injected_norm, spec)
-    label_parts = split(original_norm, spec)
+    # Each full-length intermediate is dropped as soon as it is split, which
+    # keeps the peak memory of the pipeline down.
+    in_parts = split(normalize(injected, stats)[0], spec)
+    del injected
+    label_parts = split(normalize(series, stats)[0], spec)
 
     windowed = [
-        window(inp, n, label_series=lab) for inp, lab in zip(in_parts, label_parts)
+        last_observations(inp, n, label_series=lab) for inp, lab in zip(in_parts, label_parts)
     ]
     label_times = [part.timestamps[n:] for part in in_parts]
     return DatasetBundle(

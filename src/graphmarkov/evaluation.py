@@ -7,12 +7,13 @@ converts back to original units first, because the error magnitudes people
 compare against are in those units.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NormStats, denormalize
-from .models import Batch, GmnParams, batch_from_samples, forward
+from .models import GmnParams, forward
 
 MAPE_TRUTH_FLOOR = 1e-6
 
@@ -41,6 +42,10 @@ class MetricsReport:
     def __post_init__(self):
         if self.evaluated_count <= 0:
             raise ValueError("a metrics report needs at least one evaluated entry")
+        if not all(math.isfinite(v) for v in (self.mae, self.rmse, self.mape)):
+            raise ValueError(
+                f"error metrics must be finite, got mae {self.mae}, rmse {self.rmse}, mape {self.mape}"
+            )
         if min(self.mae, self.rmse, self.mape) < 0:
             raise ValueError("error metrics cannot be negative")
         if self.mae > self.rmse * (1.0 + 1e-12) + 1e-15:
@@ -129,55 +134,24 @@ def metrics(
     )
 
 
-def predict(params, samples) -> np.ndarray:
-    """Model predictions for a sample list, stacked in order (normalized
-    units), evaluated in bounded chunks."""
-    if not samples:
-        raise ValueError("empty sample list")
+def predict(params, data) -> np.ndarray:
+    """Model predictions for a dataset, stacked in order (normalized units),
+    evaluated in bounded chunks."""
     outputs = []
-    for lo in range(0, len(samples), _CHUNK):
-        outputs.append(forward(params, batch_from_samples(samples[lo : lo + _CHUNK])))
+    for lo in range(0, len(data), _CHUNK):
+        outputs.append(forward(params, data[lo : lo + _CHUNK]))
     return np.concatenate(outputs, axis=0)
 
 
-def evaluate(params, samples, stats: NormStats) -> MetricsReport:
-    """Run the model over a test set and score it.
-
-    Raises:
-        ValueError: empty test set.
-    """
-    pred = predict(params, samples)
-    truth = np.stack([s.label for s in samples])
-    mask = np.stack([s.label_mask for s in samples])
-    return metrics(pred, truth, mask, stats)
+def evaluate(params, data, stats: NormStats) -> MetricsReport:
+    """Run the model over a test set and score it."""
+    return metrics(predict(params, data), data.label, data.label_mask, stats)
 
 
-def carry_forward_predictions(samples) -> np.ndarray:
-    """Last-observed-value predictions, one row per sample (normalized
-    units). Sensors with no observed reading anywhere in the window get 0."""
-    if not samples:
-        raise ValueError("empty sample list")
-    preds = []
-    for s in samples:
-        newest_first_mask = s.input_mask[::-1]
-        newest_first_vals = s.inputs[::-1]
-        first_obs = newest_first_mask.argmax(axis=0)
-        cols = np.arange(s.inputs.shape[1])
-        any_obs = newest_first_mask.max(axis=0) > 0
-        preds.append(np.where(any_obs, newest_first_vals[first_obs, cols], 0.0))
-    return np.stack(preds)
-
-
-def persistence_baseline(samples, stats: NormStats) -> MetricsReport:
-    """Score the carry-forward predictor on the same windows the model sees.
-
-    Raises:
-        ValueError: empty test set.
-    """
-    pred = carry_forward_predictions(samples)
-    truth = np.stack([s.label for s in samples])
-    mask = np.stack([s.label_mask for s in samples])
-    return metrics(pred, truth, mask, stats)
+def persistence_baseline(data, stats: NormStats) -> MetricsReport:
+    """Score the carry-forward predictor on the same windows the model sees:
+    each window's last observation, 0 for a sensor with none."""
+    return metrics(data.value, data.label, data.label_mask, stats)
 
 
 def residual_summary(

@@ -115,10 +115,12 @@ def hop_masks(graph: Graph, n: int) -> HopMaskSet:
     if n < 1:
         raise ValueError("hop mask order must be >= 1")
     masks = []
-    reach = graph.self_adjacency.copy()
+    reach = graph.self_adjacency
     for _ in range(n):
-        masks.append(_frozen((reach > 0).astype(np.float64)))
-        reach = reach @ graph.self_adjacency
+        masks.append(_frozen(reach))
+        # Kept binary: raw path counts overflow to inf on dense graphs, and
+        # inf * 0 then turns mask entries into NaN.
+        reach = ((reach @ graph.self_adjacency) > 0).astype(np.float64)
     return HopMaskSet(masks=tuple(masks))
 
 

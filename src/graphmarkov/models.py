@@ -3,9 +3,11 @@
 Both models predict the next network state as a damped sum of n linear maps,
 one per history step. The map applied to the state i steps back is confined to
 the (i+1)-hop structure of the graph, and that state only contributes where
-every newer reading at the same sensor was missing — so each sensor's
+it is the newest observed reading at its sensor — so each sensor's
 prediction is driven by the most recent observation available within the
-window, propagated through an appropriately-sized graph neighborhood.
+window, propagated through an appropriately-sized graph neighborhood. The
+models therefore read a window as its last observation (a
+`LastObservations` dataset) and form each lag's input with `at_lag`.
 
 Two parameterizations of the per-hop linear maps:
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import LastObservations
 from .graph import Graph, HopMaskSet, SpectralBasis, hop_masks, normalized_laplacian, spectral_basis
 
 
@@ -123,105 +125,30 @@ class SgmnParams:
         return SgmnParams(gains=tuple(tensors), basis=self.basis, gamma=self.gamma)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """A stack of training windows.
-
-    inputs and input_mask are B x n x S with the time axis oldest-first
-    (row n-1 is the newest step); labels and label_mask are B x S.
-    """
-
-    inputs: np.ndarray
-    input_mask: np.ndarray
-    labels: np.ndarray
-    label_mask: np.ndarray
-
-    def __post_init__(self):
-        if self.inputs.ndim != 3 or self.inputs.shape[0] < 1:
-            raise ValueError(f"inputs must be B x n x S with B >= 1, got {self.inputs.shape}")
-        if self.input_mask.shape != self.inputs.shape:
-            raise ValueError("input_mask shape must match inputs")
-        b, _, s = self.inputs.shape
-        if self.labels.shape != (b, s) or self.label_mask.shape != (b, s):
-            raise ValueError("labels and label_mask must be B x S")
-        if np.any(self.inputs * (1.0 - self.input_mask) != 0.0):
-            raise ValueError("masked-out input entries must be zero")
-
-    @property
-    def count(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def history(self) -> int:
-        return self.inputs.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[2]
+def _check_compat(params, data: LastObservations) -> None:
+    if data.n != params.n:
+        raise ValueError(f"dataset history {data.n} != model history {params.n}")
+    if data.size != params.size:
+        raise ValueError(f"dataset has {data.size} sensors but model has {params.size}")
 
 
-def batch_from_samples(samples: list[Sample]) -> Batch:
-    """Stack windowed samples into one batch (order preserved)."""
-    if not samples:
-        raise ValueError("cannot build a batch from zero samples")
-    return Batch(
-        inputs=np.stack([s.inputs for s in samples]),
-        input_mask=np.stack([s.input_mask for s in samples]),
-        labels=np.stack([s.label for s in samples]),
-        label_mask=np.stack([s.label_mask for s in samples]),
-    )
-
-
-def cumulative_mask(input_mask: np.ndarray) -> np.ndarray:
-    """Per-lag gate built from the observation mask.
-
-    Input is ordered oldest-first along its time axis (axis -2); output is
-    ordered by lag: out[..., i, :] gates the state i steps back and equals the
-    product of (1 - mask) over all strictly newer steps in the window. Lag 0
-    (the newest step) is gated by the empty product, all ones. Consequently a
-    fully observed window passes only its newest step through, and a sensor's
-    older readings contribute only while every newer one is missing.
-    """
-    m = np.asarray(input_mask, dtype=np.float64)
-    newest_first = m[..., ::-1, :]
-    complement = 1.0 - newest_first
-    out = np.ones_like(m)
-    out[..., 1:, :] = np.cumprod(complement[..., :-1, :], axis=-2)
-    return out
-
-
-def _lagged_inputs(batch: Batch) -> np.ndarray:
-    """B x n x S array whose lag-i slice is the state i steps back, gated by
-    the cumulative mask."""
-    gate = cumulative_mask(batch.input_mask)
-    return batch.inputs[:, ::-1, :] * gate
-
-
-def _check_compat(params, batch: Batch) -> None:
-    if batch.history != params.n:
-        raise ValueError(f"batch history {batch.history} != model history {params.n}")
-    if batch.size != params.size:
-        raise ValueError(f"batch has {batch.size} sensors but model has {params.size}")
-
-
-def gmn_forward(params: GmnParams, batch: Batch) -> np.ndarray:
-    """Predict the next state for each window in the batch.
+def gmn_forward(params: GmnParams, data: LastObservations) -> np.ndarray:
+    """Predict the next state for each window in the dataset.
 
     The lag-i term applies gamma^(i+1) times the masked weight matrix for hop
     i+1 to the gated state i steps back. On a fully observed window every term
     past lag 0 is exactly zero, so the result reduces bit-for-bit to the
     single newest-step term.
     """
-    _check_compat(params, batch)
-    z = _lagged_inputs(batch)
-    out = np.zeros((batch.count, params.size))
+    _check_compat(params, data)
+    out = np.zeros((len(data), params.size))
     for i in range(params.n):
         effective = params.masks.mask(i + 1) * params.weights[i]
-        out = out + (params.gamma ** (i + 1)) * (z[:, i, :] @ effective.T)
+        out = out + (params.gamma ** (i + 1)) * (data.at_lag(i) @ effective.T)
     return out
 
 
-def gmn_backward(params: GmnParams, batch: Batch, grad_out: np.ndarray) -> tuple:
+def gmn_backward(params: GmnParams, data: LastObservations, grad_out: np.ndarray) -> tuple:
     """Gradients of a scalar loss with respect to each hop's weight matrix,
     given the loss gradient at the model output.
 
@@ -229,52 +156,49 @@ def gmn_backward(params: GmnParams, batch: Batch, grad_out: np.ndarray) -> tuple
     with the gated lag state, scaled by the hop's damping power and zeroed
     off-support (off-support weights are frozen, not just initialized, at 0).
     """
-    _check_compat(params, batch)
+    _check_compat(params, data)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (batch.count, batch.size):
+    if grad_out.shape != (len(data), data.size):
         raise ValueError(f"output gradient must be B x S, got {grad_out.shape}")
-    z = _lagged_inputs(batch)
     grads = []
     for i in range(params.n):
-        g = (params.gamma ** (i + 1)) * (grad_out.T @ z[:, i, :])
+        g = (params.gamma ** (i + 1)) * (grad_out.T @ data.at_lag(i))
         grads.append(params.masks.mask(i + 1) * g)
     return tuple(grads)
 
 
-def sgmn_forward(params: SgmnParams, batch: Batch) -> np.ndarray:
+def sgmn_forward(params: SgmnParams, data: LastObservations) -> np.ndarray:
     """Spectral counterpart of gmn_forward.
 
     Each lag term transforms the gated state into the eigenbasis, scales each
     coordinate by that hop's gain, and transforms back — two S-dimensional
     basis products and a pointwise scale, never a dense S x S weight.
     """
-    _check_compat(params, batch)
+    _check_compat(params, data)
     u = params.basis.eigenvectors
-    z = _lagged_inputs(batch)
-    out = np.zeros((batch.count, params.size))
+    out = np.zeros((len(data), params.size))
     for i in range(params.n):
-        coords = z[:, i, :] @ u
+        coords = data.at_lag(i) @ u
         out = out + (params.gamma ** (i + 1)) * ((coords * params.gains[i]) @ u.T)
     return out
 
 
-def sgmn_backward(params: SgmnParams, batch: Batch, grad_out: np.ndarray) -> tuple:
+def sgmn_backward(params: SgmnParams, data: LastObservations, grad_out: np.ndarray) -> tuple:
     """Gradients of a scalar loss with respect to each hop's gain vector.
 
     In the eigenbasis the forward term is diagonal, so each gain's gradient is
     the batch sum of the product of the transformed output gradient and the
     transformed gated state at that frequency.
     """
-    _check_compat(params, batch)
+    _check_compat(params, data)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (batch.count, batch.size):
+    if grad_out.shape != (len(data), data.size):
         raise ValueError(f"output gradient must be B x S, got {grad_out.shape}")
     u = params.basis.eigenvectors
-    z = _lagged_inputs(batch)
     grad_coords = grad_out @ u
     grads = []
     for i in range(params.n):
-        z_coords = z[:, i, :] @ u
+        z_coords = data.at_lag(i) @ u
         grads.append((params.gamma ** (i + 1)) * (grad_coords * z_coords).sum(axis=0))
     return tuple(grads)
 
@@ -319,15 +243,15 @@ def model_kind(params) -> str:
     raise TypeError(f"not a model parameter object: {type(params).__name__}")
 
 
-def forward(params, batch: Batch) -> np.ndarray:
+def forward(params, data: LastObservations) -> np.ndarray:
     """Kind-agnostic forward dispatch."""
     if isinstance(params, GmnParams):
-        return gmn_forward(params, batch)
-    return sgmn_forward(params, batch)
+        return gmn_forward(params, data)
+    return sgmn_forward(params, data)
 
 
-def backward(params, batch: Batch, grad_out: np.ndarray) -> tuple:
+def backward(params, data: LastObservations, grad_out: np.ndarray) -> tuple:
     """Kind-agnostic backward dispatch."""
     if isinstance(params, GmnParams):
-        return gmn_backward(params, batch, grad_out)
-    return sgmn_backward(params, batch, grad_out)
+        return gmn_backward(params, data, grad_out)
+    return sgmn_backward(params, data, grad_out)

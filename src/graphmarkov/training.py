@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, backward, batch_from_samples, forward
+from .models import backward, forward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -176,21 +176,21 @@ def adam_step(params, grads, state: AdamState, lr: float):
     )
 
 
-def _dataset_loss(params, samples) -> float:
-    """Masked MSE over a whole sample list, evaluated in bounded chunks."""
+def _dataset_loss(params, data) -> float:
+    """Masked MSE over a whole dataset, evaluated in bounded chunks."""
     total_sq = 0.0
     total_obs = 0.0
-    for lo in range(0, len(samples), _EVAL_CHUNK):
-        batch = batch_from_samples(samples[lo : lo + _EVAL_CHUNK])
-        diff = (forward(params, batch) - batch.labels) * batch.label_mask
+    for lo in range(0, len(data), _EVAL_CHUNK):
+        chunk = data[lo : lo + _EVAL_CHUNK]
+        diff = (forward(params, chunk) - chunk.label) * chunk.label_mask
         total_sq += float((diff * diff).sum())
-        total_obs += float(batch.label_mask.sum())
+        total_obs += float(chunk.label_mask.sum())
     if total_obs == 0:
         raise ValueError("dataset has no observed label entries")
     return total_sq / total_obs
 
 
-def train(params, train_samples, val_samples, config: TrainConfig, log=None):
+def train(params, train_data, val_data, config: TrainConfig, log=None):
     """Run the full training loop; returns (best params, TrainHistory).
 
     Each epoch shuffles the training windows with a seeded generator, walks
@@ -200,14 +200,8 @@ def train(params, train_samples, val_samples, config: TrainConfig, log=None):
     per epoch.
 
     Raises:
-        ValueError: empty datasets.
         FloatingPointError: non-finite training or validation loss.
     """
-    if not train_samples:
-        raise ValueError("empty training set")
-    if not val_samples:
-        raise ValueError("empty validation set")
-
     rng = np.random.default_rng(config.seed)
     state = AdamState.fresh(params)
     lr = config.lr_init
@@ -220,23 +214,22 @@ def train(params, train_samples, val_samples, config: TrainConfig, log=None):
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        order = rng.permutation(len(train_samples))
+        order = rng.permutation(len(train_data))
         epoch_sq = 0.0
         epoch_obs = 0.0
         for lo in range(0, len(order), config.batch_size):
-            chosen = [train_samples[j] for j in order[lo : lo + config.batch_size]]
-            batch = batch_from_samples(chosen)
+            batch = train_data[order[lo : lo + config.batch_size]]
             if batch.label_mask.sum() == 0:
                 continue
             pred = forward(params, batch)
-            diff = (pred - batch.labels) * batch.label_mask
+            diff = (pred - batch.label) * batch.label_mask
             epoch_sq += float((diff * diff).sum())
             epoch_obs += float(batch.label_mask.sum())
-            grads = backward(params, batch, masked_mse_grad(pred, batch.labels, batch.label_mask))
+            grads = backward(params, batch, masked_mse_grad(pred, batch.label, batch.label_mask))
             params, state = adam_step(params, grads, state, lr)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
-        val_loss = _dataset_loss(params, val_samples)
+        val_loss = _dataset_loss(params, val_data)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise FloatingPointError(
                 f"non-finite loss at epoch {epoch} (train {train_loss}, val {val_loss})"

@@ -1,8 +1,10 @@
 """Slow, independent reference implementations used to pin the fast paths.
 
 Nothing here imports model internals beyond the public API: the finite
-difference oracle only needs a scalar loss over parameter tensors, and the
-dense spectral oracle rebuilds U diag(g) U^T the obvious way.
+difference oracle only needs a scalar loss over parameter tensors, the
+dense spectral oracle rebuilds U diag(g) U^T the obvious way, and the window
+oracles gate full n x S windows with a cumulative product of missingness
+instead of a forward-fill scan.
 """
 
 import numpy as np
@@ -50,16 +52,82 @@ def dense_spectral_map(eigenvectors, gains):
     return eigenvectors @ np.diag(gains) @ eigenvectors.T
 
 
+def cumulative_mask(input_mask):
+    """Per-lag gate built from the observation mask.
+
+    Input is ordered oldest-first along its time axis (axis -2); output is
+    ordered by lag: out[..., i, :] gates the state i steps back and equals the
+    product of (1 - mask) over all strictly newer steps in the window. Lag 0
+    (the newest step) is gated by the empty product, all ones. Consequently a
+    fully observed window passes only its newest step through, and a sensor's
+    older readings contribute only while every newer one is missing.
+    """
+    m = np.asarray(input_mask, dtype=np.float64)
+    newest_first = m[..., ::-1, :]
+    complement = 1.0 - newest_first
+    out = np.ones_like(m)
+    out[..., 1:, :] = np.cumprod(complement[..., :-1, :], axis=-2)
+    return out
+
+
+def gated_lags(inputs, input_mask):
+    """B x n x S model input of B x n x S windows (oldest step first): the
+    lag-i slice is the state i steps back, gated by the cumulative mask."""
+    return np.asarray(inputs, dtype=np.float64)[:, ::-1, :] * cumulative_mask(input_mask)
+
+
+def windows_dataset(inputs, input_mask, labels, label_mask):
+    """LastObservations of B x n x S windows (oldest step first), found
+    through the cumulative-mask gate: the one open lag with an observed
+    reading, or lag n with value 0 where the window saw nothing."""
+    from graphmarkov.data import LastObservations
+
+    inputs = np.asarray(inputs, dtype=np.float64)
+    input_mask = np.asarray(input_mask, dtype=np.float64)
+    n = inputs.shape[1]
+    chosen = cumulative_mask(input_mask) * input_mask[:, ::-1, :]
+    lag = np.where(chosen.any(axis=1), chosen.argmax(axis=1), n)
+    value = (inputs[:, ::-1, :] * chosen).sum(axis=1)
+    return LastObservations(
+        value=value,
+        lag=lag,
+        label=np.asarray(labels, dtype=np.float64),
+        label_mask=np.asarray(label_mask, dtype=np.float64),
+        n=n,
+    )
+
+
+def complete_dataset(inputs, labels=None):
+    """windows_dataset of fully observed B x n x S windows; labels default
+    to ones, all observed."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if labels is None:
+        labels = np.ones((inputs.shape[0], inputs.shape[2]))
+    labels = np.asarray(labels, dtype=np.float64)
+    return windows_dataset(inputs, np.ones_like(inputs), labels, np.ones_like(labels))
+
+
+def series_windows(series, n, label_series=None):
+    """The T - n windows of a series, sliced step by step as n x S blocks
+    and gated by windows_dataset."""
+    labels = series if label_series is None else label_series
+    starts = range(series.steps - n)
+    return windows_dataset(
+        np.stack([series.values[k : k + n] for k in starts]),
+        np.stack([series.mask[k : k + n] for k in starts]),
+        np.stack([labels.values[k + n] for k in starts]),
+        np.stack([labels.mask[k + n] for k in starts]),
+    )
+
+
 def random_instance(rng, model_init, graph_builder, min_size=2, max_size=8,
                     max_history=4, max_batch=4):
-    """Draw a random small model + batch pair for gradient sweeps.
+    """Draw a random small model + dataset pair for gradient sweeps.
 
-    Returns (params, batch). Weights/gains are randomized (masked to support
+    Returns (params, data). Weights/gains are randomized (masked to support
     for the dense model), inputs carry random missingness, and labels are
     random values observed at a random subset of entries (at least one).
     """
-    from graphmarkov.models import Batch
-
     size = int(rng.integers(min_size, max_size + 1))
     history = int(rng.integers(1, max_history + 1))
     count = int(rng.integers(1, max_batch + 1))
@@ -76,10 +144,5 @@ def random_instance(rng, model_init, graph_builder, min_size=2, max_size=8,
     label_mask = (rng.random((count, size)) < 0.8).astype(float)
     if label_mask.sum() == 0.0:
         label_mask.flat[0] = 1.0
-    batch = Batch(
-        inputs=inputs,
-        input_mask=mask,
-        labels=rng.standard_normal((count, size)),
-        label_mask=label_mask,
-    )
-    return params, batch
+    data = windows_dataset(inputs, mask, rng.standard_normal((count, size)), label_mask)
+    return params, data

@@ -27,13 +27,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from graphmarkov.data import NormStats, Sample, ingest_csv, prepare_datasets
+from graphmarkov.data import NormStats, ingest_csv, prepare_datasets
 from graphmarkov.evaluation import evaluate, metrics, persistence_baseline
 from graphmarkov.graph import build_graph, read_adjacency_csv
 from graphmarkov.models import (
-    Batch,
     backward,
-    batch_from_samples,
     forward,
     init_gmn,
     init_params,
@@ -42,7 +40,13 @@ from graphmarkov.models import (
 from graphmarkov.simulate import TransitionSpec, simulate_gmp
 from graphmarkov.training import TrainConfig, train, _dataset_loss
 
-from oracles import fd_tensor_grads, quadratic_loss_and_grad, random_instance, relative_grad_error
+from oracles import (
+    complete_dataset,
+    fd_tensor_grads,
+    quadratic_loss_and_grad,
+    random_instance,
+    relative_grad_error,
+)
 
 NETWORK_SIZE = 10
 ROLLOUT_STEPS = 5000
@@ -93,12 +97,12 @@ class TestAcceptance:
             def loss_of(tensors, params=params, batch=batch):
                 moved = params.with_tensors(tensors)
                 loss, _ = quadratic_loss_and_grad(
-                    forward(moved, batch), batch.labels, batch.label_mask
+                    forward(moved, batch), batch.label, batch.label_mask
                 )
                 return loss
 
             pred = forward(params, batch)
-            _, grad_out = quadratic_loss_and_grad(pred, batch.labels, batch.label_mask)
+            _, grad_out = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
             analytic = backward(params, batch, grad_out)
             numeric = fd_tensor_grads(loss_of, params.tensors)
             worst = max(worst, relative_grad_error(analytic, numeric))
@@ -119,12 +123,7 @@ class TestAcceptance:
         dense = init_gmn(graph, n=3, gamma=0.7)
         dense = dense.with_tensors([rng.standard_normal(t.shape) for t in dense.tensors])
         inputs = rng.random((5, 3, 6))
-        batch = Batch(
-            inputs=inputs,
-            input_mask=np.ones_like(inputs),
-            labels=np.zeros((5, 6)),
-            label_mask=np.ones((5, 6)),
-        )
+        batch = complete_dataset(inputs, labels=np.zeros((5, 6)))
         newest = inputs[:, -1, :]
         single_term = 0.7 * (newest @ (dense.masks.mask(1) * dense.weights[0]).T)
         dense_exact = np.array_equal(forward(dense, batch), single_term)
@@ -223,11 +222,8 @@ class TestAcceptance:
         and the rate never falls below the 1e-5 floor."""
         graph = build_graph(_ring_adjacency(4))
         rng = np.random.default_rng(9)
-        samples = []
-        for _ in range(12):
-            x = rng.random((1, 4))
-            samples.append(Sample(inputs=x, input_mask=np.ones((1, 4)),
-                                  label=0.5 * x[0], label_mask=np.ones(4)))
+        x = rng.random((12, 1, 4))
+        samples = complete_dataset(x, labels=0.5 * x[:, 0, :])
 
         # The warm start is already optimal for these labels, so no epoch
         # improves: epoch 6 runs at lr/10, and training stops after it.

@@ -109,3 +109,23 @@ class TestLoadErrors:
         path.write_text("graphmarkov-model v1\nkind=gmn\nsize=notanumber\n")
         with pytest.raises(ValueError, match="header"):
             load_params(path, random_graph(1))
+
+    def test_rejects_nonfinite_gmn_weight(self, tmp_path):
+        g = random_graph(4)
+        params = init_gmn(g, n=2, gamma=0.9)
+        weights = [np.array(w) for w in params.weights]
+        weights[1][2, 2] = np.inf
+        path = tmp_path / "model.ckpt"
+        save_params(path, params.with_tensors(weights))
+        with pytest.raises(ValueError, match=r"\[hop_weights 2\] row 3 holds a non-finite"):
+            load_params(path, g)
+
+    def test_rejects_nonfinite_sgmn_gain(self, tmp_path):
+        g = random_graph(5)
+        params = init_sgmn(g, n=2, gamma=0.9)
+        gains = [np.array(t) for t in params.gains]
+        gains[1][0] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_params(path, params.with_tensors(gains))
+        with pytest.raises(ValueError, match=r"\[frequency_gains 2\] row 1 holds a non-finite"):
+            load_params(path, g)

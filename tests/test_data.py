@@ -1,5 +1,5 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
-normalization, splitting, and windowing."""
+normalization, splitting, and last-observation windowing."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,16 @@ from graphmarkov.data import (
     denormalize,
     ingest_csv,
     inject_missing,
+    last_observations,
     normalize,
     observed_stats,
     prepare_datasets,
     split,
     synthesize_timestamps,
-    window,
     write_speed_csv,
 )
+
+from oracles import gated_lags, series_windows
 
 
 def make_series(values, mask=None):
@@ -273,39 +275,112 @@ class TestSplit:
             SplitSpec(1.0, 0.0, 0.0)
 
 
+def assert_same_windows(data, reference):
+    """Field-by-field equality of two LastObservations, and of the gated
+    input of every lag."""
+    assert data.n == reference.n
+    for name in ("value", "lag", "label", "label_mask"):
+        np.testing.assert_array_equal(getattr(data, name), getattr(reference, name), err_msg=name)
+    for i in range(data.n):
+        np.testing.assert_array_equal(data.at_lag(i), reference.at_lag(i))
+
+
 class TestWindow:
     def test_count_and_alignment(self):
         s = make_series(np.arange(10.0).reshape(10, 1) + 1.0)
-        samples = window(s, 3)
-        assert len(samples) == 7
-        # Window k holds steps k..k+2 oldest-first; its label is step k+3.
-        np.testing.assert_array_equal(samples[0].inputs[:, 0], [1.0, 2.0, 3.0])
-        assert samples[0].label[0] == 4.0
-        np.testing.assert_array_equal(samples[6].inputs[:, 0], [7.0, 8.0, 9.0])
-        assert samples[6].label[0] == 10.0
+        data = last_observations(s, 3)
+        assert len(data) == 7
+        # Window k holds steps k..k+2; fully observed, so its last
+        # observation is step k+2 at lag 0. Its label is step k+3.
+        np.testing.assert_array_equal(data.value[:, 0], np.arange(3.0, 10.0))
+        np.testing.assert_array_equal(data.lag, 0)
+        np.testing.assert_array_equal(data.label[:, 0], np.arange(4.0, 11.0))
 
     def test_history_property(self):
         s = make_series(np.ones((5, 2)))
-        assert window(s, 2)[0].history == 2
+        data = last_observations(s, 2)
+        assert data.n == 2 and data[np.array([0])].n == 2
 
     def test_label_series_override(self):
         base = make_series(np.arange(8.0).reshape(4, 2) + 1.0)
         injected = inject_missing(base, 0.5, seed=5)
-        samples = window(injected, 2, label_series=base)
-        for k, sample in enumerate(samples):
-            np.testing.assert_array_equal(sample.inputs, injected.values[k : k + 2])
-            np.testing.assert_array_equal(sample.label, base.values[k + 2])
-            np.testing.assert_array_equal(sample.label_mask, base.mask[k + 2])
+        data = last_observations(injected, 2, label_series=base)
+        assert_same_windows(data, series_windows(injected, 2, label_series=base))
+        np.testing.assert_array_equal(data.label, base.values[2:])
+        np.testing.assert_array_equal(data.label_mask, base.mask[2:])
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="at least"):
-            window(make_series(np.ones((3, 1))), 3)
+            last_observations(make_series(np.ones((3, 1))), 3)
 
     def test_rejects_mismatched_labels(self):
         a = make_series(np.ones((5, 2)))
         b = make_series(np.ones((5, 3)))
         with pytest.raises(ValueError, match="match"):
-            window(a, 2, label_series=b)
+            last_observations(a, 2, label_series=b)
+
+
+class TestLastObservationScan:
+    """The forward-fill scan against full n x S windows gated by the
+    cumulative mask."""
+
+    def test_random_masks_match_reference(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 4, 7):
+            for rate in (0.1, 0.5, 0.9):
+                mask = (rng.random((30, 5)) >= rate).astype(float)
+                s = make_series(rng.standard_normal((30, 5)), mask)
+                assert_same_windows(last_observations(s, n), series_windows(s, n))
+
+    def test_gated_lags_match_reference(self):
+        rng = np.random.default_rng(33)
+        mask = (rng.random((25, 4)) < 0.6).astype(float)
+        s = make_series(rng.standard_normal((25, 4)), mask)
+        data = last_observations(s, 3)
+        windows = np.stack([s.values[k : k + 3] for k in range(22)])
+        masks = np.stack([s.mask[k : k + 3] for k in range(22)])
+        reference = gated_lags(windows, masks)
+        for i in range(3):
+            np.testing.assert_array_equal(data.at_lag(i), reference[:, i, :])
+
+    def test_window_without_observation(self):
+        mask = np.ones((8, 2))
+        mask[2:6, 1] = 0.0  # sensor 1 dark for steps 2..5
+        s = make_series(np.arange(16.0).reshape(8, 2) + 1.0, mask)
+        data = last_observations(s, 3)
+        assert_same_windows(data, series_windows(s, 3))
+        # Window 3 covers steps 3..5, where sensor 1 saw nothing.
+        assert data.lag[3, 1] == 3 and data.value[3, 1] == 0.0
+        np.testing.assert_array_equal(data.at_lag(0)[3], [s.values[5, 0], 0.0])
+        # Window 2 covers steps 2..4: nothing either, although step 1 was seen.
+        assert data.lag[2, 1] == 3 and data.value[2, 1] == 0.0
+        # Window 1 covers steps 1..3: step 1 is its newest reading, at lag 2.
+        assert data.lag[1, 1] == 2 and data.value[1, 1] == s.values[1, 1]
+
+    def test_fully_observed_window(self):
+        rng = np.random.default_rng(35)
+        s = make_series(rng.random((6, 3)) + 1.0)
+        data = last_observations(s, 4)
+        assert_same_windows(data, series_windows(s, 4))
+        np.testing.assert_array_equal(data.lag, 0)
+        np.testing.assert_array_equal(data.value, s.values[3:5])
+
+    def test_first_windows_of_val_and_test_stay_inside_their_part(self):
+        """A sensor dark for the first n steps of the val and test parts has
+        no observation in their first window, although the step just before
+        the part boundary was observed."""
+        rng = np.random.default_rng(37)
+        steps, n = 50, 3
+        mask = np.ones((steps, 2))
+        for start in (30, 40):  # 6:2:2 boundaries of 50 steps
+            mask[start : start + n, 0] = 0.0
+        s = make_series(rng.random((steps, 2)) * 50.0 + 5.0, mask)
+        bundle = prepare_datasets(s, n=n, missing_rate=0.0, seed=0)
+        _, val, test = split(normalize(s, bundle.stats)[0], SplitSpec())
+        for data, part in ((bundle.val, val), (bundle.test, test)):
+            assert_same_windows(data, series_windows(part, n))
+            assert data.lag[0, 0] == n and data.value[0, 0] == 0.0
+            assert data.lag[0, 1] == 0
 
 
 class TestPrepareDatasets:
@@ -325,10 +400,8 @@ class TestPrepareDatasets:
         rng = np.random.default_rng(21)
         s = make_series(rng.random((30, 4)) * 50.0 + 5.0)
         bundle = prepare_datasets(s, n=2, missing_rate=0.5, seed=1)
-        label_mask = np.stack([smp.label_mask for smp in bundle.train])
-        input_mask = np.stack([smp.input_mask for smp in bundle.train])
-        assert label_mask.mean() == 1.0  # original data fully observed
-        assert input_mask.mean() < 0.8  # injection visibly hit the inputs
+        assert bundle.train.label_mask.mean() == 1.0  # original data fully observed
+        assert (bundle.train.lag == 0).mean() < 0.8  # injection visibly hit the inputs
 
     def test_stats_from_train_slice_only(self):
         values = np.outer(np.arange(1.0, 21.0), np.ones(2))
@@ -342,6 +415,5 @@ class TestPrepareDatasets:
         s = make_series(rng.random((25, 3)) + 1.0)
         b1 = prepare_datasets(s, n=2, missing_rate=0.3, seed=4)
         b2 = prepare_datasets(s, n=2, missing_rate=0.3, seed=4)
-        for x, y in zip(b1.train, b2.train):
-            np.testing.assert_array_equal(x.inputs, y.inputs)
-            np.testing.assert_array_equal(x.input_mask, y.input_mask)
+        for name in ("value", "lag", "label", "label_mask"):
+            np.testing.assert_array_equal(getattr(b1.train, name), getattr(b2.train, name))

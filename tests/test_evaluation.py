@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from graphmarkov.data import NormStats, Sample, prepare_datasets
+from graphmarkov.data import NormStats, prepare_datasets
 from graphmarkov.evaluation import (
     InfluenceTable,
     MetricsReport,
-    carry_forward_predictions,
     evaluate,
     format_influence,
     format_metrics,
@@ -21,9 +20,11 @@ from graphmarkov.evaluation import (
     write_residual_csv,
 )
 from graphmarkov.graph import build_graph
-from graphmarkov.models import batch_from_samples, forward, init_gmn, init_sgmn
+from graphmarkov.models import forward, init_gmn, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import TrainConfig, train
+
+from oracles import complete_dataset, windows_dataset
 
 IDENTITY_STATS = NormStats(vmin=0.0, vmax=1.0)
 
@@ -35,16 +36,6 @@ def path_graph(size):
     return build_graph(a)
 
 
-def full_sample(inputs, label):
-    inputs = np.asarray(inputs, dtype=float)
-    return Sample(
-        inputs=inputs,
-        input_mask=np.ones_like(inputs),
-        label=np.asarray(label, dtype=float),
-        label_mask=np.ones(len(label)),
-    )
-
-
 class TestMetricsReport:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -53,6 +44,13 @@ class TestMetricsReport:
     def test_rejects_negative_metric(self):
         with pytest.raises(ValueError, match="negative"):
             MetricsReport(mae=-1, rmse=1, mape=1, evaluated_count=1, excluded_zero_truth_count=0)
+
+    def test_rejects_nonfinite_metric(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                MetricsReport(mae=bad, rmse=bad, mape=bad, evaluated_count=1, excluded_zero_truth_count=0)
+            with pytest.raises(ValueError, match="finite"):
+                MetricsReport(mae=1.0, rmse=1.0, mape=bad, evaluated_count=1, excluded_zero_truth_count=0)
 
     def test_rejects_mae_above_rmse(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -137,7 +135,7 @@ class TestEvaluate:
         g = path_graph(3)
         params = init_gmn(g, n=2, gamma=1.0)
         x = np.full(3, 0.6)
-        samples = [full_sample(np.tile(x, (2, 1)), x) for _ in range(4)]
+        samples = complete_dataset(np.tile(x, (4, 2, 1)), labels=np.tile(x, (4, 1)))
         r = evaluate(params, samples, NormStats(vmin=0.0, vmax=70.0))
         assert r.mae == 0.0
 
@@ -156,40 +154,33 @@ class TestEvaluate:
     def test_rejects_empty(self):
         g = path_graph(3)
         params = init_gmn(g, n=1, gamma=0.9)
+        data = complete_dataset(np.ones((2, 1, 3)))
         with pytest.raises(ValueError, match="empty"):
-            evaluate(params, [], IDENTITY_STATS)
+            evaluate(params, data[np.array([], dtype=int)], IDENTITY_STATS)
 
     def test_predict_chunking_consistent(self):
         g = path_graph(4)
         params = init_gmn(g, n=2, gamma=0.9)
         rng = np.random.default_rng(6)
-        samples = [full_sample(rng.random((2, 4)), rng.random(4)) for _ in range(7)]
-        whole = forward(params, batch_from_samples(samples))
+        samples = complete_dataset(rng.random((7, 2, 4)), labels=rng.random((7, 4)))
+        whole = forward(params, samples)
         np.testing.assert_array_equal(predict(params, samples), whole)
 
 
 class TestPersistenceBaseline:
     def test_fully_observed_carries_newest(self):
-        s = full_sample([[0.1, 0.2], [0.3, 0.4]], [0.0, 0.0])
-        np.testing.assert_array_equal(carry_forward_predictions([s]), [[0.3, 0.4]])
+        s = complete_dataset([[[0.1, 0.2], [0.3, 0.4]]], labels=[[0.0, 0.0]])
+        np.testing.assert_array_equal(s.value, [[0.3, 0.4]])
 
     def test_missing_newest_falls_back(self):
-        s = Sample(
-            inputs=np.array([[0.1, 0.2], [0.3, 0.0]]),
-            input_mask=np.array([[1.0, 1.0], [1.0, 0.0]]),
-            label=np.zeros(2),
-            label_mask=np.ones(2),
+        s = windows_dataset(
+            [[[0.1, 0.2], [0.3, 0.0]]], [[[1.0, 1.0], [1.0, 0.0]]], np.zeros((1, 2)), np.ones((1, 2))
         )
-        np.testing.assert_array_equal(carry_forward_predictions([s]), [[0.3, 0.2]])
+        np.testing.assert_array_equal(s.value, [[0.3, 0.2]])
 
     def test_total_gap_predicts_zero(self):
-        s = Sample(
-            inputs=np.zeros((3, 2)),
-            input_mask=np.zeros((3, 2)),
-            label=np.ones(2),
-            label_mask=np.ones(2),
-        )
-        np.testing.assert_array_equal(carry_forward_predictions([s]), [[0.0, 0.0]])
+        s = windows_dataset(np.zeros((1, 3, 2)), np.zeros((1, 3, 2)), np.ones((1, 2)), np.ones((1, 2)))
+        np.testing.assert_array_equal(s.value, [[0.0, 0.0]])
 
     def test_matches_undamped_identity_model(self):
         """On fully observed windows the baseline is the n=1, undamped,
@@ -197,7 +188,7 @@ class TestPersistenceBaseline:
         g = path_graph(5)
         params = init_gmn(g, n=1, gamma=1.0)
         rng = np.random.default_rng(8)
-        samples = [full_sample(rng.random((1, 5)), rng.random(5)) for _ in range(6)]
+        samples = complete_dataset(rng.random((6, 1, 5)), labels=rng.random((6, 5)))
         stats = NormStats(vmin=2.0, vmax=66.0)
         base = persistence_baseline(samples, stats)
         model = evaluate(params, samples, stats)

@@ -91,6 +91,23 @@ class TestHopMasks:
         np.testing.assert_array_equal(ms.mask(4), np.ones((5, 5)))
         np.testing.assert_array_equal(ms.mask(5), ms.mask(4))
 
+    def test_dense_graph_deep_orders_do_not_overflow(self):
+        """Path counts on a dense graph pass the float range within a few
+        hundred powers; the masks must stay binary and complete."""
+        rng = np.random.default_rng(13)
+        g = build_graph((rng.random((50, 50)) < 0.9).astype(float))
+        ms = hop_masks(g, 190)
+        for k in (2, 100, 190):
+            np.testing.assert_array_equal(ms.mask(k), np.ones((50, 50)))
+
+    def test_matches_matrix_powers(self):
+        rng = np.random.default_rng(17)
+        g = build_graph((rng.random((12, 12)) < 0.15).astype(float))
+        ms = hop_masks(g, 8)
+        for k in range(1, 9):
+            power = np.linalg.matrix_power(g.self_adjacency, k)
+            np.testing.assert_array_equal(ms.mask(k), (power > 0).astype(float))
+
     def test_order_and_bounds(self):
         ms = hop_masks(path_graph(3), 2)
         assert ms.order == 2

@@ -3,14 +3,11 @@
 import numpy as np
 import pytest
 
-from graphmarkov.data import Sample
+from graphmarkov.data import LastObservations
 from graphmarkov.graph import build_graph, hop_masks, normalized_laplacian, spectral_basis
 from graphmarkov.models import (
-    Batch,
     GmnParams,
     SgmnParams,
-    batch_from_samples,
-    cumulative_mask,
     gmn_backward,
     gmn_forward,
     init_gmn,
@@ -22,11 +19,14 @@ from graphmarkov.models import (
 )
 
 from oracles import (
+    complete_dataset,
+    cumulative_mask,
     dense_spectral_map,
     fd_tensor_grads,
     quadratic_loss_and_grad,
     random_instance,
     relative_grad_error,
+    windows_dataset,
 )
 
 
@@ -34,20 +34,10 @@ def two_node_graph():
     return build_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def complete_batch(inputs):
-    """Batch with every entry observed and unit labels (labels unused by the
-    forward pass)."""
-    inputs = np.asarray(inputs, dtype=float)
-    b, _, s = inputs.shape
-    return Batch(
-        inputs=inputs,
-        input_mask=np.ones_like(inputs),
-        labels=np.ones((b, s)),
-        label_mask=np.ones((b, s)),
-    )
-
-
 class TestCumulativeMask:
+    """The reference gate that the last-observation datasets are checked
+    against."""
+
     def test_complete_data_keeps_only_newest(self):
         m = np.ones((2, 3, 4))
         c = cumulative_mask(m)
@@ -88,41 +78,48 @@ class TestCumulativeMask:
 
 
 class TestBatch:
+    """Batches are row subsets of a LastObservations dataset."""
+
     def test_from_samples_stacks_in_order(self):
-        samples = [
-            Sample(
-                inputs=np.full((2, 3), float(k)),
-                input_mask=np.ones((2, 3)),
-                label=np.full(3, float(k)),
-                label_mask=np.ones(3),
-            )
-            for k in range(1, 5)
-        ]
-        batch = batch_from_samples(samples)
-        assert batch.count == 4 and batch.history == 2 and batch.size == 3
-        np.testing.assert_array_equal(batch.inputs[2], 3.0)
-        np.testing.assert_array_equal(batch.labels[0], 1.0)
+        inputs = np.stack([np.full((2, 3), float(k)) for k in range(1, 5)])
+        data = complete_dataset(inputs, labels=inputs[:, 0, :])
+        batch = data[np.array([2, 0, 3])]
+        assert len(batch) == 3 and batch.n == 2 and batch.size == 3
+        np.testing.assert_array_equal(batch.value[0], 3.0)
+        np.testing.assert_array_equal(batch.label[1], 1.0)
+        np.testing.assert_array_equal(batch.lag, 0)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="zero samples"):
-            batch_from_samples([])
+        data = complete_dataset(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="empty"):
+            data[np.array([], dtype=int)]
 
     def test_rejects_unzeroed_inputs(self):
-        with pytest.raises(ValueError, match="zero"):
-            Batch(
-                inputs=np.ones((1, 2, 2)),
-                input_mask=np.zeros((1, 2, 2)),
-                labels=np.ones((1, 2)),
+        with pytest.raises(ValueError, match="value 0"):
+            LastObservations(
+                value=np.ones((1, 2)),
+                lag=np.full((1, 2), 2),
+                label=np.ones((1, 2)),
                 label_mask=np.ones((1, 2)),
+                n=2,
             )
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            Batch(
-                inputs=np.ones((1, 2, 2)),
-                input_mask=np.ones((1, 2, 2)),
-                labels=np.ones((1, 3)),
+            LastObservations(
+                value=np.ones((1, 2)),
+                lag=np.zeros((1, 2), dtype=int),
+                label=np.ones((1, 3)),
                 label_mask=np.ones((1, 3)),
+                n=2,
+            )
+        with pytest.raises(ValueError, match="lags"):
+            LastObservations(
+                value=np.ones((1, 2)),
+                lag=np.full((1, 2), 3),
+                label=np.ones((1, 2)),
+                label_mask=np.ones((1, 2)),
+                n=2,
             )
 
 
@@ -136,13 +133,13 @@ class TestGmnForward:
             masks=hop_masks(g, 1),
             gamma=1.0,
         )
-        batch = complete_batch([[[1.0, 0.0]]])
+        batch = complete_dataset([[[1.0, 0.0]]])
         np.testing.assert_allclose(gmn_forward(params, batch), [[1.0, 1.0]])
 
     def test_identity_init_predicts_damped_newest(self):
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.9)
-        batch = complete_batch([[[0.5, 0.5]]])
+        batch = complete_dataset([[[0.5, 0.5]]])
         np.testing.assert_allclose(gmn_forward(params, batch), [[0.45, 0.45]])
 
     def test_complete_data_reduces_to_first_term(self):
@@ -158,8 +155,8 @@ class TestGmnForward:
         shallow = GmnParams(weights=(w1,), masks=hop_masks(g, 1), gamma=0.8)
 
         inputs3 = rng.random((4, 3, 5))
-        out_deep = gmn_forward(deep, complete_batch(inputs3))
-        out_shallow = gmn_forward(shallow, complete_batch(inputs3[:, 2:, :]))
+        out_deep = gmn_forward(deep, complete_dataset(inputs3))
+        out_shallow = gmn_forward(shallow, complete_dataset(inputs3[:, 2:, :]))
         np.testing.assert_array_equal(out_deep, out_shallow)
 
     def test_zero_weights_zero_output(self):
@@ -169,7 +166,7 @@ class TestGmnForward:
             masks=hop_masks(g, 2),
             gamma=0.9,
         )
-        batch = complete_batch(np.random.default_rng(1).random((3, 2, 2)))
+        batch = complete_dataset(np.random.default_rng(1).random((3, 2, 2)))
         np.testing.assert_array_equal(gmn_forward(params, batch), 0.0)
 
     def test_missing_newest_falls_back_to_history(self):
@@ -184,12 +181,7 @@ class TestGmnForward:
         )
         inputs = np.array([[[0.8, 0.6], [0.4, 0.0]]])
         mask = np.array([[[1.0, 1.0], [1.0, 0.0]]])  # sensor 1 newest missing
-        batch = Batch(
-            inputs=inputs,
-            input_mask=mask,
-            labels=np.zeros((1, 2)),
-            label_mask=np.ones((1, 2)),
-        )
+        batch = windows_dataset(inputs, mask, np.zeros((1, 2)), np.ones((1, 2)))
         out = gmn_forward(params, batch)
         # Sensor 0: newest observed -> gamma * 0.4. Sensor 1: falls back to
         # the older 0.6 through the hop-2 identity -> gamma^2 * 0.6.
@@ -199,20 +191,20 @@ class TestGmnForward:
         g = two_node_graph()
         params = init_gmn(g, n=2, gamma=0.9)
         with pytest.raises(ValueError, match="history"):
-            gmn_forward(params, complete_batch(np.ones((1, 3, 2))))
+            gmn_forward(params, complete_dataset(np.ones((1, 3, 2))))
 
     def test_rejects_mismatched_size(self):
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.9)
         with pytest.raises(ValueError, match="sensors"):
-            gmn_forward(params, complete_batch(np.ones((1, 1, 3))))
+            gmn_forward(params, complete_dataset(np.ones((1, 1, 3))))
 
 
 class TestGmnBackward:
     def test_zero_upstream_zero_grads(self):
         g = two_node_graph()
         params = init_gmn(g, n=2, gamma=0.9)
-        batch = complete_batch(np.random.default_rng(3).random((2, 2, 2)))
+        batch = complete_dataset(np.random.default_rng(3).random((2, 2, 2)))
         grads = gmn_backward(params, batch, np.zeros((2, 2)))
         for grad in grads:
             np.testing.assert_array_equal(grad, 0.0)
@@ -222,7 +214,7 @@ class TestGmnBackward:
         upstream gradient with the newest state, on the support."""
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.5)
-        batch = complete_batch([[[0.2, 0.7]]])
+        batch = complete_dataset([[[0.2, 0.7]]])
         upstream = np.array([[3.0, -1.0]])
         (grad,) = gmn_backward(params, batch, upstream)
         expected = 0.5 * np.outer([3.0, -1.0], [0.2, 0.7])
@@ -233,11 +225,8 @@ class TestGmnBackward:
         g = build_graph(np.diag(np.ones(3), 1)[:4, :4] + np.diag(np.ones(3), -1)[:4, :4])
         params = init_gmn(g, n=2, gamma=0.7)
         mask = (rng.random((3, 2, 4)) < 0.6).astype(float)
-        batch = Batch(
-            inputs=rng.random((3, 2, 4)) * mask,
-            input_mask=mask,
-            labels=rng.random((3, 4)),
-            label_mask=np.ones((3, 4)),
+        batch = windows_dataset(
+            rng.random((3, 2, 4)) * mask, mask, rng.random((3, 4)), np.ones((3, 4))
         )
         grads = gmn_backward(params, batch, rng.standard_normal((3, 4)))
         for k, grad in enumerate(grads, start=1):
@@ -248,13 +237,13 @@ class TestGmnBackward:
         for _ in range(8):
             params, batch = random_instance(rng, init_gmn, build_graph)
             pred = gmn_forward(params, batch)
-            _, upstream = quadratic_loss_and_grad(pred, batch.labels, batch.label_mask)
+            _, upstream = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
             analytic = gmn_backward(params, batch, upstream)
 
             def loss(tensors):
                 p = params.with_tensors(tensors)
                 out = gmn_forward(p, batch)
-                return quadratic_loss_and_grad(out, batch.labels, batch.label_mask)[0]
+                return quadratic_loss_and_grad(out, batch.label, batch.label_mask)[0]
 
             numeric = fd_tensor_grads(loss, params.tensors)
             assert relative_grad_error(analytic, numeric) < 1e-6
@@ -266,7 +255,7 @@ class TestSgmnForward:
         g = build_graph((rng.random((6, 6)) < 0.5).astype(float))
         params = init_sgmn(g, n=1, gamma=0.9)
         inputs = rng.random((3, 1, 6))
-        out = sgmn_forward(params, complete_batch(inputs))
+        out = sgmn_forward(params, complete_dataset(inputs))
         np.testing.assert_allclose(out, 0.9 * inputs[:, 0, :], atol=1e-10)
 
     def test_zero_gains_zero_output(self):
@@ -276,7 +265,7 @@ class TestSgmnForward:
             basis=spectral_basis(normalized_laplacian(g)),
             gamma=0.9,
         )
-        batch = complete_batch(np.random.default_rng(0).random((2, 2, 2)))
+        batch = complete_dataset(np.random.default_rng(0).random((2, 2, 2)))
         np.testing.assert_array_equal(sgmn_forward(params, batch), 0.0)
 
     def test_matches_dense_matrix_oracle(self):
@@ -285,11 +274,10 @@ class TestSgmnForward:
             params, batch = random_instance(rng, init_sgmn, build_graph)
             fast = sgmn_forward(params, batch)
             u = params.basis.eigenvectors
-            z = batch.inputs[:, ::-1, :] * cumulative_mask(batch.input_mask)
             slow = np.zeros_like(fast)
             for i in range(params.n):
                 dense = dense_spectral_map(u, params.gains[i])
-                slow += (params.gamma ** (i + 1)) * z[:, i, :] @ dense.T
+                slow += (params.gamma ** (i + 1)) * batch.at_lag(i) @ dense.T
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_linear_in_inputs(self):
@@ -303,13 +291,7 @@ class TestSgmnForward:
 
         def run(x):
             return sgmn_forward(
-                params,
-                Batch(
-                    inputs=x,
-                    input_mask=mask,
-                    labels=np.zeros((3, 5)),
-                    label_mask=np.ones((3, 5)),
-                ),
+                params, windows_dataset(x, mask, np.zeros((3, 5)), np.ones((3, 5)))
             )
 
         combined = run(2.0 * x1 + 3.0 * x2)
@@ -323,8 +305,8 @@ class TestSgmnForward:
         deep = SgmnParams(gains=(g1, rng.standard_normal(4)), basis=basis, gamma=0.9)
         shallow = SgmnParams(gains=(g1,), basis=basis, gamma=0.9)
         inputs = rng.random((2, 2, 4))
-        out_deep = sgmn_forward(deep, complete_batch(inputs))
-        out_shallow = sgmn_forward(shallow, complete_batch(inputs[:, 1:, :]))
+        out_deep = sgmn_forward(deep, complete_dataset(inputs))
+        out_shallow = sgmn_forward(shallow, complete_dataset(inputs[:, 1:, :]))
         np.testing.assert_array_equal(out_deep, out_shallow)
 
 
@@ -332,7 +314,7 @@ class TestSgmnBackward:
     def test_zero_upstream_zero_grads(self):
         g = two_node_graph()
         params = init_sgmn(g, n=2, gamma=0.9)
-        batch = complete_batch(np.random.default_rng(5).random((2, 2, 2)))
+        batch = complete_dataset(np.random.default_rng(5).random((2, 2, 2)))
         for grad in sgmn_backward(params, batch, np.zeros((2, 2))):
             np.testing.assert_array_equal(grad, 0.0)
 
@@ -342,7 +324,7 @@ class TestSgmnBackward:
         [0.75, -0.25] by direct arithmetic."""
         g = two_node_graph()
         params = init_sgmn(g, n=1, gamma=0.5)
-        batch = complete_batch([[[1.0, 0.0]]])
+        batch = complete_dataset([[[1.0, 0.0]]])
         (grad,) = sgmn_backward(params, batch, np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(grad, [0.75, -0.25], atol=1e-12)
 
@@ -351,13 +333,13 @@ class TestSgmnBackward:
         for _ in range(8):
             params, batch = random_instance(rng, init_sgmn, build_graph)
             pred = sgmn_forward(params, batch)
-            _, upstream = quadratic_loss_and_grad(pred, batch.labels, batch.label_mask)
+            _, upstream = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
             analytic = sgmn_backward(params, batch, upstream)
 
             def loss(tensors):
                 p = params.with_tensors(tensors)
                 out = sgmn_forward(p, batch)
-                return quadratic_loss_and_grad(out, batch.labels, batch.label_mask)[0]
+                return quadratic_loss_and_grad(out, batch.label, batch.label_mask)[0]
 
             numeric = fd_tensor_grads(loss, params.tensors)
             assert relative_grad_error(analytic, numeric) < 1e-6

@@ -5,7 +5,7 @@ import pytest
 
 from graphmarkov.data import prepare_datasets
 from graphmarkov.graph import build_graph
-from graphmarkov.models import Batch, batch_from_samples, forward, gmn_backward, gmn_forward, init_gmn, init_sgmn
+from graphmarkov.models import forward, gmn_backward, gmn_forward, init_gmn, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import (
     AdamState,
@@ -18,6 +18,8 @@ from graphmarkov.training import (
     train,
     write_history_csv,
 )
+
+from oracles import complete_dataset
 
 
 def ring_graph(size):
@@ -146,27 +148,15 @@ class TestAdamStep:
             adam_step(params, bad, AdamState.fresh(params), lr=1e-3)
 
     def test_small_step_decreases_quadratic_loss(self):
-        from graphmarkov.data import Sample
-
         g = ring_graph(5)
         params = init_gmn(g, n=1, gamma=0.9)
         rng = np.random.default_rng(7)
-        batch = batch_from_samples(
-            [
-                Sample(
-                    inputs=rng.random((1, 5)),
-                    input_mask=np.ones((1, 5)),
-                    label=rng.random(5),
-                    label_mask=np.ones(5),
-                )
-                for _ in range(8)
-            ]
-        )
-        before = masked_mse(gmn_forward(params, batch), batch.labels, batch.label_mask)
-        grad_out = masked_mse_grad(gmn_forward(params, batch), batch.labels, batch.label_mask)
+        batch = complete_dataset(rng.random((8, 1, 5)), labels=rng.random((8, 5)))
+        before = masked_mse(gmn_forward(params, batch), batch.label, batch.label_mask)
+        grad_out = masked_mse_grad(gmn_forward(params, batch), batch.label, batch.label_mask)
         grads = gmn_backward(params, batch, grad_out)
         params, _ = adam_step(params, grads, AdamState.fresh(params), lr=1e-4)
-        after = masked_mse(gmn_forward(params, batch), batch.labels, batch.label_mask)
+        after = masked_mse(gmn_forward(params, batch), batch.label, batch.label_mask)
         assert after < before
 
 
@@ -236,19 +226,8 @@ class TestTrainLoop:
         g = ring_graph(4)
         params = init_gmn(g, n=1, gamma=0.5)
         rng = np.random.default_rng(9)
-        from graphmarkov.data import Sample
-
-        samples = []
-        for _ in range(12):
-            x = rng.random((1, 4))
-            samples.append(
-                Sample(
-                    inputs=x,
-                    input_mask=np.ones((1, 4)),
-                    label=0.5 * x[0],
-                    label_mask=np.ones(4),
-                )
-            )
+        x = rng.random((12, 1, 4))
+        samples = complete_dataset(x, labels=0.5 * x[:, 0, :])
         cfg = TrainConfig(batch_size=4, seed=2, max_epochs=50)
         _, history = train(params, samples, samples, cfg)
         assert history.epochs == 6
@@ -259,13 +238,9 @@ class TestTrainLoop:
     def test_lr_never_below_floor(self):
         g = ring_graph(4)
         params = init_gmn(g, n=1, gamma=0.5)
-        from graphmarkov.data import Sample
-
         rng = np.random.default_rng(11)
-        x = rng.random((1, 4))
-        samples = [
-            Sample(inputs=x, input_mask=np.ones((1, 4)), label=0.5 * x[0], label_mask=np.ones(4))
-        ] * 8
+        x = np.tile(rng.random((1, 1, 4)), (8, 1, 1))
+        samples = complete_dataset(x, labels=0.5 * x[:, 0, :])
         cfg = TrainConfig(
             batch_size=8, seed=0, max_epochs=80, lr_init=1e-4, lr_floor=1e-5,
             lr_patience=1, stop_patience=10,
@@ -297,9 +272,11 @@ class TestTrainLoop:
         )
 
     def test_rejects_empty_sets(self):
+        """An empty set cannot reach train: selecting no rows raises."""
         g, bundle = simulated_bundle(seed=15)
         params = init_gmn(g, n=1, gamma=0.9)
+        nothing = np.array([], dtype=int)
         with pytest.raises(ValueError, match="empty"):
-            train(params, [], bundle.val, TrainConfig())
+            train(params, bundle.train[nothing], bundle.val, TrainConfig())
         with pytest.raises(ValueError, match="empty"):
-            train(params, bundle.train, [], TrainConfig())
+            train(params, bundle.train, bundle.val[nothing], TrainConfig())
