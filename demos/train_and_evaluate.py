@@ -47,8 +47,7 @@ def main():
     config = TrainConfig(batch_size=32, seed=0, min_delta=0.0, stop_patience=8, max_epochs=60)
     for kind in ("gmn", "sgmn"):
         params = init_params(kind, graph, n=HISTORY, gamma=0.9)
-        entries = sum(np.asarray(t).size for t in params.tensors)
-        print(f"\ntraining {kind} ({entries} weight entries over {HISTORY} steps)")
+        print(f"\ntraining {kind} ({params.theta.size} free parameters over {HISTORY} steps)")
         trained, history = train(params, bundle.train, bundle.val, config, log=print)
         print(f"  best epoch {history.best_epoch} of {history.epochs}")
         reports[kind] = evaluate(trained, bundle.test, bundle.stats)

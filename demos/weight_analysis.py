@@ -68,7 +68,7 @@ def main():
     save_params(ckpt, trained)
     reloaded = load_params(ckpt, graph)
     print(f"checkpoint round-trip exact: "
-          f"{all(np.array_equal(a, b) for a, b in zip(trained.tensors, reloaded.tensors))}")
+          f"{np.array_equal(trained.theta, reloaded.theta)}")
 
     print("\nhow strongly each sensor FEEDS the network (one hop, column mass);")
     print("the hub, vertex 0, should rank first by a wide margin:")
@@ -83,8 +83,8 @@ def main():
     # Training should pull the one-hop map toward the generator.
     truth = graph.self_adjacency * spec.matrix
     start = init_gmn(graph, n=2, gamma=0.9)
-    start_map = start.masks.mask(1) * start.weights[0]
-    learned = reloaded.masks.mask(1) * reloaded.weights[0]
+    start_map = start.weights[0]
+    learned = reloaded.weights[0]
     before = np.linalg.norm(start_map - truth) / np.linalg.norm(truth)
     after = np.linalg.norm(learned - truth) / np.linalg.norm(truth)
     print(f"\nrelative distance to the ground-truth one-hop map: "

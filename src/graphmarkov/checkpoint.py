@@ -11,8 +11,8 @@ masks, the spectral basis) is rebuilt from the adjacency at load time.
 import numpy as np
 
 from . import __version__
-from .graph import Graph, hop_masks, normalized_laplacian, spectral_basis
-from .models import GmnParams, SgmnParams, model_kind
+from .graph import Graph
+from .models import MODELS
 
 MAGIC = "graphmarkov-model v1"
 
@@ -27,19 +27,16 @@ def save_params(path, params) -> None:
     The header carries no timestamps or host details, so two runs that learn
     identical weights produce byte-identical files.
     """
-    kind = model_kind(params)
     lines = [
         MAGIC,
-        f"kind={kind}",
+        f"kind={params.kind}",
         f"size={params.size}",
         f"history={params.n}",
         f"gamma={_fmt(params.gamma)}",
         f"producer=graphmarkov {__version__}",
     ]
-    for k, tensor in enumerate(params.tensors, start=1):
-        label = "hop_weights" if kind == "gmn" else "frequency_gains"
-        lines.append(f"[{label} {k}]")
-        block = np.atleast_2d(tensor)
+    for k, block in enumerate(params.blocks, start=1):
+        lines.append(f"[{params.block_label} {k}]")
         for row in block:
             lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", newline="") as fh:
@@ -73,42 +70,34 @@ def load_params(path, graph: Graph):
         gamma = float(header["gamma"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} has a malformed header: {exc}") from None
-    if kind not in ("gmn", "sgmn"):
+    if kind not in MODELS:
         raise ValueError(f"checkpoint {path} has unknown model kind {kind!r}")
+    model = MODELS[kind]
     if graph.size != size:
         raise ValueError(
             f"checkpoint {path} was trained on {size} sensors but the graph has {graph.size}"
         )
 
     blocks = _read_blocks(lines, cursor, path)
-    expected_label = "hop_weights" if kind == "gmn" else "frequency_gains"
     if len(blocks) != history:
         raise ValueError(
             f"checkpoint {path} declares history {history} but holds {len(blocks)} blocks"
         )
     tensors = []
     for k, (label, index, rows) in enumerate(blocks, start=1):
-        if label != expected_label or index != k:
-            raise ValueError(f"checkpoint {path}: expected block [{expected_label} {k}]")
+        if label != model.block_label or index != k:
+            raise ValueError(f"checkpoint {path}: expected block [{model.block_label} {k}]")
         arr = np.array(rows)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
             raise ValueError(
                 f"checkpoint {path}: block [{label} {k}] row {bad[0][0] + 1} holds a non-finite value"
             )
-        if kind == "gmn":
-            if arr.shape != (size, size):
-                raise ValueError(f"checkpoint {path}: block {k} is {arr.shape}, want {size}x{size}")
-            tensors.append(arr)
-        else:
-            if arr.shape != (1, size):
-                raise ValueError(f"checkpoint {path}: block {k} is {arr.shape}, want 1x{size}")
-            tensors.append(arr[0])
-
-    if kind == "gmn":
-        return GmnParams(weights=tuple(tensors), masks=hop_masks(graph, history), gamma=gamma)
-    basis = spectral_basis(normalized_laplacian(graph))
-    return SgmnParams(gains=tuple(tensors), basis=basis, gamma=gamma)
+        tensors.append(arr)
+    try:
+        return model.from_blocks(tensors, graph, gamma)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
 def _read_blocks(lines, start, path):

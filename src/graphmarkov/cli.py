@@ -9,9 +9,11 @@ Four subcommands cover the full experiment cycle:
 
 Every run appends one flat key=value record to <out>/manifest.txt capturing
 the resolved flags, seeds, input digests, and output paths — enough to rerun
-the command to identical outputs. Data/schedule seeds are explicit flags, so
-identical invocations are byte-identical in their checkpoint and history
-files.
+the command to identical outputs. Input file paths are recorded relative to
+the manifest's own directory, so `eval` finds a training run's inputs from
+any working directory, and checks them against the recorded digests.
+Data/schedule seeds are explicit flags, so identical invocations are
+byte-identical in their checkpoint and history files.
 
 Flags may also be supplied through `--config FILE` (key=value lines, `#`
 comments); explicit command-line flags win over config values.
@@ -19,6 +21,7 @@ comments); explicit command-line flags win over config values.
 
 import argparse
 import hashlib
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -226,6 +229,11 @@ def _last_train_record(checkpoint_path: Path) -> dict:
     return trains[-1] if trains else {}
 
 
+def _relative_to(path, directory: Path) -> str:
+    """path as a manifest in directory records it."""
+    return os.path.relpath(Path(path).resolve(), directory.resolve())
+
+
 def _ensure_out(path_text: str) -> Path:
     out = Path(path_text)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,8 +333,8 @@ def cmd_train(args) -> int:
         "lr": args.lr,
         "seed": args.seed,
         "split": _format_split(args.split),
-        "speed": args.speed,
-        "adjacency": args.adjacency,
+        "speed": _relative_to(args.speed, out),
+        "adjacency": _relative_to(args.adjacency, out),
         "sha256_speed": _sha256(args.speed),
         "sha256_adjacency": _sha256(args.adjacency),
         "out_checkpoint": checkpoint_path,
@@ -355,8 +363,16 @@ def cmd_eval(args) -> int:
             f"--{description} not given and no training manifest next to the checkpoint records it"
         )
 
-    speed = resolve(args.speed, "speed", str, "speed")
-    adjacency = resolve(args.adjacency, "adjacency", str, "adjacency")
+    def input_file(flag_value, key):
+        if flag_value is not None or key not in inherited:
+            return resolve(flag_value, key, str, key)
+        path = checkpoint_path.parent / inherited[key]
+        if _sha256(path) != inherited.get(f"sha256_{key}"):
+            raise ValueError(f"{key} file {path} does not match the training manifest's sha256_{key}")
+        return path
+
+    speed = input_file(args.speed, "speed")
+    adjacency = input_file(args.adjacency, "adjacency")
     missing_rate = resolve(args.missing_rate, "missing_rate", float, "missing-rate")
     seed = resolve(args.seed, "seed", int, "seed")
     split = resolve(args.split, "split", _split_fractions, "split")
@@ -386,8 +402,8 @@ def cmd_eval(args) -> int:
         "started": started,
         "checkpoint": checkpoint_path,
         "sha256_checkpoint": _sha256(checkpoint_path),
-        "speed": speed,
-        "adjacency": adjacency,
+        "speed": _relative_to(speed, out),
+        "adjacency": _relative_to(adjacency, out),
         "missing_rate": missing_rate,
         "seed": seed,
         "split": _format_split(split),

@@ -91,6 +91,13 @@ class SplitSpec:
 
 
 def _frozen(a) -> np.ndarray:
+    """a as a read-only float64 array: shared when it and its owner are
+    read-only already (a part of another series), else copied."""
+    base = getattr(a, "base", None)
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable and (
+        base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
+    ):
+        return a
     out = np.array(a, dtype=np.float64)
     out.setflags(write=False)
     return out

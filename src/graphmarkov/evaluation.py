@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormStats, denormalize
-from .models import GmnParams, forward
 
 MAPE_TRUTH_FLOOR = 1e-6
 
@@ -139,7 +138,7 @@ def predict(params, data) -> np.ndarray:
     evaluated in bounded chunks."""
     outputs = []
     for lo in range(0, len(data), _CHUNK):
-        outputs.append(forward(params, data[lo : lo + _CHUNK]))
+        outputs.append(params.predict(data[lo : lo + _CHUNK]))
     return np.concatenate(outputs, axis=0)
 
 
@@ -221,13 +220,8 @@ def influence_scores(params, step: int, mode: str = "row") -> InfluenceTable:
         raise ValueError(f"step {step} outside 1..{params.n}")
     if mode not in ("row", "column"):
         raise ValueError(f"mode must be 'row' or 'column', got {mode!r}")
-    if isinstance(params, GmnParams):
-        effective = params.masks.mask(step) * params.weights[step - 1]
-    else:
-        u = params.basis.eigenvectors
-        effective = (u * params.gains[step - 1]) @ u.T
     axis = 1 if mode == "row" else 0
-    scores = (effective**2).mean(axis=axis)
+    scores = (params.step_map(step) ** 2).mean(axis=axis)
 
     order = np.lexsort((np.arange(scores.size), -scores))
     ranks = np.empty(scores.size, dtype=np.int64)

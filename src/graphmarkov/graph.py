@@ -9,6 +9,7 @@ be shared freely across threads.
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,12 @@ class HopMaskSet:
         if not 1 <= k <= len(self.masks):
             raise ValueError(f"hop order {k} outside 1..{len(self.masks)}")
         return self.masks[k - 1]
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Flat indices of the support entries of all masks, stacked hop by
+        hop into an order x S x S array (row-major)."""
+        return np.flatnonzero(np.stack(self.masks))
 
 
 @dataclass(frozen=True)

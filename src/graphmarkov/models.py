@@ -11,17 +11,22 @@ models therefore read a window as its last observation (a
 
 Two parameterizations of the per-hop linear maps:
 
-* dense: a free S x S weight matrix per hop, zero outside the hop's
+* dense: an S x S weight matrix per hop, free only on the hop's
   reachability support;
 * spectral: a per-frequency gain vector applied in the eigenbasis of the
   graph's normalized Laplacian, giving S parameters per hop instead of up
   to S^2.
 
-Backward passes are analytic, not autodiff; their correctness is pinned by
-finite-difference tests.
+Each params class packs its free parameters into one float64 vector, theta,
+which the optimizer updates through `dataclasses.replace`: every vector of
+the right length is a valid model. The `from_*` constructors check per-hop
+arrays that come from outside. Backward passes are analytic, not autodiff;
+their correctness is pinned by finite-difference tests.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,100 +34,9 @@ from .data import LastObservations
 from .graph import Graph, HopMaskSet, SpectralBasis, hop_masks, normalized_laplacian, spectral_basis
 
 
-@dataclass(frozen=True)
-class GmnParams:
-    """Dense per-hop weights, masked to the graph's hop reachability.
-
-    weights[k-1] is the S x S matrix applied to the state k-1 steps back; its
-    entries outside masks.mask(k) are exactly zero.
-    """
-
-    weights: tuple
-    masks: HopMaskSet
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"damping factor must lie in (0,1], got {self.gamma}")
-        if len(self.weights) != self.masks.order:
-            raise ValueError(
-                f"{len(self.weights)} weight matrices but {self.masks.order} hop masks"
-            )
-        frozen = []
-        for k, w in enumerate(self.weights, start=1):
-            w = np.array(w, dtype=np.float64)
-            mask = self.masks.mask(k)
-            if w.shape != mask.shape:
-                raise ValueError(f"weight {k} shape {w.shape} != mask shape {mask.shape}")
-            if np.any(w[mask == 0.0] != 0.0):
-                raise ValueError(f"weight {k} has nonzero entries outside its {k}-hop support")
-            w.setflags(write=False)
-            frozen.append(w)
-        object.__setattr__(self, "weights", tuple(frozen))
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @property
-    def size(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def tensors(self) -> tuple:
-        return self.weights
-
-    def with_tensors(self, tensors) -> "GmnParams":
-        """Rebuild with new weights, re-masked to the hop supports."""
-        masked = tuple(
-            np.asarray(t, dtype=np.float64) * self.masks.mask(k)
-            for k, t in enumerate(tensors, start=1)
-        )
-        return GmnParams(weights=masked, masks=self.masks, gamma=self.gamma)
-
-
-@dataclass(frozen=True)
-class SgmnParams:
-    """Spectral per-hop gains in a fixed Laplacian eigenbasis.
-
-    gains[k-1] is the length-S vector of per-frequency multipliers applied to
-    the state k-1 steps back.
-    """
-
-    gains: tuple
-    basis: SpectralBasis
-    gamma: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"damping factor must lie in (0,1], got {self.gamma}")
-        if not self.gains:
-            raise ValueError("need at least one gain vector")
-        frozen = []
-        for k, g in enumerate(self.gains, start=1):
-            g = np.array(g, dtype=np.float64)
-            if g.shape != (self.basis.size,):
-                raise ValueError(
-                    f"gain vector {k} has shape {g.shape}, expected ({self.basis.size},)"
-                )
-            g.setflags(write=False)
-            frozen.append(g)
-        object.__setattr__(self, "gains", tuple(frozen))
-
-    @property
-    def n(self) -> int:
-        return len(self.gains)
-
-    @property
-    def size(self) -> int:
-        return self.basis.size
-
-    @property
-    def tensors(self) -> tuple:
-        return self.gains
-
-    def with_tensors(self, tensors) -> "SgmnParams":
-        return SgmnParams(gains=tuple(tensors), basis=self.basis, gamma=self.gamma)
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"damping factor must lie in (0,1], got {gamma}")
 
 
 def _check_compat(params, data: LastObservations) -> None:
@@ -132,75 +46,213 @@ def _check_compat(params, data: LastObservations) -> None:
         raise ValueError(f"dataset has {data.size} sensors but model has {params.size}")
 
 
-def gmn_forward(params: GmnParams, data: LastObservations) -> np.ndarray:
-    """Predict the next state for each window in the dataset.
+def _masked_error(pred: np.ndarray, data: LastObservations) -> tuple:
+    """Squared-error sum and count over the observed labels, and the
+    gradient of their ratio (the masked MSE) at pred."""
+    observed = data.label_mask.sum()
+    if observed == 0:
+        raise ValueError("the loss needs at least one observed label entry")
+    diff = (pred - data.label) * data.label_mask
+    return float((diff * diff).sum()), float(observed), 2.0 * diff / observed
 
-    The lag-i term applies gamma^(i+1) times the masked weight matrix for hop
-    i+1 to the gated state i steps back. On a fully observed window every term
-    past lag 0 is exactly zero, so the result reduces bit-for-bit to the
-    single newest-step term.
+
+@dataclass(frozen=True)
+class GmnParams:
+    """Dense per-hop weights confined to the graph's hop reachability.
+
+    theta holds each hop's weights inside its support, in the order of
+    masks.support; weights outside have no entry, so they are zero.
+    weights[k-1] is the S x S matrix applied to the state k-1 steps back.
     """
-    _check_compat(params, data)
-    out = np.zeros((len(data), params.size))
-    for i in range(params.n):
-        effective = params.masks.mask(i + 1) * params.weights[i]
-        out = out + (params.gamma ** (i + 1)) * (data.at_lag(i) @ effective.T)
-    return out
+
+    kind: ClassVar[str] = "gmn"
+    block_label: ClassVar[str] = "hop_weights"
+
+    theta: np.ndarray
+    masks: HopMaskSet
+    gamma: float
+
+    @classmethod
+    def from_weights(cls, weights, masks: HopMaskSet, gamma: float) -> "GmnParams":
+        """Pack dense per-hop weights, checking them against the masks."""
+        _check_gamma(gamma)
+        if len(weights) != masks.order:
+            raise ValueError(f"{len(weights)} weight matrices but {masks.order} hop masks")
+        dense = np.empty((masks.order,) + masks.mask(1).shape)
+        for k, w in enumerate(weights, start=1):
+            w = np.asarray(w, dtype=np.float64)
+            mask = masks.mask(k)
+            if w.shape != mask.shape:
+                raise ValueError(f"weight {k} shape {w.shape} != mask shape {mask.shape}")
+            if np.any(w[mask == 0.0] != 0.0):
+                raise ValueError(f"weight {k} has nonzero entries outside its {k}-hop support")
+            dense[k - 1] = w
+        theta = dense.reshape(-1)[masks.support]
+        theta.setflags(write=False)
+        return cls(theta=theta, masks=masks, gamma=gamma)
+
+    @classmethod
+    def from_blocks(cls, blocks, graph: Graph, gamma: float) -> "GmnParams":
+        """Params from checkpoint blocks: one S x S weight matrix per hop."""
+        return cls.from_weights(blocks, hop_masks(graph, len(blocks)), gamma)
+
+    @property
+    def n(self) -> int:
+        return self.masks.order
+
+    @property
+    def size(self) -> int:
+        return self.masks.mask(1).shape[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """n x S x S dense weights, scattered from theta."""
+        dense = np.zeros((self.n, self.size, self.size))
+        dense.reshape(-1)[self.masks.support] = self.theta
+        dense.setflags(write=False)
+        return dense
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The per-hop arrays a checkpoint writes: the weight matrices."""
+        return self.weights
+
+    def step_map(self, k: int) -> np.ndarray:
+        """The S x S linear map of hop k."""
+        return self.weights[k - 1]
+
+    def predict(self, data: LastObservations) -> np.ndarray:
+        """Predict the next state for each window in the dataset.
+
+        The lag-i term applies gamma^(i+1) times hop i+1's weights to the
+        input of the state i steps back. On a fully observed window every
+        term past lag 0 is exactly zero, so the result reduces bit-for-bit
+        to the single newest-step term.
+        """
+        _check_compat(self, data)
+        return self._combine((data.at_lag(i) for i in range(self.n)), len(data))
+
+    def loss_and_grad(self, data: LastObservations) -> tuple:
+        """Masked squared-error sum, observed label count, and the gradient
+        of their ratio with respect to theta.
+
+        Each lag's input is formed once for both directions. Hop k's
+        gradient is gamma^k times the batch-summed outer product of the
+        output gradient with the lag-(k-1) input, read on its support.
+        """
+        _check_compat(self, data)
+        lags = [data.at_lag(i) for i in range(self.n)]
+        sq, observed, grad_out = _masked_error(self._combine(lags, len(data)), data)
+        grads = np.empty(self.weights.shape)
+        for i, z in enumerate(lags):
+            grads[i] = (self.gamma ** (i + 1)) * (grad_out.T @ z)
+        return sq, observed, grads.reshape(-1)[self.masks.support]
+
+    def _combine(self, lags, rows: int) -> np.ndarray:
+        out = np.zeros((rows, self.size))
+        for i, (z, w) in enumerate(zip(lags, self.weights)):
+            out += (self.gamma ** (i + 1)) * (z @ w.T)
+        return out
 
 
-def gmn_backward(params: GmnParams, data: LastObservations, grad_out: np.ndarray) -> tuple:
-    """Gradients of a scalar loss with respect to each hop's weight matrix,
-    given the loss gradient at the model output.
+@dataclass(frozen=True)
+class SgmnParams:
+    """Spectral per-hop gains in a fixed Laplacian eigenbasis.
 
-    Each gradient is the batch-summed outer product of the output gradient
-    with the gated lag state, scaled by the hop's damping power and zeroed
-    off-support (off-support weights are frozen, not just initialized, at 0).
+    theta holds the gain vectors hop by hop; gains[k-1] is the length-S
+    vector of per-frequency multipliers applied to the state k-1 steps back.
     """
-    _check_compat(params, data)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (len(data), data.size):
-        raise ValueError(f"output gradient must be B x S, got {grad_out.shape}")
-    grads = []
-    for i in range(params.n):
-        g = (params.gamma ** (i + 1)) * (grad_out.T @ data.at_lag(i))
-        grads.append(params.masks.mask(i + 1) * g)
-    return tuple(grads)
+
+    kind: ClassVar[str] = "sgmn"
+    block_label: ClassVar[str] = "frequency_gains"
+
+    theta: np.ndarray
+    basis: SpectralBasis
+    gamma: float
+
+    @classmethod
+    def from_gains(cls, gains, basis: SpectralBasis, gamma: float) -> "SgmnParams":
+        """Pack per-hop gain vectors, checking their lengths."""
+        _check_gamma(gamma)
+        if len(gains) == 0:
+            raise ValueError("need at least one gain vector")
+        for k, g in enumerate(gains, start=1):
+            if np.shape(g) != (basis.size,):
+                raise ValueError(
+                    f"gain vector {k} has shape {np.shape(g)}, expected ({basis.size},)"
+                )
+        theta = np.array(gains, dtype=np.float64).reshape(-1)
+        theta.setflags(write=False)
+        return cls(theta=theta, basis=basis, gamma=gamma)
+
+    @classmethod
+    def from_blocks(cls, blocks, graph: Graph, gamma: float) -> "SgmnParams":
+        """Params from checkpoint blocks: one 1 x S row of gains per hop."""
+        for k, block in enumerate(blocks, start=1):
+            if np.shape(block) != (1, graph.size):
+                raise ValueError(f"gain block {k} is {np.shape(block)}, want 1x{graph.size}")
+        basis = spectral_basis(normalized_laplacian(graph))
+        return cls.from_gains([block[0] for block in blocks], basis, gamma)
+
+    @property
+    def n(self) -> int:
+        return self.theta.size // self.basis.size
+
+    @property
+    def size(self) -> int:
+        return self.basis.size
+
+    @property
+    def gains(self) -> np.ndarray:
+        """n x S gains, a view of theta."""
+        return self.theta.reshape(self.n, self.size)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The per-hop arrays a checkpoint writes: each gain vector as a row."""
+        return self.gains[:, None, :]
+
+    def step_map(self, k: int) -> np.ndarray:
+        """The S x S linear map of hop k, U diag(gains[k-1]) U^T."""
+        u = self.basis.eigenvectors
+        return (u * self.gains[k - 1]) @ u.T
+
+    def predict(self, data: LastObservations) -> np.ndarray:
+        """Spectral counterpart of GmnParams.predict: each lag term moves
+        its input into the eigenbasis, scales it by that hop's gains and
+        moves it back, never forming a dense S x S weight."""
+        _check_compat(self, data)
+        u = self.basis.eigenvectors
+        return self._combine((data.at_lag(i) @ u for i in range(self.n)), len(data))
+
+    def loss_and_grad(self, data: LastObservations) -> tuple:
+        """Spectral counterpart of GmnParams.loss_and_grad.
+
+        The spectral coordinates of each lag's input are computed once for
+        both directions. In the eigenbasis the forward term is diagonal, so
+        each gain's gradient is the batch sum of the transformed output
+        gradient times the transformed input at that frequency.
+        """
+        _check_compat(self, data)
+        u = self.basis.eigenvectors
+        coords = [data.at_lag(i) @ u for i in range(self.n)]
+        sq, observed, grad_out = _masked_error(self._combine(coords, len(data)), data)
+        grad_coords = grad_out @ u
+        grads = np.empty((self.n, self.size))
+        for i, c in enumerate(coords):
+            grads[i] = (self.gamma ** (i + 1)) * (grad_coords * c).sum(axis=0)
+        return sq, observed, grads.reshape(-1)
+
+    def _combine(self, coords, rows: int) -> np.ndarray:
+        u = self.basis.eigenvectors
+        out = np.zeros((rows, self.size))
+        for i, (c, g) in enumerate(zip(coords, self.gains)):
+            out += (self.gamma ** (i + 1)) * ((c * g) @ u.T)
+        return out
 
 
-def sgmn_forward(params: SgmnParams, data: LastObservations) -> np.ndarray:
-    """Spectral counterpart of gmn_forward.
-
-    Each lag term transforms the gated state into the eigenbasis, scales each
-    coordinate by that hop's gain, and transforms back — two S-dimensional
-    basis products and a pointwise scale, never a dense S x S weight.
-    """
-    _check_compat(params, data)
-    u = params.basis.eigenvectors
-    out = np.zeros((len(data), params.size))
-    for i in range(params.n):
-        coords = data.at_lag(i) @ u
-        out = out + (params.gamma ** (i + 1)) * ((coords * params.gains[i]) @ u.T)
-    return out
-
-
-def sgmn_backward(params: SgmnParams, data: LastObservations, grad_out: np.ndarray) -> tuple:
-    """Gradients of a scalar loss with respect to each hop's gain vector.
-
-    In the eigenbasis the forward term is diagonal, so each gain's gradient is
-    the batch sum of the product of the transformed output gradient and the
-    transformed gated state at that frequency.
-    """
-    _check_compat(params, data)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (len(data), data.size):
-        raise ValueError(f"output gradient must be B x S, got {grad_out.shape}")
-    u = params.basis.eigenvectors
-    grad_coords = grad_out @ u
-    grads = []
-    for i in range(params.n):
-        z_coords = data.at_lag(i) @ u
-        grads.append((params.gamma ** (i + 1)) * (grad_coords * z_coords).sum(axis=0))
-    return tuple(grads)
+# Params classes by the kind name that checkpoints and the CLI use.
+MODELS = {cls.kind: cls for cls in (GmnParams, SgmnParams)}
 
 
 def init_gmn(graph: Graph, n: int, gamma: float) -> GmnParams:
@@ -210,9 +262,8 @@ def init_gmn(graph: Graph, n: int, gamma: float) -> GmnParams:
     """
     if n < 1:
         raise ValueError("history depth must be >= 1")
-    masks = hop_masks(graph, n)
     weights = [np.eye(graph.size)] + [np.zeros((graph.size, graph.size)) for _ in range(n - 1)]
-    return GmnParams(weights=tuple(weights), masks=masks, gamma=gamma)
+    return GmnParams.from_weights(weights, hop_masks(graph, n), gamma)
 
 
 def init_sgmn(graph: Graph, n: int, gamma: float) -> SgmnParams:
@@ -222,7 +273,7 @@ def init_sgmn(graph: Graph, n: int, gamma: float) -> SgmnParams:
         raise ValueError("history depth must be >= 1")
     basis = spectral_basis(normalized_laplacian(graph))
     gains = [np.ones(graph.size)] + [np.zeros(graph.size) for _ in range(n - 1)]
-    return SgmnParams(gains=tuple(gains), basis=basis, gamma=gamma)
+    return SgmnParams.from_gains(gains, basis, gamma)
 
 
 def init_params(kind: str, graph: Graph, n: int, gamma: float):
@@ -232,26 +283,3 @@ def init_params(kind: str, graph: Graph, n: int, gamma: float):
     if kind == "sgmn":
         return init_sgmn(graph, n, gamma)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def model_kind(params) -> str:
-    """Inverse of init_params' dispatch: the kind string for a params object."""
-    if isinstance(params, GmnParams):
-        return "gmn"
-    if isinstance(params, SgmnParams):
-        return "sgmn"
-    raise TypeError(f"not a model parameter object: {type(params).__name__}")
-
-
-def forward(params, data: LastObservations) -> np.ndarray:
-    """Kind-agnostic forward dispatch."""
-    if isinstance(params, GmnParams):
-        return gmn_forward(params, data)
-    return sgmn_forward(params, data)
-
-
-def backward(params, data: LastObservations, grad_out: np.ndarray) -> tuple:
-    """Kind-agnostic backward dispatch."""
-    if isinstance(params, GmnParams):
-        return gmn_backward(params, data, grad_out)
-    return sgmn_backward(params, data, grad_out)

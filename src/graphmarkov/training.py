@@ -15,11 +15,9 @@ the last epoch.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .models import backward, forward
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -60,17 +58,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AdamState:
-    """First/second moment accumulators shaped like the parameter tensors,
-    plus the update counter used for bias correction."""
+    """First/second moment accumulators shaped like the packed parameter
+    vector, plus the update counter used for bias correction."""
 
-    first: tuple
-    second: tuple
+    first: np.ndarray
+    second: np.ndarray
     step: int
 
     @classmethod
     def fresh(cls, params) -> "AdamState":
-        zeros = tuple(np.zeros_like(np.asarray(t)) for t in params.tensors)
-        return cls(first=zeros, second=tuple(z.copy() for z in zeros), step=0)
+        return cls(first=np.zeros_like(params.theta), second=np.zeros_like(params.theta), step=0)
 
 
 @dataclass(frozen=True)
@@ -120,60 +117,23 @@ def write_history_csv(path, history: TrainHistory) -> None:
             )
 
 
-def masked_mse(pred: np.ndarray, labels: np.ndarray, label_mask: np.ndarray) -> float:
-    """Mean squared error over entries with label_mask = 1.
-
-    Raises:
-        ValueError: no observed label entries.
-    """
-    observed = label_mask.sum()
-    if observed == 0:
-        raise ValueError("masked_mse needs at least one observed label entry")
-    diff = (pred - labels) * label_mask
-    return float((diff * diff).sum() / observed)
-
-
-def masked_mse_grad(pred: np.ndarray, labels: np.ndarray, label_mask: np.ndarray) -> np.ndarray:
-    """Gradient of masked_mse at pred: 2 (pred - labels) / observed count,
-    zero at masked entries."""
-    observed = label_mask.sum()
-    if observed == 0:
-        raise ValueError("masked_mse needs at least one observed label entry")
-    return 2.0 * (pred - labels) * label_mask / observed
-
-
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update. Returns (new params, new state).
-
-    Dense-model weights are re-masked to their hop supports by the params
-    constructor, so off-support entries stay exactly zero no matter what the
-    optimizer accumulates.
+def adam_step(params, grad: np.ndarray, state: AdamState, lr: float):
+    """One bias-corrected Adam update of the packed parameter vector.
+    Returns (new params, new state).
 
     Raises:
         ValueError: non-finite gradient entries.
     """
-    if len(grads) != len(params.tensors):
-        raise ValueError(f"{len(grads)} gradients for {len(params.tensors)} tensors")
-    for k, g in enumerate(grads, start=1):
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in tensor {k}; aborting the update")
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient; aborting the update")
 
     step = state.step + 1
     scale1 = 1.0 - ADAM_BETA1**step
     scale2 = 1.0 - ADAM_BETA2**step
-    new_first, new_second, new_tensors = [], [], []
-    for t, g, m, v in zip(params.tensors, grads, state.first, state.second):
-        g = np.asarray(g, dtype=np.float64)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        update = lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
-        new_first.append(m)
-        new_second.append(v)
-        new_tensors.append(np.asarray(t) - update)
-    return (
-        params.with_tensors(new_tensors),
-        AdamState(first=tuple(new_first), second=tuple(new_second), step=step),
-    )
+    m = ADAM_BETA1 * state.first + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second + (1.0 - ADAM_BETA2) * (grad * grad)
+    update = lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
+    return replace(params, theta=params.theta - update), AdamState(first=m, second=v, step=step)
 
 
 def _dataset_loss(params, data) -> float:
@@ -182,7 +142,7 @@ def _dataset_loss(params, data) -> float:
     total_obs = 0.0
     for lo in range(0, len(data), _EVAL_CHUNK):
         chunk = data[lo : lo + _EVAL_CHUNK]
-        diff = (forward(params, chunk) - chunk.label) * chunk.label_mask
+        diff = (params.predict(chunk) - chunk.label) * chunk.label_mask
         total_sq += float((diff * diff).sum())
         total_obs += float(chunk.label_mask.sum())
     if total_obs == 0:
@@ -221,12 +181,10 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             batch = train_data[order[lo : lo + config.batch_size]]
             if batch.label_mask.sum() == 0:
                 continue
-            pred = forward(params, batch)
-            diff = (pred - batch.label) * batch.label_mask
-            epoch_sq += float((diff * diff).sum())
-            epoch_obs += float(batch.label_mask.sum())
-            grads = backward(params, batch, masked_mse_grad(pred, batch.label, batch.label_mask))
-            params, state = adam_step(params, grads, state, lr)
+            sq, observed, grad = params.loss_and_grad(batch)
+            epoch_sq += sq
+            epoch_obs += observed
+            params, state = adam_step(params, grad, state, lr)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data)

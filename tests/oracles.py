@@ -4,10 +4,21 @@ Nothing here imports model internals beyond the public API: the finite
 difference oracle only needs a scalar loss over parameter tensors, the
 dense spectral oracle rebuilds U diag(g) U^T the obvious way, and the window
 oracles gate full n x S windows with a cumulative product of missingness
-instead of a forward-fill scan.
+instead of a forward-fill scan. The dense reference passes, the masked MSE
+pair, the per-tensor Adam and the training loop built from them keep each
+model as a list of per-hop tensors and re-mask dense weights to their hop
+supports at every step, as the models once did; the packed parameter
+vectors must reproduce them bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+EVAL_CHUNK = 1024
 
 
 def fd_tensor_grads(loss_of_tensors, tensors, step=1e-5):
@@ -136,8 +147,8 @@ def random_instance(rng, model_init, graph_builder, min_size=2, max_size=8,
     adjacency = (rng.random((size, size)) < 0.5).astype(float)
     graph = graph_builder(np.maximum(adjacency, adjacency.T))
     params = model_init(graph, history, gamma)
-    randomized = [rng.standard_normal(np.asarray(t).shape) for t in params.tensors]
-    params = params.with_tensors(randomized)
+    randomized = [rng.standard_normal(np.asarray(t).shape) for t in per_hop_tensors(params)]
+    params = masked_params(params, randomized)
 
     mask = (rng.random((count, history, size)) < 0.7).astype(float)
     inputs = rng.standard_normal((count, history, size)) * mask
@@ -146,3 +157,185 @@ def random_instance(rng, model_init, graph_builder, min_size=2, max_size=8,
         label_mask.flat[0] = 1.0
     data = windows_dataset(inputs, mask, rng.standard_normal((count, size)), label_mask)
     return params, data
+
+
+def per_hop_tensors(params):
+    """The model's per-hop tensors: S x S weights or length-S gains."""
+    return list(params.weights) if hasattr(params, "masks") else list(params.gains)
+
+
+def masked_params(params, tensors):
+    """Params of the same structure and damping holding `tensors`; dense
+    weights are masked to their hop supports first."""
+    from graphmarkov.models import GmnParams, SgmnParams
+
+    if hasattr(params, "masks"):
+        masked = [np.asarray(t, dtype=np.float64) * params.masks.mask(k)
+                  for k, t in enumerate(tensors, start=1)]
+        return GmnParams.from_weights(masked, params.masks, params.gamma)
+    return SgmnParams.from_gains(list(tensors), params.basis, params.gamma)
+
+
+def mse_of(params, data):
+    """The masked MSE of params on data, from its loss_and_grad."""
+    sq, observed, _ = params.loss_and_grad(data)
+    return sq / observed
+
+
+def fd_theta_grad(loss_of_params, params, step=1e-5):
+    """Central finite differences of a scalar loss over the packed vector."""
+
+    def loss_of(tensors):
+        return loss_of_params(replace(params, theta=tensors[0]))
+
+    return fd_tensor_grads(loss_of, (params.theta,), step)[0]
+
+
+def gmn_forward(weights, masks, gamma, data):
+    """Dense forward pass over per-hop weights, each re-masked on use."""
+    out = np.zeros((len(data), data.size))
+    for i, w in enumerate(weights):
+        effective = masks.mask(i + 1) * w
+        out = out + (gamma ** (i + 1)) * (data.at_lag(i) @ effective.T)
+    return out
+
+
+def gmn_backward(weights, masks, gamma, data, grad_out):
+    """Per-hop weight gradients for an output gradient, masked to support."""
+    grads = []
+    for i in range(len(weights)):
+        g = (gamma ** (i + 1)) * (grad_out.T @ data.at_lag(i))
+        grads.append(masks.mask(i + 1) * g)
+    return grads
+
+
+def sgmn_forward(gains, basis, gamma, data):
+    """Spectral forward pass over per-hop gain vectors."""
+    u = basis.eigenvectors
+    out = np.zeros((len(data), data.size))
+    for i, g in enumerate(gains):
+        coords = data.at_lag(i) @ u
+        out = out + (gamma ** (i + 1)) * ((coords * g) @ u.T)
+    return out
+
+
+def sgmn_backward(gains, basis, gamma, data, grad_out):
+    """Per-hop gain gradients for an output gradient."""
+    u = basis.eigenvectors
+    grad_coords = grad_out @ u
+    grads = []
+    for i in range(len(gains)):
+        z_coords = data.at_lag(i) @ u
+        grads.append((gamma ** (i + 1)) * (grad_coords * z_coords).sum(axis=0))
+    return grads
+
+
+def masked_mse(pred, labels, label_mask):
+    """Mean squared error over entries with label_mask = 1."""
+    observed = label_mask.sum()
+    if observed == 0:
+        raise ValueError("masked_mse needs at least one observed label entry")
+    diff = (pred - labels) * label_mask
+    return float((diff * diff).sum() / observed)
+
+
+def masked_mse_grad(pred, labels, label_mask):
+    """Gradient of masked_mse at pred."""
+    observed = label_mask.sum()
+    if observed == 0:
+        raise ValueError("masked_mse needs at least one observed label entry")
+    return 2.0 * (pred - labels) * label_mask / observed
+
+
+def dense_passes(params):
+    """(per-hop tensors, forward(tensors, data), backward(tensors, data,
+    grad_out), remask(tensors)) of the params' kind."""
+    tensors = [np.array(t) for t in per_hop_tensors(params)]
+    if hasattr(params, "masks"):
+        masks, gamma = params.masks, params.gamma
+        return (
+            tensors,
+            lambda ts, data: gmn_forward(ts, masks, gamma, data),
+            lambda ts, data, g: gmn_backward(ts, masks, gamma, data, g),
+            lambda ts: [t * masks.mask(k) for k, t in enumerate(ts, start=1)],
+        )
+    basis, gamma = params.basis, params.gamma
+    return (
+        tensors,
+        lambda ts, data: sgmn_forward(ts, basis, gamma, data),
+        lambda ts, data, g: sgmn_backward(ts, basis, gamma, data, g),
+        lambda ts: ts,
+    )
+
+
+def adam_tensors(tensors, grads, first, second, step, lr, remask):
+    """One per-tensor Adam update; returns (tensors, first, second) with
+    the new tensors passed through remask."""
+    scale1 = 1.0 - ADAM_BETA1**step
+    scale2 = 1.0 - ADAM_BETA2**step
+    new_first, new_second, new_tensors = [], [], []
+    for t, g, m, v in zip(tensors, grads, first, second):
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        update = lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
+        new_first.append(m)
+        new_second.append(v)
+        new_tensors.append(t - update)
+    return remask(new_tensors), new_first, new_second
+
+
+def train_reference(params, train_data, val_data, config):
+    """The training loop on per-hop tensors with the dense passes, the
+    masked MSE pair and per-tensor Adam, under the same schedule as
+    `train`. Returns (best per-hop tensors, [(train_loss, val_loss, lr)]).
+    """
+    tensors, forward, backward, remask = dense_passes(params)
+
+    def dataset_loss(ts, data):
+        total_sq = 0.0
+        total_obs = 0.0
+        for lo in range(0, len(data), EVAL_CHUNK):
+            chunk = data[lo : lo + EVAL_CHUNK]
+            diff = (forward(ts, chunk) - chunk.label) * chunk.label_mask
+            total_sq += float((diff * diff).sum())
+            total_obs += float(chunk.label_mask.sum())
+        return total_sq / total_obs
+
+    rng = np.random.default_rng(config.seed)
+    first = [np.zeros_like(t) for t in tensors]
+    second = [np.zeros_like(t) for t in tensors]
+    step = 0
+    lr = config.lr_init
+    best_val, best = np.inf, tensors
+    plateau_lr = plateau_stop = 0
+    records = []
+    for _ in range(config.max_epochs):
+        order = rng.permutation(len(train_data))
+        epoch_sq = epoch_obs = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            batch = train_data[order[lo : lo + config.batch_size]]
+            if batch.label_mask.sum() == 0:
+                continue
+            pred = forward(tensors, batch)
+            diff = (pred - batch.label) * batch.label_mask
+            epoch_sq += float((diff * diff).sum())
+            epoch_obs += float(batch.label_mask.sum())
+            grads = backward(tensors, batch, masked_mse_grad(pred, batch.label, batch.label_mask))
+            step += 1
+            tensors, first, second = adam_tensors(tensors, grads, first, second, step, lr, remask)
+        val_loss = dataset_loss(tensors, val_data)
+        previous_best = min((r[1] for r in records), default=np.inf)
+        records.append((epoch_sq / epoch_obs, val_loss, lr))
+        if val_loss < best_val:
+            best_val, best = val_loss, tensors
+        if val_loss < previous_best - config.min_delta:
+            plateau_lr = plateau_stop = 0
+        else:
+            plateau_lr += 1
+            plateau_stop += 1
+        if plateau_stop >= config.stop_patience:
+            break
+        if plateau_lr >= config.lr_patience:
+            lr = max(lr / 10.0, config.lr_floor)
+            plateau_lr = 0
+    return best, records

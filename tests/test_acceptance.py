@@ -30,19 +30,15 @@ import pytest
 from graphmarkov.data import NormStats, ingest_csv, prepare_datasets
 from graphmarkov.evaluation import evaluate, metrics, persistence_baseline
 from graphmarkov.graph import build_graph, read_adjacency_csv
-from graphmarkov.models import (
-    backward,
-    forward,
-    init_gmn,
-    init_params,
-    init_sgmn,
-)
+from graphmarkov.models import init_gmn, init_params, init_sgmn
 from graphmarkov.simulate import TransitionSpec, simulate_gmp
 from graphmarkov.training import TrainConfig, train, _dataset_loss
 
 from oracles import (
     complete_dataset,
-    fd_tensor_grads,
+    fd_theta_grad,
+    masked_params,
+    per_hop_tensors,
     quadratic_loss_and_grad,
     random_instance,
     relative_grad_error,
@@ -94,18 +90,15 @@ class TestAcceptance:
             init = init_gmn if index % 2 == 0 else init_sgmn
             params, batch = random_instance(rng, init, build_graph, min_size=3)
 
-            def loss_of(tensors, params=params, batch=batch):
-                moved = params.with_tensors(tensors)
+            def loss_of(moved, batch=batch):
                 loss, _ = quadratic_loss_and_grad(
-                    forward(moved, batch), batch.label, batch.label_mask
+                    moved.predict(batch), batch.label, batch.label_mask
                 )
                 return loss
 
-            pred = forward(params, batch)
-            _, grad_out = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
-            analytic = backward(params, batch, grad_out)
-            numeric = fd_tensor_grads(loss_of, params.tensors)
-            worst = max(worst, relative_grad_error(analytic, numeric))
+            _, _, analytic = params.loss_and_grad(batch)
+            numeric = fd_theta_grad(loss_of, params)
+            worst = max(worst, relative_grad_error([analytic], [numeric]))
         elapsed = time.perf_counter() - started
         ok = worst < 1e-6 and elapsed < 10.0
         _verdict(1, "gradient oracle", ok,
@@ -121,19 +114,19 @@ class TestAcceptance:
         graph = build_graph(np.maximum(raw, raw.T))
 
         dense = init_gmn(graph, n=3, gamma=0.7)
-        dense = dense.with_tensors([rng.standard_normal(t.shape) for t in dense.tensors])
+        dense = masked_params(dense, [rng.standard_normal(t.shape) for t in dense.weights])
         inputs = rng.random((5, 3, 6))
         batch = complete_dataset(inputs, labels=np.zeros((5, 6)))
         newest = inputs[:, -1, :]
-        single_term = 0.7 * (newest @ (dense.masks.mask(1) * dense.weights[0]).T)
-        dense_exact = np.array_equal(forward(dense, batch), single_term)
+        single_term = 0.7 * (newest @ dense.weights[0].T)
+        dense_exact = np.array_equal(dense.predict(batch), single_term)
 
         spectral = init_sgmn(graph, n=3, gamma=0.7)
-        tensors = [np.array(t) for t in spectral.tensors]
+        tensors = per_hop_tensors(spectral)
         tensors[1] = rng.standard_normal(6)
         tensors[2] = rng.standard_normal(6)
-        spectral = spectral.with_tensors(tensors)
-        spectral_err = np.max(np.abs(forward(spectral, batch) - 0.7 * newest))
+        spectral = masked_params(spectral, tensors)
+        spectral_err = np.max(np.abs(spectral.predict(batch) - 0.7 * newest))
         elapsed = time.perf_counter() - started
         ok = dense_exact and spectral_err < 1e-10 and elapsed < 1.0
         _verdict(2, "complete-data reduction", ok,
@@ -159,7 +152,7 @@ class TestAcceptance:
             seed=17,
         )
         trained, history = train(params, bundle.train, bundle.val, config)
-        recovered = trained.masks.mask(1) * trained.weights[0]
+        recovered = trained.weights[0]
         target = graph.self_adjacency * spec.matrix
         rel_frob = np.linalg.norm(recovered - target) / np.linalg.norm(target)
         test_mse = _dataset_loss(trained, bundle.test)

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface, driven through main()."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,41 @@ class TestEval:
         code = run(["eval", "--checkpoint", str(moved), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "manifest" in capsys.readouterr().err
+
+
+class TestEvalInputPaths:
+    """A training run given relative input paths, evaluated from elsewhere."""
+
+    def train_relative(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        simulate_small(Path("sim"))
+        train_small(Path("sim"), Path("run"))
+        code = run(["eval", "--checkpoint", "run/model.ckpt", "--out", "reference"])
+        assert code == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        return tmp_path / "run" / "model.ckpt"
+
+    def test_finds_inputs_from_another_directory(self, tmp_path, monkeypatch):
+        ckpt = self.train_relative(tmp_path, monkeypatch)
+        assert run(["eval", "--checkpoint", str(ckpt), "--out", "out"]) == 0
+        assert (tmp_path / "elsewhere" / "out" / "metrics.csv").read_bytes() == \
+            (tmp_path / "reference" / "metrics.csv").read_bytes()
+
+    def test_ignores_same_named_files_in_the_working_directory(self, tmp_path, monkeypatch):
+        ckpt = self.train_relative(tmp_path, monkeypatch)
+        simulate_small(Path("sim"), seed=9)
+        assert run(["eval", "--checkpoint", str(ckpt), "--out", "out"]) == 0
+        assert (tmp_path / "elsewhere" / "out" / "metrics.csv").read_bytes() == \
+            (tmp_path / "reference" / "metrics.csv").read_bytes()
+
+    def test_rejects_an_input_changed_since_training(self, tmp_path, monkeypatch, capsys):
+        ckpt = self.train_relative(tmp_path, monkeypatch)
+        simulate_small(tmp_path / "sim", seed=9)
+        assert run(["eval", "--checkpoint", str(ckpt), "--out", "out"]) == 1
+        err = capsys.readouterr().err
+        assert "speed.csv" in err and "sha256" in err
 
 
 class TestInfluence:

@@ -83,6 +83,18 @@ class TestStateSeries:
         with pytest.raises(ValueError):
             s.values[0, 0] = 5.0
 
+    def test_writable_inputs_are_copied(self):
+        """A caller's writable array, or a read-only view of one, cannot
+        change the series afterwards."""
+        values = np.ones((3, 2))
+        view = values.view()
+        view.setflags(write=False)
+        s = StateSeries(values=values, mask=np.ones((3, 2)), timestamps=synthesize_timestamps(3))
+        t = StateSeries(values=view, mask=np.ones((3, 2)), timestamps=synthesize_timestamps(3))
+        values[0, 0] = 7.0
+        np.testing.assert_array_equal(s.values, 1.0)
+        np.testing.assert_array_equal(t.values, 1.0)
+
 
 class TestIngestCsv:
     def test_header_and_timestamp_column(self, tmp_path):
@@ -263,6 +275,17 @@ class TestSplit:
         s = make_series(np.arange(20.0).reshape(20, 1) + 1.0)
         train, val, test = split(s, SplitSpec(0.5, 0.25, 0.25))
         assert (train.steps, val.steps, test.steps) == (10, 5, 5)
+
+    def test_parts_share_memory_with_source(self):
+        """Parts of a series are read-only views of its frozen arrays, not
+        copies; so is the mask of a normalized series."""
+        s = make_series(np.arange(20.0).reshape(10, 2) + 1.0)
+        normed, _ = normalize(s)
+        assert np.shares_memory(normed.mask, s.mask)
+        for part in split(normed, SplitSpec()):
+            for name in ("values", "mask", "timestamps"):
+                assert np.shares_memory(getattr(part, name), getattr(normed, name))
+                assert not getattr(part, name).flags.writeable
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError, match="too short"):

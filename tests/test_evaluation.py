@@ -20,11 +20,11 @@ from graphmarkov.evaluation import (
     write_residual_csv,
 )
 from graphmarkov.graph import build_graph
-from graphmarkov.models import forward, init_gmn, init_sgmn
+from graphmarkov.models import init_gmn, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import TrainConfig, train
 
-from oracles import complete_dataset, windows_dataset
+from oracles import complete_dataset, masked_params, windows_dataset
 
 IDENTITY_STATS = NormStats(vmin=0.0, vmax=1.0)
 
@@ -163,7 +163,7 @@ class TestEvaluate:
         params = init_gmn(g, n=2, gamma=0.9)
         rng = np.random.default_rng(6)
         samples = complete_dataset(rng.random((7, 2, 4)), labels=rng.random((7, 4)))
-        whole = forward(params, samples)
+        whole = params.predict(samples)
         np.testing.assert_array_equal(predict(params, samples), whole)
 
 
@@ -281,12 +281,12 @@ class TestInfluenceScores:
     def test_score_sum_is_frobenius_norm(self):
         rng = np.random.default_rng(5)
         g = path_graph(6)
-        params = init_gmn(g, n=2, gamma=0.9).with_tensors(
-            [rng.standard_normal((6, 6)) for _ in range(2)]
+        params = masked_params(
+            init_gmn(g, n=2, gamma=0.9), [rng.standard_normal((6, 6)) for _ in range(2)]
         )
         for mode in ("row", "column"):
             table = influence_scores(params, step=2, mode=mode)
-            h = params.masks.mask(2) * params.weights[1]
+            h = params.weights[1]
             np.testing.assert_allclose(
                 table.scores.sum() * 6, (h**2).sum(), atol=1e-10
             )
@@ -295,7 +295,7 @@ class TestInfluenceScores:
         g = path_graph(4)
         params = init_gmn(g, n=1, gamma=0.9)
         w = np.diag([2.0, 5.0, 2.0, 1.0])
-        params = params.with_tensors([w])
+        params = masked_params(params, [w])
         table = influence_scores(params, step=1, mode="row")
         np.testing.assert_array_equal(table.ranks, [2, 1, 3, 4])
 

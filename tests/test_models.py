@@ -1,4 +1,6 @@
-"""Tests for the forward/backward passes of both model parameterizations."""
+"""Tests for the predictions and gradients of both model parameterizations."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,30 +10,37 @@ from graphmarkov.graph import build_graph, hop_masks, normalized_laplacian, spec
 from graphmarkov.models import (
     GmnParams,
     SgmnParams,
-    gmn_backward,
-    gmn_forward,
     init_gmn,
     init_params,
     init_sgmn,
-    model_kind,
-    sgmn_backward,
-    sgmn_forward,
 )
 
 from oracles import (
     complete_dataset,
     cumulative_mask,
     dense_spectral_map,
-    fd_tensor_grads,
-    quadratic_loss_and_grad,
+    fd_theta_grad,
+    gmn_backward,
+    masked_mse_grad,
+    masked_params,
+    mse_of,
     random_instance,
     relative_grad_error,
+    sgmn_backward,
     windows_dataset,
 )
 
 
 def two_node_graph():
     return build_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def with_labels(data, labels):
+    """The same windows with every label replaced and observed."""
+    labels = np.asarray(labels, dtype=np.float64)
+    return LastObservations(
+        value=data.value, lag=data.lag, label=labels, label_mask=np.ones_like(labels), n=data.n
+    )
 
 
 class TestCumulativeMask:
@@ -128,19 +137,15 @@ class TestGmnForward:
         """With the weight equal to the support itself and no damping, a unit
         impulse spreads to both vertices of a connected pair."""
         g = two_node_graph()
-        params = GmnParams(
-            weights=(g.self_adjacency.copy(),),
-            masks=hop_masks(g, 1),
-            gamma=1.0,
-        )
+        params = GmnParams.from_weights((g.self_adjacency.copy(),), hop_masks(g, 1), gamma=1.0)
         batch = complete_dataset([[[1.0, 0.0]]])
-        np.testing.assert_allclose(gmn_forward(params, batch), [[1.0, 1.0]])
+        np.testing.assert_allclose(params.predict(batch), [[1.0, 1.0]])
 
     def test_identity_init_predicts_damped_newest(self):
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.9)
         batch = complete_dataset([[[0.5, 0.5]]])
-        np.testing.assert_allclose(gmn_forward(params, batch), [[0.45, 0.45]])
+        np.testing.assert_allclose(params.predict(batch), [[0.45, 0.45]])
 
     def test_complete_data_reduces_to_first_term(self):
         """On fully observed windows, depth-3 output is bit-identical to the
@@ -151,38 +156,32 @@ class TestGmnForward:
         w1 = rng.standard_normal((5, 5)) * masks3.mask(1)
         w2 = rng.standard_normal((5, 5)) * masks3.mask(2)
         w3 = rng.standard_normal((5, 5)) * masks3.mask(3)
-        deep = GmnParams(weights=(w1, w2, w3), masks=masks3, gamma=0.8)
-        shallow = GmnParams(weights=(w1,), masks=hop_masks(g, 1), gamma=0.8)
+        deep = GmnParams.from_weights((w1, w2, w3), masks3, gamma=0.8)
+        shallow = GmnParams.from_weights((w1,), hop_masks(g, 1), gamma=0.8)
 
         inputs3 = rng.random((4, 3, 5))
-        out_deep = gmn_forward(deep, complete_dataset(inputs3))
-        out_shallow = gmn_forward(shallow, complete_dataset(inputs3[:, 2:, :]))
+        out_deep = deep.predict(complete_dataset(inputs3))
+        out_shallow = shallow.predict(complete_dataset(inputs3[:, 2:, :]))
         np.testing.assert_array_equal(out_deep, out_shallow)
 
     def test_zero_weights_zero_output(self):
         g = two_node_graph()
-        params = GmnParams(
-            weights=(np.zeros((2, 2)), np.zeros((2, 2))),
-            masks=hop_masks(g, 2),
-            gamma=0.9,
+        params = GmnParams.from_weights(
+            (np.zeros((2, 2)), np.zeros((2, 2))), hop_masks(g, 2), gamma=0.9
         )
         batch = complete_dataset(np.random.default_rng(1).random((3, 2, 2)))
-        np.testing.assert_array_equal(gmn_forward(params, batch), 0.0)
+        np.testing.assert_array_equal(params.predict(batch), 0.0)
 
     def test_missing_newest_falls_back_to_history(self):
         """A sensor whose newest reading is missing is predicted from the
         older reading through the two-hop term instead of contributing zero."""
         g = two_node_graph()
         masks = hop_masks(g, 2)
-        params = GmnParams(
-            weights=(np.eye(2), np.eye(2)),
-            masks=masks,
-            gamma=0.5,
-        )
+        params = GmnParams.from_weights((np.eye(2), np.eye(2)), masks, gamma=0.5)
         inputs = np.array([[[0.8, 0.6], [0.4, 0.0]]])
         mask = np.array([[[1.0, 1.0], [1.0, 0.0]]])  # sensor 1 newest missing
         batch = windows_dataset(inputs, mask, np.zeros((1, 2)), np.ones((1, 2)))
-        out = gmn_forward(params, batch)
+        out = params.predict(batch)
         # Sensor 0: newest observed -> gamma * 0.4. Sensor 1: falls back to
         # the older 0.6 through the hop-2 identity -> gamma^2 * 0.6.
         np.testing.assert_allclose(out, [[0.5 * 0.4, 0.25 * 0.6]])
@@ -191,36 +190,49 @@ class TestGmnForward:
         g = two_node_graph()
         params = init_gmn(g, n=2, gamma=0.9)
         with pytest.raises(ValueError, match="history"):
-            gmn_forward(params, complete_dataset(np.ones((1, 3, 2))))
+            params.predict(complete_dataset(np.ones((1, 3, 2))))
+        with pytest.raises(ValueError, match="history"):
+            params.loss_and_grad(complete_dataset(np.ones((1, 3, 2))))
 
     def test_rejects_mismatched_size(self):
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.9)
         with pytest.raises(ValueError, match="sensors"):
-            gmn_forward(params, complete_dataset(np.ones((1, 1, 3))))
+            params.predict(complete_dataset(np.ones((1, 1, 3))))
+        with pytest.raises(ValueError, match="sensors"):
+            params.loss_and_grad(complete_dataset(np.ones((1, 1, 3))))
 
 
 class TestGmnBackward:
+    """Gradients of the masked MSE with respect to the packed weights; the
+    gradient has theta's layout, so replace(params, theta=grad).weights
+    spreads it over the dense matrices."""
+
     def test_zero_upstream_zero_grads(self):
+        """A perfect fit has a zero output gradient, hence zero gradients."""
         g = two_node_graph()
         params = init_gmn(g, n=2, gamma=0.9)
         batch = complete_dataset(np.random.default_rng(3).random((2, 2, 2)))
-        grads = gmn_backward(params, batch, np.zeros((2, 2)))
-        for grad in grads:
-            np.testing.assert_array_equal(grad, 0.0)
+        batch = with_labels(batch, params.predict(batch))
+        sq, observed, grad = params.loss_and_grad(batch)
+        assert sq == 0.0 and observed == 4.0
+        assert grad.shape == params.theta.shape
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_single_element_outer_product(self):
         """B=1, n=1: the gradient is gamma times the outer product of the
-        upstream gradient with the newest state, on the support."""
+        output gradient with the newest state, on the support. Labels are
+        chosen so that the output gradient 2 (pred - label) / 2 is [3, -1]."""
         g = two_node_graph()
         params = init_gmn(g, n=1, gamma=0.5)
-        batch = complete_dataset([[[0.2, 0.7]]])
-        upstream = np.array([[3.0, -1.0]])
-        (grad,) = gmn_backward(params, batch, upstream)
+        batch = complete_dataset([[[0.2, 0.7]]], labels=[[0.1 - 3.0, 0.35 + 1.0]])
+        _, _, grad = params.loss_and_grad(batch)
         expected = 0.5 * np.outer([3.0, -1.0], [0.2, 0.7])
-        np.testing.assert_allclose(grad, expected)
+        np.testing.assert_allclose(replace(params, theta=grad).weights[0], expected)
 
     def test_grads_vanish_off_support(self):
+        """The packed gradient is the dense backward pass masked to the
+        supports, entry for entry; off-support entries have no place in it."""
         rng = np.random.default_rng(8)
         g = build_graph(np.diag(np.ones(3), 1)[:4, :4] + np.diag(np.ones(3), -1)[:4, :4])
         params = init_gmn(g, n=2, gamma=0.7)
@@ -228,25 +240,20 @@ class TestGmnBackward:
         batch = windows_dataset(
             rng.random((3, 2, 4)) * mask, mask, rng.random((3, 4)), np.ones((3, 4))
         )
-        grads = gmn_backward(params, batch, rng.standard_normal((3, 4)))
-        for k, grad in enumerate(grads, start=1):
-            np.testing.assert_array_equal(grad * (1 - params.masks.mask(k)), 0.0)
+        _, _, grad = params.loss_and_grad(batch)
+        support = sum(int(params.masks.mask(k).sum()) for k in (1, 2))
+        assert grad.size == support < 2 * 4 * 4  # fewer than the dense entries
+        upstream = masked_mse_grad(params.predict(batch), batch.label, batch.label_mask)
+        dense = gmn_backward(params.weights, params.masks, params.gamma, batch, upstream)
+        np.testing.assert_array_equal(replace(params, theta=grad).weights, dense)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for _ in range(8):
             params, batch = random_instance(rng, init_gmn, build_graph)
-            pred = gmn_forward(params, batch)
-            _, upstream = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
-            analytic = gmn_backward(params, batch, upstream)
-
-            def loss(tensors):
-                p = params.with_tensors(tensors)
-                out = gmn_forward(p, batch)
-                return quadratic_loss_and_grad(out, batch.label, batch.label_mask)[0]
-
-            numeric = fd_tensor_grads(loss, params.tensors)
-            assert relative_grad_error(analytic, numeric) < 1e-6
+            _, _, analytic = params.loss_and_grad(batch)
+            numeric = fd_theta_grad(lambda p: mse_of(p, batch), params)
+            assert relative_grad_error([analytic], [numeric]) < 1e-6
 
 
 class TestSgmnForward:
@@ -255,24 +262,22 @@ class TestSgmnForward:
         g = build_graph((rng.random((6, 6)) < 0.5).astype(float))
         params = init_sgmn(g, n=1, gamma=0.9)
         inputs = rng.random((3, 1, 6))
-        out = sgmn_forward(params, complete_dataset(inputs))
+        out = params.predict(complete_dataset(inputs))
         np.testing.assert_allclose(out, 0.9 * inputs[:, 0, :], atol=1e-10)
 
     def test_zero_gains_zero_output(self):
         g = two_node_graph()
-        params = SgmnParams(
-            gains=(np.zeros(2), np.zeros(2)),
-            basis=spectral_basis(normalized_laplacian(g)),
-            gamma=0.9,
+        params = SgmnParams.from_gains(
+            (np.zeros(2), np.zeros(2)), spectral_basis(normalized_laplacian(g)), gamma=0.9
         )
         batch = complete_dataset(np.random.default_rng(0).random((2, 2, 2)))
-        np.testing.assert_array_equal(sgmn_forward(params, batch), 0.0)
+        np.testing.assert_array_equal(params.predict(batch), 0.0)
 
     def test_matches_dense_matrix_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
             params, batch = random_instance(rng, init_sgmn, build_graph)
-            fast = sgmn_forward(params, batch)
+            fast = params.predict(batch)
             u = params.basis.eigenvectors
             slow = np.zeros_like(fast)
             for i in range(params.n):
@@ -284,15 +289,13 @@ class TestSgmnForward:
         rng = np.random.default_rng(18)
         g = build_graph((rng.random((5, 5)) < 0.5).astype(float))
         params = init_sgmn(g, n=2, gamma=0.8)
-        params = params.with_tensors([rng.standard_normal(5) for _ in range(2)])
+        params = masked_params(params, [rng.standard_normal(5) for _ in range(2)])
         mask = (rng.random((3, 2, 5)) < 0.7).astype(float)
         x1 = rng.random((3, 2, 5)) * mask
         x2 = rng.random((3, 2, 5)) * mask
 
         def run(x):
-            return sgmn_forward(
-                params, windows_dataset(x, mask, np.zeros((3, 5)), np.ones((3, 5)))
-            )
+            return params.predict(windows_dataset(x, mask, np.zeros((3, 5)), np.ones((3, 5))))
 
         combined = run(2.0 * x1 + 3.0 * x2)
         np.testing.assert_allclose(combined, 2.0 * run(x1) + 3.0 * run(x2), atol=1e-10)
@@ -302,11 +305,11 @@ class TestSgmnForward:
         g = build_graph((rng.random((4, 4)) < 0.6).astype(float))
         basis = spectral_basis(normalized_laplacian(g))
         g1 = rng.standard_normal(4)
-        deep = SgmnParams(gains=(g1, rng.standard_normal(4)), basis=basis, gamma=0.9)
-        shallow = SgmnParams(gains=(g1,), basis=basis, gamma=0.9)
+        deep = SgmnParams.from_gains((g1, rng.standard_normal(4)), basis, gamma=0.9)
+        shallow = SgmnParams.from_gains((g1,), basis, gamma=0.9)
         inputs = rng.random((2, 2, 4))
-        out_deep = sgmn_forward(deep, complete_dataset(inputs))
-        out_shallow = sgmn_forward(shallow, complete_dataset(inputs[:, 1:, :]))
+        out_deep = deep.predict(complete_dataset(inputs))
+        out_shallow = shallow.predict(complete_dataset(inputs[:, 1:, :]))
         np.testing.assert_array_equal(out_deep, out_shallow)
 
 
@@ -315,34 +318,33 @@ class TestSgmnBackward:
         g = two_node_graph()
         params = init_sgmn(g, n=2, gamma=0.9)
         batch = complete_dataset(np.random.default_rng(5).random((2, 2, 2)))
-        for grad in sgmn_backward(params, batch, np.zeros((2, 2))):
-            np.testing.assert_array_equal(grad, 0.0)
+        batch = with_labels(batch, params.predict(batch))
+        _, _, grad = params.loss_and_grad(batch)
+        assert grad.shape == params.theta.shape
+        np.testing.assert_array_equal(grad, 0.0)
 
     def test_hand_computed_two_sensor_case(self):
         """On the connected pair the basis is [[1,1],[1,-1]]/sqrt(2); with
-        x=[1,0], upstream [1,2], damping 0.5 the gain gradient works out to
-        [0.75, -0.25] by direct arithmetic."""
+        x=[1,0], output gradient [1,2], damping 0.5 the gain gradient works
+        out to [0.75, -0.25] by direct arithmetic. Unit gains predict
+        0.5 x = [0.5, 0]; labels [-0.5, -2] make 2 (pred - label) / 2 the
+        output gradient [1, 2]."""
         g = two_node_graph()
         params = init_sgmn(g, n=1, gamma=0.5)
-        batch = complete_dataset([[[1.0, 0.0]]])
-        (grad,) = sgmn_backward(params, batch, np.array([[1.0, 2.0]]))
+        batch = complete_dataset([[[1.0, 0.0]]], labels=[[-0.5, -2.0]])
+        _, _, grad = params.loss_and_grad(batch)
         np.testing.assert_allclose(grad, [0.75, -0.25], atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         for _ in range(8):
             params, batch = random_instance(rng, init_sgmn, build_graph)
-            pred = sgmn_forward(params, batch)
-            _, upstream = quadratic_loss_and_grad(pred, batch.label, batch.label_mask)
-            analytic = sgmn_backward(params, batch, upstream)
-
-            def loss(tensors):
-                p = params.with_tensors(tensors)
-                out = sgmn_forward(p, batch)
-                return quadratic_loss_and_grad(out, batch.label, batch.label_mask)[0]
-
-            numeric = fd_tensor_grads(loss, params.tensors)
-            assert relative_grad_error(analytic, numeric) < 1e-6
+            _, _, analytic = params.loss_and_grad(batch)
+            numeric = fd_theta_grad(lambda p: mse_of(p, batch), params)
+            assert relative_grad_error([analytic], [numeric]) < 1e-6
+            upstream = masked_mse_grad(params.predict(batch), batch.label, batch.label_mask)
+            dense = sgmn_backward(params.gains, params.basis, params.gamma, batch, upstream)
+            np.testing.assert_array_equal(analytic, np.concatenate(dense))
 
 
 class TestInitParams:
@@ -357,8 +359,8 @@ class TestInitParams:
 
     def test_dispatch(self):
         g = two_node_graph()
-        assert model_kind(init_params("gmn", g, 2, 0.9)) == "gmn"
-        assert model_kind(init_params("sgmn", g, 2, 0.9)) == "sgmn"
+        assert init_params("gmn", g, 2, 0.9).kind == "gmn"
+        assert init_params("sgmn", g, 2, 0.9).kind == "sgmn"
         with pytest.raises(ValueError, match="kind"):
             init_params("mlp", g, 2, 0.9)
 
@@ -379,10 +381,28 @@ class TestInitParams:
         g = build_graph(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
         bad = np.ones((3, 3))  # vertex 2 is isolated; (0,2) is off-support
         with pytest.raises(ValueError, match="support"):
-            GmnParams(weights=(bad,), masks=hop_masks(g, 1), gamma=0.9)
+            GmnParams.from_weights((bad,), hop_masks(g, 1), gamma=0.9)
 
-    def test_with_tensors_remasks(self):
+    def test_off_support_entries_cannot_be_set(self):
+        """theta holds one entry per support position, so no vector of its
+        length reaches an off-support weight: the all-ones vector rebuilds
+        the support itself."""
         g = build_graph(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
         params = init_gmn(g, n=1, gamma=0.9)
-        updated = params.with_tensors([np.ones((3, 3))])
+        assert params.theta.size == int(g.self_adjacency.sum()) == 5
+        updated = replace(params, theta=np.ones(params.theta.size))
         np.testing.assert_array_equal(updated.weights[0], g.self_adjacency)
+        with pytest.raises(ValueError):
+            updated.weights[0][0, 2] = 1.0
+
+    def test_shape_checks(self):
+        g = two_node_graph()
+        with pytest.raises(ValueError, match="2 hop masks"):
+            GmnParams.from_weights((np.eye(2),), hop_masks(g, 2), gamma=0.9)
+        with pytest.raises(ValueError, match="shape"):
+            GmnParams.from_weights((np.eye(3),), hop_masks(g, 1), gamma=0.9)
+        basis = spectral_basis(normalized_laplacian(g))
+        with pytest.raises(ValueError, match="shape"):
+            SgmnParams.from_gains((np.ones(3),), basis, gamma=0.9)
+        with pytest.raises(ValueError, match="at least one"):
+            SgmnParams.from_gains((), basis, gamma=0.9)

@@ -1,11 +1,13 @@
 """Tests for masked loss, Adam, and the epoch loop with its schedule."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from graphmarkov.data import prepare_datasets
+from graphmarkov.data import LastObservations, prepare_datasets
 from graphmarkov.graph import build_graph
-from graphmarkov.models import forward, gmn_backward, gmn_forward, init_gmn, init_sgmn
+from graphmarkov.models import init_gmn, init_params, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import (
     AdamState,
@@ -13,13 +15,18 @@ from graphmarkov.training import (
     TrainConfig,
     TrainHistory,
     adam_step,
-    masked_mse,
-    masked_mse_grad,
     train,
     write_history_csv,
 )
 
-from oracles import complete_dataset
+from oracles import (
+    adam_tensors,
+    complete_dataset,
+    masked_mse,
+    mse_of,
+    per_hop_tensors,
+    train_reference,
+)
 
 
 def ring_graph(size):
@@ -60,40 +67,58 @@ class TestTrainConfig:
             TrainConfig(max_epochs=0)
 
 
+def identity_model(size=2):
+    """The undamped one-step identity map: it predicts each window's value."""
+    a = np.ones((size, size)) - np.eye(size)
+    return init_gmn(build_graph(a), n=1, gamma=1.0)
+
+
 class TestMaskedMse:
+    """The masked squared-error sum and count that loss_and_grad returns,
+    on a model that predicts its input, so pred is the window value."""
+
     def test_perfect_fit(self):
-        pred = np.array([[1.0, 2.0]])
-        assert masked_mse(pred, pred, np.ones((1, 2))) == 0.0
+        data = complete_dataset([[[1.0, 2.0]]], labels=[[1.0, 2.0]])
+        assert identity_model().loss_and_grad(data)[:2] == (0.0, 2.0)
 
     def test_hand_value_all_observed(self):
-        loss = masked_mse(
-            np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
-        )
-        assert loss == 0.5
+        data = complete_dataset([[[1.0, 0.0]]], labels=[[0.0, 0.0]])
+        assert mse_of(identity_model(), data) == 0.5
 
     def test_masked_entry_excluded(self):
-        loss = masked_mse(
-            np.array([[1.0, 0.0]]), np.array([[0.0, 5.0]]), np.array([[1.0, 0.0]])
+        data = complete_dataset([[[1.0, 0.0]]], labels=[[0.0, 5.0]])
+        data = LastObservations(
+            value=data.value, lag=data.lag, label=data.label,
+            label_mask=np.array([[1.0, 0.0]]), n=1,
         )
-        assert loss == 1.0
+        sq, observed, _ = identity_model().loss_and_grad(data)
+        assert (sq, observed) == (1.0, 1.0)
+        assert sq / observed == masked_mse(data.value, data.label, data.label_mask)
 
     def test_rejects_all_masked(self):
+        data = complete_dataset([[[1.0, 1.0]]])
+        data = LastObservations(
+            value=data.value, lag=data.lag, label=data.label,
+            label_mask=np.zeros((1, 2)), n=1,
+        )
         with pytest.raises(ValueError, match="observed"):
-            masked_mse(np.ones((1, 2)), np.ones((1, 2)), np.zeros((1, 2)))
+            identity_model().loss_and_grad(data)
 
     def test_grad_matches_loss_slope(self):
         rng = np.random.default_rng(0)
-        pred = rng.random((3, 4))
-        labels = rng.random((3, 4))
-        mask = (rng.random((3, 4)) < 0.7).astype(float)
-        grad = masked_mse_grad(pred, labels, mask)
-        step = 1e-7
-        bump = np.zeros_like(pred)
-        bump[1, 2] = step
-        fd = (masked_mse(pred + bump, labels, mask) - masked_mse(pred - bump, labels, mask)) / (
-            2 * step
+        params = init_gmn(ring_graph(4), n=2, gamma=0.8)
+        mask = (rng.random((3, 2, 4)) < 0.7).astype(float)
+        data = complete_dataset(rng.random((3, 2, 4)), labels=rng.random((3, 4)))
+        data = LastObservations(
+            value=data.value, lag=data.lag, label=data.label, label_mask=mask[:, 0, :], n=2,
         )
-        np.testing.assert_allclose(grad[1, 2], fd, atol=1e-6)
+        _, _, grad = params.loss_and_grad(data)
+        step = 1e-7
+        bump = np.zeros_like(params.theta)
+        bump[5] = step
+        fd = (mse_of(replace(params, theta=params.theta + bump), data)
+              - mse_of(replace(params, theta=params.theta - bump), data)) / (2 * step)
+        np.testing.assert_allclose(grad[5], fd, atol=1e-6)
 
 
 class TestAdamStep:
@@ -101,63 +126,66 @@ class TestAdamStep:
         g = ring_graph(4)
         params = init_gmn(g, n=2, gamma=0.9)
         rng = np.random.default_rng(seed)
-        grads = tuple(
-            rng.standard_normal((4, 4)) * params.masks.mask(k) for k in (1, 2)
-        )
-        return params, grads
+        return params, rng.standard_normal(params.theta.shape)
 
     def test_zero_grads_leave_params_unchanged(self):
         params, _ = self.make()
-        zeros = tuple(np.zeros((4, 4)) for _ in range(2))
+        zeros = np.zeros_like(params.theta)
         updated, state = adam_step(params, zeros, AdamState.fresh(params), lr=1e-3)
-        for a, b in zip(params.weights, updated.weights):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.theta, updated.theta)
+        np.testing.assert_array_equal(params.weights, updated.weights)
         assert state.step == 1
 
     def test_first_step_is_signlike(self):
         """With fresh moments the bias-corrected update is g/(|g|+eps), so
         each touched entry moves by almost exactly lr against the gradient."""
-        params, grads = self.make(seed=1)
-        updated, _ = adam_step(params, grads, AdamState.fresh(params), lr=1e-3)
-        delta = updated.weights[0] - params.weights[0]
-        moved = np.abs(grads[0]) > 1e-3
-        np.testing.assert_allclose(
-            delta[moved], -1e-3 * np.sign(grads[0][moved]), rtol=1e-4
-        )
+        params, grad = self.make(seed=1)
+        updated, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+        delta = updated.theta - params.theta
+        moved = np.abs(grad) > 1e-3
+        np.testing.assert_allclose(delta[moved], -1e-3 * np.sign(grad[moved]), rtol=1e-4)
 
     def test_deterministic(self):
-        params, grads = self.make(seed=2)
-        a, _ = adam_step(params, grads, AdamState.fresh(params), lr=1e-3)
-        b, _ = adam_step(params, grads, AdamState.fresh(params), lr=1e-3)
-        for x, y in zip(a.weights, b.weights):
-            np.testing.assert_array_equal(x, y)
+        params, grad = self.make(seed=2)
+        a, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+        b, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+        np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_support_preserved_across_updates(self):
-        params, grads = self.make(seed=3)
+        """The flat update matches the per-tensor update with re-masking
+        entry for entry, so off-support weights stay exactly zero."""
+        params, grad = self.make(seed=3)
         state = AdamState.fresh(params)
-        for _ in range(10):
-            params, state = adam_step(params, grads, state, lr=1e-2)
+        tensors = per_hop_tensors(params)
+        first = [np.zeros_like(t) for t in tensors]
+        second = [np.zeros_like(t) for t in tensors]
+        dense_grads = list(replace(params, theta=grad).weights)
+        remask = lambda ts: [t * params.masks.mask(k) for k, t in enumerate(ts, start=1)]
+        for step in range(1, 11):
+            params, state = adam_step(params, grad, state, lr=1e-2)
+            tensors, first, second = adam_tensors(
+                tensors, dense_grads, first, second, step, 1e-2, remask
+            )
+        np.testing.assert_array_equal(params.weights, tensors)
         for k in (1, 2):
             w = params.weights[k - 1]
             np.testing.assert_array_equal(w * (1 - params.masks.mask(k)), 0.0)
 
     def test_rejects_nonfinite_grads(self):
-        params, grads = self.make()
-        bad = tuple(np.where(np.eye(4) > 0, np.nan, g) for g in grads)
+        params, grad = self.make()
+        grad[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, bad, AdamState.fresh(params), lr=1e-3)
+            adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
 
     def test_small_step_decreases_quadratic_loss(self):
         g = ring_graph(5)
         params = init_gmn(g, n=1, gamma=0.9)
         rng = np.random.default_rng(7)
         batch = complete_dataset(rng.random((8, 1, 5)), labels=rng.random((8, 5)))
-        before = masked_mse(gmn_forward(params, batch), batch.label, batch.label_mask)
-        grad_out = masked_mse_grad(gmn_forward(params, batch), batch.label, batch.label_mask)
-        grads = gmn_backward(params, batch, grad_out)
-        params, _ = adam_step(params, grads, AdamState.fresh(params), lr=1e-4)
-        after = masked_mse(gmn_forward(params, batch), batch.label, batch.label_mask)
-        assert after < before
+        before = mse_of(params, batch)
+        _, _, grad = params.loss_and_grad(batch)
+        params, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-4)
+        assert mse_of(params, batch) < before
 
 
 class TestTrainHistory:
@@ -280,3 +308,29 @@ class TestTrainLoop:
             train(params, bundle.train[nothing], bundle.val, TrainConfig())
         with pytest.raises(ValueError, match="empty"):
             train(params, bundle.train, bundle.val[nothing], TrainConfig())
+
+
+class TestTrainOracle:
+    """`train` against the per-tensor reference loop of tests/oracles.py."""
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_matches_dense_reference_bit_for_bit(self, kind):
+        g, bundle = simulated_bundle(seed=17, steps=120, noise=0.01, n=3, missing=0.2)
+        config = TrainConfig(batch_size=8, seed=4, max_epochs=4, lr_init=1e-2)
+        data = bundle.train
+        assert len(data) % config.batch_size != 0  # a short final batch
+        assert np.any((data.lag > 0) & (data.lag < 3))  # older lags in use
+        # The second batch of the first epoch observes no label.
+        first_order = np.random.default_rng(config.seed).permutation(len(data))
+        label_mask = data.label_mask.copy()
+        label_mask[first_order[8:16]] = 0.0
+        data = LastObservations(
+            value=data.value, lag=data.lag, label=data.label, label_mask=label_mask, n=3
+        )
+
+        params = init_params(kind, g, n=3, gamma=0.9)
+        trained, history = train(params, data, bundle.val, config)
+        best, records = train_reference(params, data, bundle.val, config)
+        assert history.epochs >= 2
+        np.testing.assert_array_equal(np.stack(per_hop_tensors(trained)), np.stack(best))
+        assert [(r.train_loss, r.val_loss, r.lr) for r in history.records] == records
