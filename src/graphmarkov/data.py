@@ -7,8 +7,11 @@ always holds. Operations never mutate a series; they return new ones.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -113,83 +116,159 @@ def ingest_csv(path) -> StateSeries:
 
     The file may carry an optional header row of sensor IDs and an optional
     first column of ISO-8601 timestamps; both are detected by type-sniffing
-    the first two rows/columns. Empty cells and literal zeros are treated as
-    missing (mask 0, value 0). When no timestamp column is present,
+    the first two rows/columns. Empty or whitespace-only cells and literal
+    zeros are treated as missing (mask 0, value 0). When no timestamp column is present,
     timestamps are synthesized at 5-minute spacing from epoch 0.
 
+    The file is read in blocks of _CSV_BLOCK_ROWS rows, so memory is set by
+    the series and not by the text of the file.
+
     Raises:
-        ValueError: ragged rows, unparseable values, or non-monotonic
-            timestamps.
+        ValueError: ragged rows, unparseable or non-finite values, or
+            non-monotonic timestamps. Row and column numbers count data rows
+            and sensor columns from 0.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"speed file {path} is empty")
+        rows = filter(None, csv.reader(fh))
+        head = list(islice(rows, 2))
+        if not head:
+            raise ValueError(f"speed file {path} is empty")
+        has_time_col = _parse_iso(head[-1][0]) is not None
+        first = 1 if has_time_col else 0
+        width = len(head[0])
+        has_header = any(
+            cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
+        )
+        if has_header and len(head) == 1:
+            raise ValueError(f"speed file {path} has a header but no data rows")
+        data = chain(head[1:] if has_header else head, rows)
+        if width - first < 1:
+            _check_widths(path, width, data)
+            raise ValueError(f"speed file {path} has no sensor columns")
 
-    widths = {len(r) for r in rows}
+        value_blocks, time_blocks = [], []
+        for block in iter(lambda: list(islice(data, _CSV_BLOCK_ROWS)), []):
+            _check_widths(path, width, block)
+            try:
+                values, stamps = _read_block(block, first)
+            except ValueError:
+                t0 = len(value_blocks) * _CSV_BLOCK_ROWS
+                try:
+                    values, stamps = _read_block_by_cell(path, block, first, t0)
+                except ValueError:
+                    # A ragged row anywhere in the file is reported before
+                    # any bad cell, as a whole-file reader would.
+                    _check_widths(path, width, data)
+                    raise
+            value_blocks.append(values)
+            time_blocks.append(stamps)
+
+    values = np.concatenate(value_blocks)
+    del value_blocks
+    mask = (values != 0.0).astype(np.float64)
+    steps = values.shape[0]
+    if has_time_col:
+        times = np.concatenate(time_blocks)
+        if steps >= 2 and np.any(np.diff(times) <= 0):
+            raise ValueError(f"speed file {path} has non-monotonic timestamps")
+    else:
+        times = synthesize_timestamps(steps)
+    for a in (values, mask, times):
+        a.setflags(write=False)
+    return StateSeries(values=values, mask=mask, timestamps=times)
+
+
+# Rows per block of the speed CSV reader and writer: large enough that the
+# per-block overhead vanishes, small enough that a block's cells as Python
+# strings (about 25 MB at 207 sensors) stay well below the series itself.
+_CSV_BLOCK_ROWS = 2048
+_EMPTY_AS_ZERO = {"": "0"}
+_after_first = itemgetter(slice(1, None))
+
+
+def _check_widths(path, width, rows) -> None:
+    widths = {width}
+    widths.update(map(len, rows))
     if len(widths) != 1:
         raise ValueError(f"speed file {path} has ragged rows (widths {sorted(widths)})")
 
-    sniff_row = rows[1] if len(rows) >= 2 else rows[0]
-    has_time_col = _parse_iso(sniff_row[0]) is not None
-    data_start_col = 1 if has_time_col else 0
 
-    has_header = any(
-        cell.strip() != "" and not _is_float(cell) for cell in rows[0][data_start_col:]
-    )
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise ValueError(f"speed file {path} has a header but no data rows")
+def _read_block(block, first):
+    """Values and timestamps of a block of equal-width rows, one C-level pass
+    over its cells. Empty cells read as 0 (missing), and so does -0.
 
-    steps = len(data_rows)
-    sensors = len(data_rows[0]) - data_start_col
-    if sensors < 1:
-        raise ValueError(f"speed file {path} has no sensor columns")
+    Raises:
+        ValueError: any cell or timestamp this pass cannot read, including
+            whitespace-only cells, or a non-finite value.
+    """
+    cells = list(chain.from_iterable(map(_after_first, block) if first else block))
+    values = np.fromiter(map(float, map(_EMPTY_AS_ZERO.get, cells, cells)), np.float64, len(cells))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    values[values == 0.0] = 0.0
+    stamps = None
+    if first:
+        stamps = list(map(_parse_iso, map(itemgetter(0), block)))
+        if None in stamps:
+            raise ValueError("unparseable timestamp")
+        stamps = np.array(stamps, dtype=np.float64)
+    return values.reshape(len(block), -1), stamps
 
-    values = np.zeros((steps, sensors))
-    mask = np.ones((steps, sensors))
-    times = np.zeros(steps) if has_time_col else None
-    for t, row in enumerate(data_rows):
-        if has_time_col:
+
+def _read_block_by_cell(path, block, first, t0):
+    """_read_block one cell at a time, for the blocks it cannot read:
+    whitespace-only cells are missing, and the first bad timestamp or cell
+    raises with its data row, counted from t0 for the block's first row, and
+    its sensor column."""
+    values = np.zeros((len(block), len(block[0]) - first))
+    stamps = np.zeros(len(block)) if first else None
+    for i, row in enumerate(block):
+        if first:
             stamp = _parse_iso(row[0])
             if stamp is None:
-                raise ValueError(f"unparseable timestamp {row[0]!r} at data row {t}")
-            times[t] = stamp
-        for s, cell in enumerate(row[data_start_col:]):
+                raise ValueError(f"unparseable timestamp {row[0]!r} at data row {t0 + i}")
+            stamps[i] = stamp
+        for s, cell in enumerate(row[first:]):
             text = cell.strip()
             if text == "":
-                mask[t, s] = 0.0
                 continue
             try:
                 v = float(text)
             except ValueError:
-                raise ValueError(f"unparseable value {cell!r} at data row {t}, column {s}") from None
-            if v == 0.0:
-                mask[t, s] = 0.0
-            else:
-                values[t, s] = v
-
-    if times is None:
-        times = synthesize_timestamps(steps)
-    elif steps >= 2 and np.any(np.diff(times) <= 0):
-        raise ValueError(f"speed file {path} has non-monotonic timestamps")
-    return StateSeries(values=values, mask=mask, timestamps=times)
+                raise ValueError(
+                    f"unparseable value {cell!r} at data row {t0 + i}, column {s}"
+                ) from None
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"speed file {path} has a non-finite value {cell!r}"
+                    f" at data row {t0 + i}, column {s}"
+                )
+            if v != 0.0:
+                values[i, s] = v
+    return values, stamps
 
 
 def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = None) -> None:
     """Write a StateSeries as a speed CSV with a header row and an ISO-8601
-    timestamp column; missing entries become empty cells."""
+    timestamp column; missing entries become empty cells. Values are written
+    as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows."""
     if sensor_ids is None:
         sensor_ids = [f"sensor_{s}" for s in range(series.size)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + list(sensor_ids))
-        for t in range(series.steps):
-            stamp = datetime.fromtimestamp(series.timestamps[t], tz=timezone.utc)
-            row = [stamp.strftime("%Y-%m-%dT%H:%M:%S")]
-            for s in range(series.size):
-                row.append(repr(float(series.values[t, s])) if series.mask[t, s] else "")
-            writer.writerow(row)
+        csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
+        for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            lines = []
+            for stamp, values, observed in zip(
+                series.timestamps[rows].tolist(),
+                series.values[rows].tolist(),
+                series.mask[rows].astype(np.int8).tolist(),
+            ):
+                stamp = datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+                # str * 1 is the repr, str * 0 the empty cell of a missing entry.
+                cells = ",".join(map(mul, map(repr, values), observed))
+                lines.append(f"{stamp},{cells}\r\n")
+            fh.write("".join(lines))
 
 
 def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:

@@ -86,13 +86,21 @@ def build_graph(adjacency_input: np.ndarray) -> Graph:
     self_adjacency only).
 
     Raises:
-        ValueError: non-square input, negative entries, or size 0.
+        ValueError: non-square input, NaN or infinite entries (named by row
+            and column), negative entries, or size 0.
     """
     a = np.asarray(adjacency_input, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("adjacency has size 0")
+    # A NaN weight would pass the sign check below and then drop its edge.
+    non_finite = np.argwhere(~np.isfinite(a))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise ValueError(
+            f"adjacency entry at row {i}, column {j} is {float(a[i, j])}; entries must be finite"
+        )
     if np.any(a < 0):
         raise ValueError("adjacency entries must be nonnegative")
 

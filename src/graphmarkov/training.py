@@ -130,10 +130,25 @@ def adam_step(params, grad: np.ndarray, state: AdamState, lr: float):
     step = state.step + 1
     scale1 = 1.0 - ADAM_BETA1**step
     scale2 = 1.0 - ADAM_BETA2**step
-    m = ADAM_BETA1 * state.first + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second + (1.0 - ADAM_BETA2) * (grad * grad)
-    update = lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
-    return replace(params, theta=params.theta - update), AdamState(first=m, second=v, step=step)
+    # m = b1 * first + (1 - b1) * grad, v = b2 * second + (1 - b2) * grad^2 and
+    # theta - lr * (m / scale1) / (sqrt(v / scale2) + eps), each element
+    # through the same operations in the same order, in four fresh arrays.
+    scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m = np.multiply(state.first, ADAM_BETA1)
+    m += scratch
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v = np.multiply(state.second, ADAM_BETA2)
+    v += scratch
+    np.divide(v, scale2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    theta = np.divide(m, scale1)
+    theta *= lr
+    theta /= scratch
+    np.subtract(params.theta, theta, out=theta)
+    theta.setflags(write=False)
+    return replace(params, theta=theta), AdamState(first=m, second=v, step=step)
 
 
 def _dataset_loss(params, data) -> float:

@@ -8,12 +8,19 @@ instead of a forward-fill scan. The dense reference passes, the masked MSE
 pair, the per-tensor Adam and the training loop built from them keep each
 model as a list of per-hop tensors and re-mask dense weights to their hop
 supports at every step, as the models once did; the packed parameter
-vectors must reproduce them bit for bit.
+vectors must reproduce them bit for bit. The speed CSV reader and writer
+here hold the whole file as Python strings and walk it one cell at a time,
+as the package once did; the block-streaming versions must read the same
+arrays, raise the same errors and write the same bytes.
 """
 
+import csv
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import numpy as np
+
+from graphmarkov.data import StateSeries, synthesize_timestamps
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -339,3 +346,96 @@ def train_reference(params, train_data, val_data, config):
             lr = max(lr / 10.0, config.lr_floor)
             plateau_lr = 0
     return best, records
+
+
+def _is_float(text):
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
+def _parse_iso(text):
+    try:
+        stamp = datetime.fromisoformat(text.strip())
+    except ValueError:
+        return None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return stamp.timestamp()
+
+
+def ingest_csv_reference(path):
+    """The speed CSV reader that holds every row before it fills the
+    arrays: sniffs the header and time column, treats empty cells and zeros
+    as missing, and checks ragged rows before any cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"speed file {path} is empty")
+
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"speed file {path} has ragged rows (widths {sorted(widths)})")
+
+    sniff_row = rows[1] if len(rows) >= 2 else rows[0]
+    has_time_col = _parse_iso(sniff_row[0]) is not None
+    data_start_col = 1 if has_time_col else 0
+
+    has_header = any(
+        cell.strip() != "" and not _is_float(cell) for cell in rows[0][data_start_col:]
+    )
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise ValueError(f"speed file {path} has a header but no data rows")
+
+    steps = len(data_rows)
+    sensors = len(data_rows[0]) - data_start_col
+    if sensors < 1:
+        raise ValueError(f"speed file {path} has no sensor columns")
+
+    values = np.zeros((steps, sensors))
+    mask = np.ones((steps, sensors))
+    times = np.zeros(steps) if has_time_col else None
+    for t, row in enumerate(data_rows):
+        if has_time_col:
+            stamp = _parse_iso(row[0])
+            if stamp is None:
+                raise ValueError(f"unparseable timestamp {row[0]!r} at data row {t}")
+            times[t] = stamp
+        for s, cell in enumerate(row[data_start_col:]):
+            text = cell.strip()
+            if text == "":
+                mask[t, s] = 0.0
+                continue
+            try:
+                v = float(text)
+            except ValueError:
+                raise ValueError(f"unparseable value {cell!r} at data row {t}, column {s}") from None
+            if v == 0.0:
+                mask[t, s] = 0.0
+            else:
+                values[t, s] = v
+
+    if times is None:
+        times = synthesize_timestamps(steps)
+    elif steps >= 2 and np.any(np.diff(times) <= 0):
+        raise ValueError(f"speed file {path} has non-monotonic timestamps")
+    return StateSeries(values=values, mask=mask, timestamps=times)
+
+
+def write_speed_csv_reference(path, series, sensor_ids=None):
+    """The speed CSV writer that builds every row cell by cell through
+    csv.writer."""
+    if sensor_ids is None:
+        sensor_ids = [f"sensor_{s}" for s in range(series.size)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp"] + list(sensor_ids))
+        for t in range(series.steps):
+            stamp = datetime.fromtimestamp(series.timestamps[t], tz=timezone.utc)
+            row = [stamp.strftime("%Y-%m-%dT%H:%M:%S")]
+            for s in range(series.size):
+                row.append(repr(float(series.values[t, s])) if series.mask[t, s] else "")
+            writer.writerow(row)

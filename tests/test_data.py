@@ -1,9 +1,12 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
 
+from graphmarkov import data as data_module
 from graphmarkov.data import (
     NormStats,
     SplitSpec,
@@ -20,7 +23,7 @@ from graphmarkov.data import (
     write_speed_csv,
 )
 
-from oracles import gated_lags, series_windows
+from oracles import gated_lags, ingest_csv_reference, series_windows, write_speed_csv_reference
 
 
 def make_series(values, mask=None):
@@ -164,6 +167,157 @@ class TestIngestCsv:
         np.testing.assert_array_equal(back.mask, original.mask)
         np.testing.assert_allclose(back.values, original.values, rtol=0, atol=0)
         np.testing.assert_array_equal(back.timestamps, original.timestamps)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_rejects_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "nf.csv"
+        path.write_text(
+            f"timestamp,s0,s1\n2024-03-01T00:00:00,1.0,2.0\n2024-03-01T00:05:00,3.0,{cell}\n"
+        )
+        with pytest.raises(ValueError, match="non-finite") as err:
+            ingest_csv(path)
+        assert str(path) in str(err.value)
+        assert "data row 1, column 1" in str(err.value)
+
+
+@pytest.fixture(params=[None, 2, 3], ids=["default-block", "block-2", "block-3"])
+def block_rows(request, monkeypatch):
+    """The reader's and writer's block size: the module default, or shrunk so
+    that tiny files span several blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", request.param)
+    return data_module._CSV_BLOCK_ROWS
+
+
+def ingest_outcome(read, path):
+    """The exact bytes of what a reader returns, or its exception type and
+    message."""
+    try:
+        s = read(path)
+    except Exception as err:
+        return type(err), str(err)
+    return s.values.shape, s.values.tobytes(), s.mask.tobytes(), s.timestamps.tobytes()
+
+
+def stamped(rows, lo=0):
+    """rows behind ISO timestamps 5 minutes apart, the first at step lo."""
+    start = datetime(2024, 3, 1)
+    return [
+        f"{(start + timedelta(minutes=5 * (lo + t))).isoformat()},{row}"
+        for t, row in enumerate(rows)
+    ]
+
+
+def lines(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+def good_files(block):
+    """Speed files the reader must read exactly as the reference does; two
+    of them run past the first block."""
+    grid = [f"{t + 1}.5,{t % 7},{t * 0.25}" for t in range(block + 3)]
+    return {
+        "header-time": "timestamp,s0,s1\n"
+        + lines(stamped(["61.5,55.0", ",54.0", "0,53.5", "1e-05,2"])),
+        "header-no-time": "a,b\n1,2\n3,\n0,4\n",
+        "time-no-header": lines(stamped(["1,2", "3,4", ",5", "6,0"])),
+        "bare-grid": lines(grid),
+        "header-time-long": "t,x,y,z\n" + lines(stamped(grid)),
+        "blank-lines": "\n1,2\n\n3,4\n\n\n5,6\n\n",
+        "crlf": "a,b\r\n1,2\r\n3,4\r\n5,\r\n",
+        "crlf-time": lines(stamped(["1,2", "3,4", "5,6"]), end="\r\n"),
+        "whitespace-cells": "1, ,2\n 3,\t,4 \n5,6,  \n-0,0, \n7,8,9\n",
+        "zero-spellings": "0,0.0,-0,0e5,-0.0\n1,2,3,4,5\n-0,7,0,1e0,2\n",
+        "trailing-empty-column": "1,2,\n3,4,\n5,6,\n",
+        "quoted-header-comma": 'timestamp,"s,0",s1\n' + lines(stamped(["1,2", "3,4", "5,6"])),
+        "no-final-newline": "1,2\n3,4",
+        "single-row": "1,2,3",
+    }
+
+
+def bad_files(block):
+    """Speed files the reader must reject with the reference's exception and
+    message; the row-level faults sit in the second block."""
+    rows = [f"{t + 1},{t + 2}" for t in range(block + 3)]
+    ragged = rows[: block + 1] + ["7"] + rows[block + 1 :]
+    garbage = rows[: block + 1] + ["7,oops"] + rows[block + 1 :]
+    garbage_then_ragged = rows[:1] + ["x,1"] + rows[1 : block + 1] + ["1,2,3"] + rows[block + 1 :]
+    bad_stamp = stamped(rows)
+    bad_stamp[block + 1] = "not-a-time," + rows[block + 1]
+    backwards = stamped(rows)
+    backwards[block + 1], backwards[block + 2] = backwards[block + 2], backwards[block + 1]
+    stamps_only = [row.split(",")[0] for row in stamped(rows)]
+    return {
+        "empty": "",
+        "blank-only": "\n\n",
+        "header-only": "a,b\n",
+        "no-sensor-columns": lines(stamps_only),
+        "no-sensor-columns-ragged": lines(stamps_only + ["1,2"]),
+        "ragged-second-block": lines(ragged),
+        "ragged-header": "a,b,c\n" + lines(rows),
+        "unparseable-second-block": lines(garbage),
+        "unparseable-then-ragged": lines(garbage_then_ragged),
+        "bad-timestamp-second-block": lines(bad_stamp),
+        "non-monotonic-second-block": lines(backwards),
+        "irregular-spacing": lines(stamped(["1,2", "3,4"]) + stamped(["5,6"], lo=5)),
+    }
+
+
+class TestCsvAgainstReference:
+    """The block-streaming reader and writer against the whole-file,
+    cell-by-cell reference, at the default block size and at 2 and 3 rows."""
+
+    @pytest.mark.parametrize("name", sorted(good_files(4)))
+    def test_reads_as_reference(self, tmp_path, block_rows, name):
+        path = tmp_path / "speed.csv"
+        path.write_bytes(good_files(block_rows)[name].encode())
+        got = ingest_outcome(ingest_csv, path)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+
+    @pytest.mark.parametrize("name", sorted(bad_files(4)))
+    def test_rejects_as_reference(self, tmp_path, block_rows, name):
+        path = tmp_path / "speed.csv"
+        path.write_bytes(bad_files(block_rows)[name].encode())
+        got = ingest_outcome(ingest_csv, path)
+        assert isinstance(got[0], type) and issubclass(got[0], ValueError), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [1e-05, 5e-324, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [61.5, 1 / 3, 1e300, -2.5],
+        ],
+        ids=["small-and-zero", "all-zero", "wide-range"],
+    )
+    @pytest.mark.parametrize(
+        "missing", [0.0, 0.3, 1.0], ids=["observed", "some-missing", "all-missing"]
+    )
+    def test_writes_as_reference(self, tmp_path, block_rows, cells, missing):
+        steps = 2 * block_rows + 1
+        rng = np.random.default_rng(37)
+        values = np.resize(np.array(cells), (steps, len(cells)))
+        mask = (rng.random(values.shape) >= missing).astype(float)
+        series = StateSeries(
+            values=values * mask, mask=mask, timestamps=synthesize_timestamps(steps)
+        )
+        write_speed_csv(tmp_path / "got.csv", series)
+        write_speed_csv_reference(tmp_path / "ref.csv", series)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows):
+        ids = ["a,b", 'say "hi"', "plain", "line\nbreak"]
+        mask = np.array([[1.0, 0.0, 1.0, 1.0]] * 5)
+        series = StateSeries(
+            values=np.arange(20.0).reshape(5, 4) * mask,
+            mask=mask,
+            timestamps=1.7e9 + synthesize_timestamps(5),
+        )
+        write_speed_csv(tmp_path / "got.csv", series, sensor_ids=ids)
+        write_speed_csv_reference(tmp_path / "ref.csv", series, sensor_ids=ids)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestInjectMissing:

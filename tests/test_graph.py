@@ -224,3 +224,12 @@ class TestAdjacencyCsv:
         path.write_text("a,b\nc,d\n")
         with pytest.raises(ValueError, match="unparseable"):
             read_adjacency_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_cell(self, tmp_path, cell):
+        """A NaN weight used to pass the sign check and silently drop its
+        edge; every non-finite cell is named by row and column."""
+        path = tmp_path / "nf.csv"
+        path.write_text(f"0,1,0\n1,0,{cell}\n0,1,0\n")
+        with pytest.raises(ValueError, match="row 1, column 2 is .*must be finite"):
+            build_graph(read_adjacency_csv(path))
