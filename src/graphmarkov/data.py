@@ -7,7 +7,6 @@ always holds. Operations never mutate a series; they return new ones.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -116,9 +115,11 @@ def ingest_csv(path) -> StateSeries:
 
     The file may carry an optional header row of sensor IDs and an optional
     first column of ISO-8601 timestamps; both are detected by type-sniffing
-    the first two rows/columns. Empty or whitespace-only cells and literal
-    zeros are treated as missing (mask 0, value 0). When no timestamp column is present,
-    timestamps are synthesized at 5-minute spacing from epoch 0.
+    the first two rows/columns. With a time column, a first row whose time
+    cell is empty is a header even when its IDs are numeric. Empty or
+    whitespace-only cells and literal zeros are treated as missing (mask 0,
+    value 0). When no timestamp column is present, timestamps are
+    synthesized at 5-minute spacing from epoch 0.
 
     The file is read in blocks of _CSV_BLOCK_ROWS rows, so memory is set by
     the series and not by the text of the file.
@@ -136,7 +137,8 @@ def ingest_csv(path) -> StateSeries:
         has_time_col = _parse_iso(head[-1][0]) is not None
         first = 1 if has_time_col else 0
         width = len(head[0])
-        has_header = any(
+        # A pandas export heads its index column with an empty cell.
+        has_header = (has_time_col and not head[0][0].strip()) or any(
             cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
         )
         if has_header and len(head) == 1:
@@ -148,18 +150,15 @@ def ingest_csv(path) -> StateSeries:
 
         value_blocks, time_blocks = [], []
         for block in iter(lambda: list(islice(data, _CSV_BLOCK_ROWS)), []):
-            _check_widths(path, width, block)
             try:
-                values, stamps = _read_block(block, first)
-            except ValueError:
+                _check_widths(path, width, block)
                 t0 = len(value_blocks) * _CSV_BLOCK_ROWS
-                try:
-                    values, stamps = _read_block_by_cell(path, block, first, t0)
-                except ValueError:
-                    # A ragged row anywhere in the file is reported before
-                    # any bad cell, as a whole-file reader would.
-                    _check_widths(path, width, data)
-                    raise
+                values, stamps = _read_block(path, block, first, t0)
+            except ValueError:
+                # A ragged row anywhere in the file is reported before any
+                # bad cell, as a whole-file reader would.
+                _check_widths(path, width, chain(block, data))
+                raise
             value_blocks.append(values)
             time_blocks.append(stamps)
 
@@ -193,67 +192,72 @@ def _check_widths(path, width, rows) -> None:
         raise ValueError(f"speed file {path} has ragged rows (widths {sorted(widths)})")
 
 
-def _read_block(block, first):
-    """Values and timestamps of a block of equal-width rows, one C-level pass
-    over its cells. Empty cells read as 0 (missing), and so does -0.
+def _read_block(path, block, first, t0):
+    """Values and timestamps of a block of equal-width rows whose first row
+    is data row t0. Empty or whitespace-only cells read as 0 (missing), and
+    so does -0.
 
     Raises:
-        ValueError: any cell or timestamp this pass cannot read, including
-            whitespace-only cells, or a non-finite value.
+        ValueError: the block's first bad timestamp, unparseable cell or
+            non-finite cell in row-major order (a row's timestamp before its
+            cells), with its data row and sensor column.
     """
     cells = list(chain.from_iterable(map(_after_first, block) if first else block))
-    values = np.fromiter(map(float, map(_EMPTY_AS_ZERO.get, cells, cells)), np.float64, len(cells))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    values[values == 0.0] = 0.0
+    try:
+        values = _floats(cells)
+    except ValueError:
+        # float() skips surrounding whitespace, so a whitespace-only cell is
+        # the only valid cell that the first pass rejects.
+        stripped = list(map(str.strip, cells))
+        try:
+            values = _floats(stripped)
+        except ValueError:
+            # Only a bad block gets here: read up to its first unparseable cell.
+            end = next(k for k, text in enumerate(stripped) if text and not _is_float(text))
+            values = _floats(stripped[:end])
+    # Index of the first non-finite cell, else of the first unparseable one
+    # (where the parsed prefix ends), else len(cells).
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    bad = int(non_finite[0]) if non_finite.size else len(values)
+    width = len(block[0]) - first
     stamps = None
     if first:
         stamps = list(map(_parse_iso, map(itemgetter(0), block)))
         if None in stamps:
-            raise ValueError("unparseable timestamp")
+            i = stamps.index(None)
+            if i <= bad // width:
+                raise ValueError(f"unparseable timestamp {block[i][0]!r} at data row {t0 + i}")
         stamps = np.array(stamps, dtype=np.float64)
+    if bad < len(cells):
+        i, s = divmod(bad, width)
+        if bad < len(values):
+            raise ValueError(
+                f"speed file {path} has a non-finite value {cells[bad]!r}"
+                f" at data row {t0 + i}, column {s}"
+            )
+        raise ValueError(f"unparseable value {cells[bad]!r} at data row {t0 + i}, column {s}")
+    values[values == 0.0] = 0.0
     return values.reshape(len(block), -1), stamps
 
 
-def _read_block_by_cell(path, block, first, t0):
-    """_read_block one cell at a time, for the blocks it cannot read:
-    whitespace-only cells are missing, and the first bad timestamp or cell
-    raises with its data row, counted from t0 for the block's first row, and
-    its sensor column."""
-    values = np.zeros((len(block), len(block[0]) - first))
-    stamps = np.zeros(len(block)) if first else None
-    for i, row in enumerate(block):
-        if first:
-            stamp = _parse_iso(row[0])
-            if stamp is None:
-                raise ValueError(f"unparseable timestamp {row[0]!r} at data row {t0 + i}")
-            stamps[i] = stamp
-        for s, cell in enumerate(row[first:]):
-            text = cell.strip()
-            if text == "":
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ValueError(
-                    f"unparseable value {cell!r} at data row {t0 + i}, column {s}"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"speed file {path} has a non-finite value {cell!r}"
-                    f" at data row {t0 + i}, column {s}"
-                )
-            if v != 0.0:
-                values[i, s] = v
-    return values, stamps
+def _floats(cells) -> np.ndarray:
+    """float() of each cell, an empty cell as 0."""
+    return np.fromiter(map(float, map(_EMPTY_AS_ZERO.get, cells, cells)), np.float64, len(cells))
 
 
 def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = None) -> None:
     """Write a StateSeries as a speed CSV with a header row and an ISO-8601
     timestamp column; missing entries become empty cells. Values are written
-    as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows."""
+    as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows.
+
+    Raises:
+        ValueError: sensor_ids of another length than the series' sensors;
+            nothing is written.
+    """
     if sensor_ids is None:
         sensor_ids = [f"sensor_{s}" for s in range(series.size)]
+    if len(sensor_ids) != series.size:
+        raise ValueError(f"{len(sensor_ids)} sensor IDs given for {series.size} sensors")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
@@ -484,15 +488,7 @@ def prepare_datasets(
     if spec is None:
         spec = SplitSpec()
     injected = inject_missing(series, missing_rate, seed)
-
-    n_train = int(spec.train_fraction * series.steps)
-    stats = observed_stats(
-        StateSeries(
-            values=injected.values[:n_train],
-            mask=injected.mask[:n_train],
-            timestamps=injected.timestamps[:n_train],
-        )
-    )
+    stats = observed_stats(split(injected, spec)[0])
 
     # Each full-length intermediate is dropped as soon as it is split, which
     # keeps the peak memory of the pipeline down.

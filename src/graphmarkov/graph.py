@@ -205,11 +205,6 @@ def write_adjacency_csv(path, adjacency: np.ndarray) -> None:
             writer.writerow([_format_value(v) for v in row])
 
 
-def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """Export any matrix (hop mask, eigenvector basis, ...) for inspection."""
-    write_adjacency_csv(path, matrix)
-
-
 def _format_value(v: float) -> str:
     f = float(v)
     if f == int(f) and abs(f) < 1e15:

@@ -217,11 +217,12 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
                 f"  lr {lr:.1e}  {seconds:.2f}s"
             )
 
+        improved = val_loss < best_val - config.min_delta
         if val_loss < best_val:
             best_val = val_loss
             best_params = params
 
-        if val_loss < best_seen_for_patience(records) - config.min_delta:
+        if improved:
             plateau_lr = 0
             plateau_stop = 0
         else:
@@ -235,10 +236,3 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             plateau_lr = 0
 
     return best_params, TrainHistory(records=tuple(records))
-
-
-def best_seen_for_patience(records) -> float:
-    """Best validation loss over all epochs before the most recent one."""
-    if len(records) < 2:
-        return np.inf
-    return min(rec.val_loss for rec in records[:-1])

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface, driven through main()."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphmarkov import cli
 from graphmarkov.cli import main, read_manifest_records
 
 
@@ -268,3 +270,18 @@ class TestManifest:
         records = read_manifest_records(tmp_path / "sim" / "manifest.txt")
         assert [r["command"] for r in records] == ["simulate", "train"]
         assert all("started" in r and "finished" in r for r in records)
+
+
+class TestBenchmarkTargets:
+    def test_stage_functions_resolve_in_cli(self):
+        """The benchmark measures setup_s up to the first call of a stage
+        function, looked up by name in graphmarkov.cli; a stage renamed or
+        inlined there would silently turn setup_s into the whole command."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.STAGES
+        for module, attr, _ in tracing.STAGES:
+            assert module == "graphmarkov.cli"
+            assert callable(getattr(cli, attr, None)), attr

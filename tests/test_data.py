@@ -168,6 +168,36 @@ class TestIngestCsv:
         np.testing.assert_allclose(back.values, original.values, rtol=0, atol=0)
         np.testing.assert_array_equal(back.timestamps, original.timestamps)
 
+    @pytest.mark.parametrize("ids", [["a", "b"], ["a", "b", "c", "d", "e"]])
+    def test_writer_rejects_sensor_id_count(self, tmp_path, ids):
+        series = make_series(np.ones((3, 4)))
+        path = tmp_path / "speed.csv"
+        with pytest.raises(ValueError, match=f"{len(ids)} sensor IDs given for 4 sensors"):
+            write_speed_csv(path, series, sensor_ids=ids)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("corner", ["", " "], ids=["empty", "space"])
+    def test_pandas_export_header(self, tmp_path, corner):
+        """DataFrame.to_csv() heads its index column with an empty cell, and
+        METR-LA/PEMS-BAY sensor IDs are numeric."""
+        path = tmp_path / "speed.csv"
+        path.write_text(
+            f"{corner},773869,767541\n"
+            "2012-03-01 00:00:00,64.375,67.625\n"
+            "2012-03-01 00:05:00,62.667,\n"
+        )
+        s = ingest_csv(path)
+        np.testing.assert_array_equal(s.values, [[64.375, 67.625], [62.667, 0.0]])
+        np.testing.assert_array_equal(s.mask, [[1, 1], [1, 0]])
+        assert s.timestamps[1] - s.timestamps[0] == 300.0
+
+    def test_numeric_grid_with_empty_first_cell_has_no_header(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text(",2\n3,4\n")
+        s = ingest_csv(path)
+        np.testing.assert_array_equal(s.mask, [[0, 1], [1, 1]])
+        np.testing.assert_array_equal(s.values, [[0.0, 2.0], [3.0, 4.0]])
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
     def test_rejects_non_finite_cell(self, tmp_path, cell):
         path = tmp_path / "nf.csv"
@@ -213,9 +243,10 @@ def lines(rows, end="\n"):
 
 
 def good_files(block):
-    """Speed files the reader must read exactly as the reference does; two
+    """Speed files the reader must read exactly as the reference does; three
     of them run past the first block."""
     grid = [f"{t + 1}.5,{t % 7},{t * 0.25}" for t in range(block + 3)]
+    padded = grid[: block + 1] + [" 7.5 , ,\t2", "  ,\t 0 , 1e1 "]
     return {
         "header-time": "timestamp,s0,s1\n"
         + lines(stamped(["61.5,55.0", ",54.0", "0,53.5", "1e-05,2"])),
@@ -227,6 +258,7 @@ def good_files(block):
         "crlf": "a,b\r\n1,2\r\n3,4\r\n5,\r\n",
         "crlf-time": lines(stamped(["1,2", "3,4", "5,6"]), end="\r\n"),
         "whitespace-cells": "1, ,2\n 3,\t,4 \n5,6,  \n-0,0, \n7,8,9\n",
+        "whitespace-cells-second-block": "t,x,y,z\n" + lines(stamped(padded)),
         "zero-spellings": "0,0.0,-0,0e5,-0.0\n1,2,3,4,5\n-0,7,0,1e0,2\n",
         "trailing-empty-column": "1,2,\n3,4,\n5,6,\n",
         "quoted-header-comma": 'timestamp,"s,0",s1\n' + lines(stamped(["1,2", "3,4", "5,6"])),
@@ -240,12 +272,19 @@ def bad_files(block):
     message; the row-level faults sit in the second block."""
     rows = [f"{t + 1},{t + 2}" for t in range(block + 3)]
     ragged = rows[: block + 1] + ["7"] + rows[block + 1 :]
+    ragged_twice = rows[:1] + ["1,2,3"] + ragged[1:]
     garbage = rows[: block + 1] + ["7,oops"] + rows[block + 1 :]
     garbage_then_ragged = rows[:1] + ["x,1"] + rows[1 : block + 1] + ["1,2,3"] + rows[block + 1 :]
     bad_stamp = stamped(rows)
     bad_stamp[block + 1] = "not-a-time," + rows[block + 1]
     backwards = stamped(rows)
     backwards[block + 1], backwards[block + 2] = backwards[block + 2], backwards[block + 1]
+    stamp_and_cell = stamped(rows)
+    stamp_and_cell[block + 1] = "not-a-time,oops,2"
+    cell_then_stamp = stamped(rows)
+    cell_then_stamp[block] = stamped([f"{block + 1},oops"], lo=block)[0]
+    cell_then_stamp[block + 1] = "not-a-time," + rows[block + 1]
+    padded_garbage = rows[:block] + [" ,2", "3, x "] + rows[block + 2 :]
     stamps_only = [row.split(",")[0] for row in stamped(rows)]
     return {
         "empty": "",
@@ -254,10 +293,14 @@ def bad_files(block):
         "no-sensor-columns": lines(stamps_only),
         "no-sensor-columns-ragged": lines(stamps_only + ["1,2"]),
         "ragged-second-block": lines(ragged),
+        "ragged-in-two-blocks": lines(ragged_twice),
         "ragged-header": "a,b,c\n" + lines(rows),
         "unparseable-second-block": lines(garbage),
         "unparseable-then-ragged": lines(garbage_then_ragged),
         "bad-timestamp-second-block": lines(bad_stamp),
+        "bad-timestamp-and-cell-same-row": lines(stamp_and_cell),
+        "bad-cell-then-bad-timestamp": lines(cell_then_stamp),
+        "whitespace-and-unparseable-same-block": lines(padded_garbage),
         "non-monotonic-second-block": lines(backwards),
         "irregular-spacing": lines(stamped(["1,2", "3,4"]) + stamped(["5,6"], lo=5)),
     }
@@ -306,6 +349,34 @@ class TestCsvAgainstReference:
         write_speed_csv(tmp_path / "got.csv", series)
         write_speed_csv_reference(tmp_path / "ref.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "faults, message",
+        [
+            (
+                ("nan", "oops"),
+                "speed file {path} has a non-finite value 'nan' at data row {row}, column 0",
+            ),
+            (("oops", "nan"), "unparseable value 'oops' at data row {row}, column 0"),
+            (
+                (" 2", " inf "),
+                "speed file {path} has a non-finite value ' inf ' at data row {row}, column 1",
+            ),
+        ],
+        ids=["non-finite-first", "unparseable-first", "padded-non-finite"],
+    )
+    def test_first_bad_cell_of_a_block(self, tmp_path, block_rows, faults, message):
+        """Within a block, unparseable and non-finite cells are reported in
+        row-major order, which the reference (blind to non-finite cells)
+        cannot check."""
+        rows = [f"{t + 1},{t + 2}" for t in range(block_rows + 3)]
+        rows[block_rows] = ",".join(faults)
+        rows[block_rows + 1] = ",".join(reversed(faults))
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        with pytest.raises(ValueError) as err:
+            ingest_csv(path)
+        assert str(err.value) == message.format(path=path, row=block_rows)
 
     def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows):
         ids = ["a,b", 'say "hi"', "plain", "line\nbreak"]
