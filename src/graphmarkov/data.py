@@ -34,14 +34,12 @@ class StateSeries:
     """T x S readings with a parallel binary observation mask.
 
     values[t, s] is zero wherever mask[t, s] is zero. Timestamps are epoch
-    seconds, strictly increasing with constant spacing. norm records the
-    normalization applied to the values, if any.
+    seconds, strictly increasing with constant spacing.
     """
 
     values: np.ndarray
     mask: np.ndarray
     timestamps: np.ndarray
-    norm: NormStats | None = None
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -116,7 +114,7 @@ def ingest_csv(path) -> StateSeries:
     The file may carry an optional header row of sensor IDs and an optional
     first column of ISO-8601 timestamps; both are detected by type-sniffing
     the first two rows/columns. With a time column, a first row whose time
-    cell is empty is a header even when its IDs are numeric. Empty or
+    cell is no timestamp is a header even when its IDs are numeric. Empty or
     whitespace-only cells and literal zeros are treated as missing (mask 0,
     value 0). When no timestamp column is present, timestamps are
     synthesized at 5-minute spacing from epoch 0.
@@ -137,8 +135,9 @@ def ingest_csv(path) -> StateSeries:
         has_time_col = _parse_iso(head[-1][0]) is not None
         first = 1 if has_time_col else 0
         width = len(head[0])
-        # A pandas export heads its index column with an empty cell.
-        has_header = (has_time_col and not head[0][0].strip()) or any(
+        # A time column's header cell is no timestamp, whatever the sensor
+        # IDs: `timestamp,773869,…`, or a pandas export's `,773869,…`.
+        has_header = (has_time_col and _parse_iso(head[0][0]) is None) or any(
             cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
         )
         if has_header and len(head) == 1:
@@ -293,7 +292,7 @@ def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:
     drop = (rng.random(series.values.shape) < rate) & (series.mask == 1.0)
     mask = np.where(drop, 0.0, series.mask)
     values = np.where(drop, 0.0, series.values)
-    return StateSeries(values=values, mask=mask, timestamps=series.timestamps, norm=series.norm)
+    return StateSeries(values=values, mask=mask, timestamps=series.timestamps)
 
 
 def observed_stats(series: StateSeries) -> NormStats:
@@ -311,28 +310,18 @@ def observed_stats(series: StateSeries) -> NormStats:
     return NormStats(vmin=vmin, vmax=vmax)
 
 
-def normalize(series: StateSeries, stats: NormStats | None = None) -> tuple[StateSeries, NormStats]:
+def normalize(series: StateSeries, stats: NormStats) -> StateSeries:
     """Map observed values through (v - min) / (max - min); missing entries
-    stay zero. When stats are omitted they are computed from this series'
-    observed entries; pass training-split stats to normalize validation/test
-    data without leakage."""
-    if stats is None:
-        stats = observed_stats(series)
+    stay zero. Pass training-split stats (observed_stats of the training
+    part) to normalize validation/test data without leakage."""
     if stats.span == 0:
         raise ValueError("degenerate stats: max equals min")
     values = np.where(series.mask == 1.0, (series.values - stats.vmin) / stats.span, 0.0)
-    out = StateSeries(values=values, mask=series.mask, timestamps=series.timestamps, norm=stats)
-    return out, stats
+    return StateSeries(values=values, mask=series.mask, timestamps=series.timestamps)
 
 
 def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Affine inverse of normalize: v * (max - min) + min.
-
-    Raises:
-        ValueError: stats absent.
-    """
-    if stats is None:
-        raise ValueError("cannot denormalize without stats")
+    """Affine inverse of normalize: v * (max - min) + min."""
     return np.asarray(values) * stats.span + stats.vmin
 
 
@@ -351,17 +340,11 @@ def split(series: StateSeries, spec: SplitSpec) -> tuple[StateSeries, StateSerie
     n_test = t - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"series of {t} steps too short to split {spec}")
-    parts = []
-    for lo, hi in ((0, n_train), (n_train, n_train + n_val), (n_train + n_val, t)):
-        parts.append(
-            StateSeries(
-                values=series.values[lo:hi],
-                mask=series.mask[lo:hi],
-                timestamps=series.timestamps[lo:hi],
-                norm=series.norm,
-            )
-        )
-    return parts[0], parts[1], parts[2]
+    cuts = (0, n_train, n_train + n_val, t)
+    return tuple(
+        StateSeries(series.values[lo:hi], series.mask[lo:hi], series.timestamps[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -419,29 +402,40 @@ class LastObservations:
 
 
 def last_observations(
-    series: StateSeries, n: int, label_series: StateSeries | None = None
+    series: StateSeries, n: int, observed: np.ndarray | None = None
 ) -> LastObservations:
     """The T - n windows of n steps over the series, with one forward-fill
-    scan over the observed steps.
+    scan over the steps where `observed` is 1.
 
-    Window k covers input steps k .. k+n-1 and the label step k+n. Inputs
-    come from `series`; labels and label masks come from `label_series` when
-    given (so inputs can carry injected missingness while labels keep the
-    original observations), else from `series` itself. No window reaches
+    Window k covers input steps k .. k+n-1 and the label step k+n. Its
+    inputs are the series' readings where `observed` (default: the series'
+    mask) is 1, so a gate with injected gaps hides those readings from the
+    inputs; labels and label masks are the series' own. No window reaches
     outside the series.
 
     Raises:
-        ValueError: fewer than n+1 steps, or label series mismatch.
+        ValueError: fewer than n+1 steps; or `observed` not of the series'
+            shape, not 0/1, or 1 where the series has no reading (the first
+            such step and sensor are named).
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
     if series.steps < n + 1:
         raise ValueError(f"need at least {n + 1} steps to window, got {series.steps}")
-    labels = series if label_series is None else label_series
-    if labels.steps != series.steps or labels.size != series.size:
-        raise ValueError("label series shape must match the input series")
+    if observed is None:
+        observed = series.mask
+    else:
+        observed = np.asarray(observed)
+        if observed.shape != series.values.shape:
+            raise ValueError(f"gate shape {observed.shape} != series shape {series.values.shape}")
+        bad = (observed != 0.0) & ((observed != 1.0) | (series.mask == 0.0))
+        if np.any(bad):
+            t, s = np.unravel_index(np.argmax(bad), bad.shape)
+            entry = float(observed[t, s])
+            what = "1 where the series has no reading" if entry == 1.0 else "not 0 or 1"
+            raise ValueError(f"gate entry {entry!r} at step {t}, sensor {s} is {what}")
     steps = np.arange(series.steps)[:, None]
-    last = np.where(series.mask == 1.0, steps, -1)
+    last = np.where(observed == 1.0, steps, -1)
     np.maximum.accumulate(last, axis=0, out=last)
     last = last[n - 1 : -1]
     lag = np.minimum(steps[n - 1 : -1] - last, n).astype(np.min_scalar_type(n))
@@ -450,8 +444,8 @@ def last_observations(
     return LastObservations(
         value=value,
         lag=lag,
-        label=labels.values[n:],
-        label_mask=labels.mask[n:],
+        label=series.values[n:],
+        label_mask=series.mask[n:],
         n=n,
     )
 
@@ -459,14 +453,12 @@ def last_observations(
 @dataclass(frozen=True)
 class DatasetBundle:
     """Train/val/test windows plus everything needed to interpret them: the
-    normalization stats and the label-step timestamps per part."""
+    normalization stats and the label-step timestamps of the test part."""
 
     train: LastObservations
     val: LastObservations
     test: LastObservations
     stats: NormStats
-    train_label_times: np.ndarray
-    val_label_times: np.ndarray
     test_label_times: np.ndarray
 
 
@@ -480,35 +472,19 @@ def prepare_datasets(
     """Full data pipeline: inject missingness, normalize with training-split
     stats, split contiguously, and window each part.
 
-    Injection corrupts inputs only: windows draw inputs and input masks from
-    the injected series but labels and label masks from the pre-injection
-    series, so injected entries still serve as labels while genuinely unknown
-    ones stay excluded from the loss.
+    Injection corrupts inputs only: each part is windowed behind the mask of
+    the injected series, while labels and label masks stay the series' own,
+    so injected entries still serve as labels while genuinely unknown ones
+    stay excluded from the loss. The training part of the injected series
+    gives the stats.
     """
     if spec is None:
         spec = SplitSpec()
-    injected = inject_missing(series, missing_rate, seed)
-    stats = observed_stats(split(injected, spec)[0])
-
-    # Each full-length intermediate is dropped as soon as it is split, which
-    # keeps the peak memory of the pipeline down.
-    in_parts = split(normalize(injected, stats)[0], spec)
-    del injected
-    label_parts = split(normalize(series, stats)[0], spec)
-
-    windowed = [
-        last_observations(inp, n, label_series=lab) for inp, lab in zip(in_parts, label_parts)
-    ]
-    label_times = [part.timestamps[n:] for part in in_parts]
-    return DatasetBundle(
-        train=windowed[0],
-        val=windowed[1],
-        test=windowed[2],
-        stats=stats,
-        train_label_times=label_times[0],
-        val_label_times=label_times[1],
-        test_label_times=label_times[2],
-    )
+    gates = split(inject_missing(series, missing_rate, seed), spec)
+    stats = observed_stats(gates[0])
+    parts = split(normalize(series, stats), spec)
+    train, val, test = (last_observations(p, n, g.mask) for p, g in zip(parts, gates))
+    return DatasetBundle(train, val, test, stats, test_label_times=parts[2].timestamps[n:])
 
 
 def _is_float(text: str) -> bool:

@@ -3,9 +3,10 @@
 Draws a random row-stochastic transition matrix supported on a graph's
 self-connection structure and rolls the linear dynamics
 
-    x[t+1] = clamp(gamma * (S * P) @ x[t] + noise, 0, 1)
+    x[t+1] = clamp(gamma * P @ x[t] + noise, 0, 1)
 
-forward from a chosen initial state, where S is the self-connection adjacency.
+forward from a chosen initial state, where P has no mass off the
+self-connection adjacency.
 With gamma < 1 the map is a contraction toward the noise floor, which makes
 long runs statistically stationary after a transient. The generator is the
 ground truth that model training should recover, so it lives apart from the
@@ -102,7 +103,7 @@ def simulate_gmp(graph: Graph, spec: TransitionSpec, steps: int, seed: int) -> S
     """Roll the dynamics forward for `steps` total states.
 
     The sequence starts at the transition's initial state; each subsequent
-    state applies the damped transition (restricted to the graph's
+    state applies the damped transition (whose mass lies on the graph's
     self-connection support) to the previous state, adds gaussian noise, and
     clamps into [0,1]. The result is fully observed (mask of ones) with
     timestamps at the default 5-minute spacing.
@@ -123,11 +124,10 @@ def simulate_gmp(graph: Graph, spec: TransitionSpec, steps: int, seed: int) -> S
         )
     rng = np.random.default_rng(seed)
     s = spec.size
-    effective = graph.self_adjacency * spec.matrix
     values = np.zeros((steps, s))
     values[0] = spec.initial_state
     for t in range(steps - 1):
-        drift = spec.gamma * (effective @ values[t])
+        drift = spec.gamma * (spec.matrix @ values[t])
         noise = rng.normal(0.0, spec.noise_std, size=s) if spec.noise_std > 0 else 0.0
         values[t + 1] = np.clip(drift + noise, 0.0, 1.0)
     return StateSeries(

@@ -57,20 +57,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class AdamState:
-    """First/second moment accumulators shaped like the packed parameter
-    vector, plus the update counter used for bias correction."""
-
-    first: np.ndarray
-    second: np.ndarray
-    step: int
-
-    @classmethod
-    def fresh(cls, params) -> "AdamState":
-        return cls(first=np.zeros_like(params.theta), second=np.zeros_like(params.theta), step=0)
-
-
-@dataclass(frozen=True)
 class EpochRecord:
     epoch: int
     train_loss: float
@@ -117,38 +103,39 @@ def write_history_csv(path, history: TrainHistory) -> None:
             )
 
 
-def adam_step(params, grad: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update of the packed parameter vector.
-    Returns (new params, new state).
+def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float):
+    """The step-th (from 1) bias-corrected Adam update of the packed
+    parameter vector. Updates the moment estimates `first` and `second` in
+    place and returns the new params.
 
     Raises:
-        ValueError: non-finite gradient entries.
+        ValueError: non-finite gradient entries; the moments are left as
+            they were.
     """
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient; aborting the update")
 
-    step = state.step + 1
     scale1 = 1.0 - ADAM_BETA1**step
     scale2 = 1.0 - ADAM_BETA2**step
-    # m = b1 * first + (1 - b1) * grad, v = b2 * second + (1 - b2) * grad^2 and
-    # theta - lr * (m / scale1) / (sqrt(v / scale2) + eps), each element
-    # through the same operations in the same order, in four fresh arrays.
+    # first = b1 * first + (1 - b1) * grad, second = b2 * second + (1 - b2) *
+    # grad^2 and theta - lr * (first / scale1) / (sqrt(second / scale2) + eps),
+    # each element through the same operations in the same order.
     scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
-    m = np.multiply(state.first, ADAM_BETA1)
-    m += scratch
+    first *= ADAM_BETA1
+    first += scratch
     np.multiply(grad, grad, out=scratch)
     scratch *= 1.0 - ADAM_BETA2
-    v = np.multiply(state.second, ADAM_BETA2)
-    v += scratch
-    np.divide(v, scale2, out=scratch)
+    second *= ADAM_BETA2
+    second += scratch
+    np.divide(second, scale2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
-    theta = np.divide(m, scale1)
+    theta = np.divide(first, scale1)
     theta *= lr
     theta /= scratch
     np.subtract(params.theta, theta, out=theta)
     theta.setflags(write=False)
-    return replace(params, theta=theta), AdamState(first=m, second=v, step=step)
+    return replace(params, theta=theta)
 
 
 def _dataset_loss(params, data) -> float:
@@ -178,7 +165,8 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         FloatingPointError: non-finite training or validation loss.
     """
     rng = np.random.default_rng(config.seed)
-    state = AdamState.fresh(params)
+    first, second = np.zeros_like(params.theta), np.zeros_like(params.theta)
+    step = 0
     lr = config.lr_init
 
     best_val = np.inf
@@ -199,7 +187,8 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             sq, observed, grad = params.loss_and_grad(batch)
             epoch_sq += sq
             epoch_obs += observed
-            params, state = adam_step(params, grad, state, lr)
+            step += 1
+            params = adam_step(params, grad, first, second, step, lr)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, driven through main()."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -272,16 +273,42 @@ class TestManifest:
         assert all("started" in r and "finished" in r for r in records)
 
 
+def load_tracing():
+    """The benchmark's tracing module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkTargets:
+    # Tracer targets named after functions the package no longer has.
+    ABSENT = {
+        ("graphmarkov.training", "batch_from_samples"),
+        ("graphmarkov.evaluation", "batch_from_samples"),
+        ("graphmarkov.training", "forward"),
+        ("graphmarkov.training", "backward"),
+        ("graphmarkov.evaluation", "forward"),
+        ("graphmarkov.checkpoint", "hop_masks"),
+        ("graphmarkov.checkpoint", "spectral_basis"),
+    }
+
     def test_stage_functions_resolve_in_cli(self):
         """The benchmark measures setup_s up to the first call of a stage
         function, looked up by name in graphmarkov.cli; a stage renamed or
         inlined there would silently turn setup_s into the whole command."""
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_tracing()
         assert tracing.STAGES
         for module, attr, _ in tracing.STAGES:
             assert module == "graphmarkov.cli"
             assert callable(getattr(cli, attr, None)), attr
+
+    def test_layer_targets_resolve(self):
+        """Every per-layer target of the traced run but the known absent ones
+        is a callable where it is looked up; a function renamed or inlined
+        there would silently read 0 in the trace."""
+        layers = {(module, attr) for module, attr, _ in load_tracing().LAYERS}
+        assert self.ABSENT <= layers
+        for module, attr in sorted(layers - self.ABSENT):
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -191,6 +191,20 @@ class TestIngestCsv:
         np.testing.assert_array_equal(s.mask, [[1, 1], [1, 0]])
         assert s.timestamps[1] - s.timestamps[0] == 300.0
 
+    def test_numeric_sensor_ids_round_trip(self, tmp_path):
+        """The writer's own header, `timestamp,773869,767541`, is read as a
+        header although every sensor ID is numeric."""
+        rng = np.random.default_rng(41)
+        mask = (rng.random((5, 2)) < 0.7).astype(float)
+        original = make_series(rng.random((5, 2)) * 60.0 + 5.0, mask)
+        path = tmp_path / "speed.csv"
+        write_speed_csv(path, original, ["773869", "767541"])
+        assert path.read_text().splitlines()[0] == "timestamp,773869,767541"
+        back = ingest_csv(path)
+        np.testing.assert_array_equal(back.values, original.values)
+        np.testing.assert_array_equal(back.mask, original.mask)
+        np.testing.assert_array_equal(back.timestamps, original.timestamps)
+
     def test_numeric_grid_with_empty_first_cell_has_no_header(self, tmp_path):
         path = tmp_path / "grid.csv"
         path.write_text(",2\n3,4\n")
@@ -430,12 +444,12 @@ class TestInjectMissing:
 class TestNormalize:
     def test_affine_map(self):
         s = make_series(np.array([[10.0, 20.0], [30.0, 40.0]]))
-        normed, stats = normalize(s)
+        stats = observed_stats(s)
         assert stats == NormStats(vmin=10.0, vmax=40.0)
+        normed = normalize(s, stats)
         np.testing.assert_allclose(
             normed.values, [[0.0, 1.0 / 3.0], [2.0 / 3.0, 1.0]]
         )
-        assert normed.norm == stats
 
     def test_stats_ignore_missing(self):
         mask = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -446,24 +460,26 @@ class TestNormalize:
     def test_missing_stays_zero(self):
         mask = np.array([[1.0, 0.0], [1.0, 1.0]])
         s = make_series(np.array([[5.0, 1.0], [10.0, 15.0]]), mask)
-        normed, _ = normalize(s)
+        normed = normalize(s, observed_stats(s))
         assert normed.values[0, 1] == 0.0
 
     def test_external_stats(self):
         """Validation data normalized with training stats can leave [0,1]."""
         s = make_series(np.array([[50.0], [150.0]]))
-        normed, _ = normalize(s, NormStats(vmin=0.0, vmax=100.0))
+        normed = normalize(s, NormStats(vmin=0.0, vmax=100.0))
         np.testing.assert_allclose(normed.values, [[0.5], [1.5]])
 
     def test_denormalize_round_trip(self):
         rng = np.random.default_rng(13)
         s = make_series(rng.random((8, 5)) * 70.0 + 1.0)
-        normed, stats = normalize(s)
+        stats = observed_stats(s)
+        normed = normalize(s, stats)
         np.testing.assert_allclose(denormalize(normed.values, stats), s.values, atol=1e-12)
 
     def test_rejects_constant(self):
+        s = make_series(np.full((3, 2), 7.0))
         with pytest.raises(ValueError, match="constant"):
-            normalize(make_series(np.full((3, 2), 7.0)))
+            normalize(s, observed_stats(s))
 
     def test_rejects_all_missing(self):
         s = StateSeries(
@@ -490,12 +506,6 @@ class TestSplit:
         train, val, test = split(s, SplitSpec())
         assert (train.steps, val.steps, test.steps) == (6, 2, 2)
 
-    def test_norm_propagates(self):
-        s = make_series(np.arange(20.0).reshape(10, 2) + 1.0)
-        normed, stats = normalize(s)
-        train, _, _ = split(normed, SplitSpec())
-        assert train.norm == stats
-
     def test_custom_fractions(self):
         s = make_series(np.arange(20.0).reshape(20, 1) + 1.0)
         train, val, test = split(s, SplitSpec(0.5, 0.25, 0.25))
@@ -505,7 +515,7 @@ class TestSplit:
         """Parts of a series are read-only views of its frozen arrays, not
         copies; so is the mask of a normalized series."""
         s = make_series(np.arange(20.0).reshape(10, 2) + 1.0)
-        normed, _ = normalize(s)
+        normed = normalize(s, observed_stats(s))
         assert np.shares_memory(normed.mask, s.mask)
         for part in split(normed, SplitSpec()):
             for name in ("values", "mask", "timestamps"):
@@ -550,22 +560,45 @@ class TestWindow:
         assert data.n == 2 and data[np.array([0])].n == 2
 
     def test_label_series_override(self):
-        base = make_series(np.arange(8.0).reshape(4, 2) + 1.0)
-        injected = inject_missing(base, 0.5, seed=5)
-        data = last_observations(injected, 2, label_series=base)
-        assert_same_windows(data, series_windows(injected, 2, label_series=base))
-        np.testing.assert_array_equal(data.label, base.values[2:])
-        np.testing.assert_array_equal(data.label_mask, base.mask[2:])
+        """The series windowed behind an injected mask gives the oracle's
+        windows of the injected series labelled by the series, on random
+        masks and rates and on every split part."""
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 4):
+            for rate in (0.1, 0.5, 0.9):
+                mask = (rng.random((40, 5)) >= 0.2).astype(float)
+                base = make_series(rng.random((40, 5)) + 1.0, mask)
+                injected = inject_missing(base, rate, seed=int(rng.integers(1000)))
+                for part, gate in zip(split(base, SplitSpec()), split(injected, SplitSpec())):
+                    data = last_observations(part, n, observed=gate.mask)
+                    assert_same_windows(data, series_windows(gate, n, label_series=part))
+                    np.testing.assert_array_equal(data.label, part.values[n:])
+                    np.testing.assert_array_equal(data.label_mask, part.mask[n:])
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="at least"):
             last_observations(make_series(np.ones((3, 1))), 3)
 
-    def test_rejects_mismatched_labels(self):
-        a = make_series(np.ones((5, 2)))
-        b = make_series(np.ones((5, 3)))
-        with pytest.raises(ValueError, match="match"):
-            last_observations(a, 2, label_series=b)
+    def test_rejects_mismatched_gate(self):
+        s = make_series(np.ones((5, 2)))
+        with pytest.raises(ValueError, match=r"gate shape \(5, 3\) != series shape \(5, 2\)"):
+            last_observations(s, 2, observed=np.ones((5, 3)))
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan])
+    def test_rejects_non_binary_gate(self, entry):
+        s = make_series(np.ones((5, 2)))
+        gate = np.ones((5, 2))
+        gate[3, 1] = gate[4, 0] = entry
+        with pytest.raises(ValueError, match=f"gate entry {entry!r} at step 3, sensor 1 is not 0 or 1"):
+            last_observations(s, 2, observed=gate)
+
+    def test_rejects_gate_reading_a_gap(self):
+        """A zero-filled gap of the series is never read as a reading."""
+        mask = np.ones((5, 2))
+        mask[2, 0] = mask[4, 1] = 0.0
+        s = make_series(np.arange(10.0).reshape(5, 2) + 1.0, mask)
+        with pytest.raises(ValueError, match="step 2, sensor 0 is 1 where the series has no reading"):
+            last_observations(s, 2, observed=np.ones((5, 2)))
 
 
 class TestLastObservationScan:
@@ -624,7 +657,7 @@ class TestLastObservationScan:
             mask[start : start + n, 0] = 0.0
         s = make_series(rng.random((steps, 2)) * 50.0 + 5.0, mask)
         bundle = prepare_datasets(s, n=n, missing_rate=0.0, seed=0)
-        _, val, test = split(normalize(s, bundle.stats)[0], SplitSpec())
+        _, val, test = split(normalize(s, bundle.stats), SplitSpec())
         for data, part in ((bundle.val, val), (bundle.test, test)):
             assert_same_windows(data, series_windows(part, n))
             assert data.lag[0, 0] == n and data.value[0, 0] == 0.0
@@ -640,7 +673,8 @@ class TestPrepareDatasets:
         assert len(bundle.train) == 21
         assert len(bundle.val) == 5
         assert len(bundle.test) == 5
-        assert bundle.train_label_times.shape == (21,)
+        # The label step of each test window: the part's steps after the first n.
+        np.testing.assert_array_equal(bundle.test_label_times, s.timestamps[35:])
 
     def test_labels_come_from_pre_injection_series(self):
         """Injected gaps appear in the inputs but the labels keep the original

@@ -10,7 +10,6 @@ from graphmarkov.graph import build_graph
 from graphmarkov.models import init_gmn, init_params, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import (
-    AdamState,
     EpochRecord,
     TrainConfig,
     TrainHistory,
@@ -128,41 +127,47 @@ class TestAdamStep:
         rng = np.random.default_rng(seed)
         return params, rng.standard_normal(params.theta.shape)
 
+    def fresh(self, params):
+        """Zero first and second moments, as train starts them."""
+        return np.zeros_like(params.theta), np.zeros_like(params.theta)
+
     def test_zero_grads_leave_params_unchanged(self):
         params, _ = self.make()
         zeros = np.zeros_like(params.theta)
-        updated, state = adam_step(params, zeros, AdamState.fresh(params), lr=1e-3)
+        first, second = self.fresh(params)
+        updated = adam_step(params, zeros, first, second, 1, lr=1e-3)
         np.testing.assert_array_equal(params.theta, updated.theta)
         np.testing.assert_array_equal(params.weights, updated.weights)
-        assert state.step == 1
+        np.testing.assert_array_equal(first, 0.0)
+        np.testing.assert_array_equal(second, 0.0)
 
     def test_first_step_is_signlike(self):
         """With fresh moments the bias-corrected update is g/(|g|+eps), so
         each touched entry moves by almost exactly lr against the gradient."""
         params, grad = self.make(seed=1)
-        updated, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+        updated = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
         delta = updated.theta - params.theta
         moved = np.abs(grad) > 1e-3
         np.testing.assert_allclose(delta[moved], -1e-3 * np.sign(grad[moved]), rtol=1e-4)
 
     def test_deterministic(self):
         params, grad = self.make(seed=2)
-        a, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
-        b, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+        a = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
+        b = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_support_preserved_across_updates(self):
         """The flat update matches the per-tensor update with re-masking
         entry for entry, so off-support weights stay exactly zero."""
         params, grad = self.make(seed=3)
-        state = AdamState.fresh(params)
+        moments = self.fresh(params)
         tensors = per_hop_tensors(params)
         first = [np.zeros_like(t) for t in tensors]
         second = [np.zeros_like(t) for t in tensors]
         dense_grads = list(replace(params, theta=grad).weights)
         remask = lambda ts: [t * params.masks.mask(k) for k, t in enumerate(ts, start=1)]
         for step in range(1, 11):
-            params, state = adam_step(params, grad, state, lr=1e-2)
+            params = adam_step(params, grad, *moments, step, lr=1e-2)
             tensors, first, second = adam_tensors(
                 tensors, dense_grads, first, second, step, 1e-2, remask
             )
@@ -175,7 +180,20 @@ class TestAdamStep:
         params, grad = self.make()
         grad[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, grad, AdamState.fresh(params), lr=1e-3)
+            adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
+
+    def test_aborted_update_leaves_moments_untouched(self):
+        """A non-finite gradient entry, even the last one, is caught before
+        either moment array is written."""
+        params, grad = self.make(seed=4)
+        first, second = self.fresh(params)
+        params = adam_step(params, grad, first, second, 1, lr=1e-3)
+        before = first.copy(), second.copy()
+        grad[-1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            adam_step(params, grad, first, second, 2, lr=1e-3)
+        np.testing.assert_array_equal(first, before[0])
+        np.testing.assert_array_equal(second, before[1])
 
     def test_small_step_decreases_quadratic_loss(self):
         g = ring_graph(5)
@@ -184,7 +202,7 @@ class TestAdamStep:
         batch = complete_dataset(rng.random((8, 1, 5)), labels=rng.random((8, 5)))
         before = mse_of(params, batch)
         _, _, grad = params.loss_and_grad(batch)
-        params, _ = adam_step(params, grad, AdamState.fresh(params), lr=1e-4)
+        params = adam_step(params, grad, *self.fresh(params), 1, lr=1e-4)
         assert mse_of(params, batch) < before
 
 
