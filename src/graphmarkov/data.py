@@ -1,7 +1,7 @@
 """State-sequence ingestion, masking, missing-value injection, normalization,
 temporal splitting, and windowing into last-observation datasets.
 
-A state series is a T x S matrix of sensor readings plus a binary mask of the
+A state series is a T x S matrix of sensor readings plus a boolean mask of the
 same shape; missing readings are zero-filled so that values * mask == values
 always holds. Operations never mutate a series; they return new ones.
 """
@@ -31,9 +31,9 @@ class NormStats:
 
 @dataclass(frozen=True)
 class StateSeries:
-    """T x S readings with a parallel binary observation mask.
+    """T x S readings with a parallel observation mask, stored as bool.
 
-    values[t, s] is zero wherever mask[t, s] is zero. Timestamps are epoch
+    values[t, s] is zero wherever mask[t, s] is False. Timestamps are epoch
     seconds, strictly increasing with constant spacing.
     """
 
@@ -42,18 +42,19 @@ class StateSeries:
     timestamps: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(self.values)
-        mask = _frozen(self.mask)
-        timestamps = _frozen(self.timestamps)
+        values = _frozen(self.values, np.float64)
+        mask = _frozen(self.mask, np.bool_)
+        timestamps = _frozen(self.timestamps, np.float64)
         if values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if mask.shape != values.shape:
             raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
         if timestamps.shape != (values.shape[0],):
             raise ValueError("timestamps length must equal the number of steps")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
+        # Only a mask of 0s and 1s survives the cast to bool unchanged.
+        if not np.array_equal(mask, self.mask):
             raise ValueError("mask entries must be 0 or 1")
-        if np.any(values[mask == 0.0] != 0.0):
+        if np.any(values[~mask] != 0.0):
             raise ValueError("missing entries must be zero-filled")
         if values.shape[0] >= 2:
             gaps = np.diff(timestamps)
@@ -90,15 +91,15 @@ class SplitSpec:
             raise ValueError(f"split fractions must sum to 1, got {fracs}")
 
 
-def _frozen(a) -> np.ndarray:
-    """a as a read-only float64 array: shared when it and its owner are
+def _frozen(a, dtype) -> np.ndarray:
+    """a as a read-only array of dtype: shared when it and its owner are
     read-only already (a part of another series), else copied."""
     base = getattr(a, "base", None)
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable and (
+    if isinstance(a, np.ndarray) and a.dtype == dtype and not a.flags.writeable and (
         base is None or (isinstance(base, np.ndarray) and not base.flags.writeable)
     ):
         return a
-    out = np.array(a, dtype=np.float64)
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -114,10 +115,10 @@ def ingest_csv(path) -> StateSeries:
     The file may carry an optional header row of sensor IDs and an optional
     first column of ISO-8601 timestamps; both are detected by type-sniffing
     the first two rows/columns. With a time column, a first row whose time
-    cell is no timestamp is a header even when its IDs are numeric. Empty or
-    whitespace-only cells and literal zeros are treated as missing (mask 0,
-    value 0). When no timestamp column is present, timestamps are
-    synthesized at 5-minute spacing from epoch 0.
+    cell starts with no digit is a header even when its IDs are numeric.
+    Empty or whitespace-only cells and literal zeros are treated as missing
+    (mask False, value 0). When no timestamp column is present, timestamps
+    are synthesized at 5-minute spacing from epoch 0.
 
     The file is read in blocks of _CSV_BLOCK_ROWS rows, so memory is set by
     the series and not by the text of the file.
@@ -135,9 +136,9 @@ def ingest_csv(path) -> StateSeries:
         has_time_col = _parse_iso(head[-1][0]) is not None
         first = 1 if has_time_col else 0
         width = len(head[0])
-        # A time column's header cell is no timestamp, whatever the sensor
-        # IDs: `timestamp,773869,…`, or a pandas export's `,773869,…`.
-        has_header = (has_time_col and _parse_iso(head[0][0]) is None) or any(
+        # A time column's header cell starts with no digit, unlike any timestamp,
+        # whatever the sensor IDs: `timestamp,773869,…` or a pandas `,773869,…`.
+        has_header = (has_time_col and not head[0][0].strip()[:1].isdigit()) or any(
             cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
         )
         if has_header and len(head) == 1:
@@ -163,7 +164,7 @@ def ingest_csv(path) -> StateSeries:
 
     values = np.concatenate(value_blocks)
     del value_blocks
-    mask = (values != 0.0).astype(np.float64)
+    mask = values != 0.0
     steps = values.shape[0]
     if has_time_col:
         times = np.concatenate(time_blocks)
@@ -265,10 +266,10 @@ def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = No
             for stamp, values, observed in zip(
                 series.timestamps[rows].tolist(),
                 series.values[rows].tolist(),
-                series.mask[rows].astype(np.int8).tolist(),
+                series.mask[rows].tolist(),
             ):
                 stamp = datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-                # str * 1 is the repr, str * 0 the empty cell of a missing entry.
+                # str * True is the repr, str * False the empty cell of a missing entry.
                 cells = ",".join(map(mul, map(repr, values), observed))
                 lines.append(f"{stamp},{cells}\r\n")
             fh.write("".join(lines))
@@ -289,8 +290,8 @@ def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:
     if rate == 0.0:
         return series
     rng = np.random.default_rng(seed)
-    drop = (rng.random(series.values.shape) < rate) & (series.mask == 1.0)
-    mask = np.where(drop, 0.0, series.mask)
+    drop = (rng.random(series.values.shape) < rate) & series.mask
+    mask = series.mask & ~drop
     values = np.where(drop, 0.0, series.values)
     return StateSeries(values=values, mask=mask, timestamps=series.timestamps)
 
@@ -301,7 +302,7 @@ def observed_stats(series: StateSeries) -> NormStats:
     Raises:
         ValueError: no observed entries, or constant observed values.
     """
-    observed = series.values[series.mask == 1.0]
+    observed = series.values[series.mask]
     if observed.size == 0:
         raise ValueError("series has no observed entries to compute stats from")
     vmin, vmax = float(observed.min()), float(observed.max())
@@ -316,7 +317,7 @@ def normalize(series: StateSeries, stats: NormStats) -> StateSeries:
     part) to normalize validation/test data without leakage."""
     if stats.span == 0:
         raise ValueError("degenerate stats: max equals min")
-    values = np.where(series.mask == 1.0, (series.values - stats.vmin) / stats.span, 0.0)
+    values = np.where(series.mask, (series.values - stats.vmin) / stats.span, 0.0)
     return StateSeries(values=values, mask=series.mask, timestamps=series.timestamps)
 
 
@@ -405,18 +406,18 @@ def last_observations(
     series: StateSeries, n: int, observed: np.ndarray | None = None
 ) -> LastObservations:
     """The T - n windows of n steps over the series, with one forward-fill
-    scan over the steps where `observed` is 1.
+    scan over the steps where `observed` is True.
 
     Window k covers input steps k .. k+n-1 and the label step k+n. Its
     inputs are the series' readings where `observed` (default: the series'
-    mask) is 1, so a gate with injected gaps hides those readings from the
+    mask) is True, so a gate with injected gaps hides those readings from the
     inputs; labels and label masks are the series' own. No window reaches
     outside the series.
 
     Raises:
-        ValueError: fewer than n+1 steps; or `observed` not of the series'
-            shape, not 0/1, or 1 where the series has no reading (the first
-            such step and sensor are named).
+        ValueError: fewer than n+1 steps; or `observed` not a bool array of
+            the series' shape, or True where the series has no reading (the
+            first such step and sensor are named).
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
@@ -426,16 +427,16 @@ def last_observations(
         observed = series.mask
     else:
         observed = np.asarray(observed)
-        if observed.shape != series.values.shape:
-            raise ValueError(f"gate shape {observed.shape} != series shape {series.values.shape}")
-        bad = (observed != 0.0) & ((observed != 1.0) | (series.mask == 0.0))
+        if observed.dtype != np.bool_ or observed.shape != series.values.shape:
+            raise ValueError(
+                f"gate must be bool {series.values.shape}, not {observed.dtype} {observed.shape}"
+            )
+        bad = observed & ~series.mask
         if np.any(bad):
             t, s = np.unravel_index(np.argmax(bad), bad.shape)
-            entry = float(observed[t, s])
-            what = "1 where the series has no reading" if entry == 1.0 else "not 0 or 1"
-            raise ValueError(f"gate entry {entry!r} at step {t}, sensor {s} is {what}")
+            raise ValueError(f"gate is set at step {t}, sensor {s}, where the series has no reading")
     steps = np.arange(series.steps)[:, None]
-    last = np.where(observed == 1.0, steps, -1)
+    last = np.where(observed, steps, -1)
     np.maximum.accumulate(last, axis=0, out=last)
     last = last[n - 1 : -1]
     lag = np.minimum(steps[n - 1 : -1] - last, n).astype(np.min_scalar_type(n))

@@ -41,9 +41,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class HopMaskSet:
-    """Reachability masks: masks[k-1] is 1 where vertex j reaches vertex i
-    within k hops under the self-connection adjacency (binary support of its
-    k-th matrix power)."""
+    """Reachability masks: masks[k-1] is True where vertex j reaches vertex i
+    within k hops under the self-connection adjacency (the support of its
+    k-th matrix power), as a read-only bool array."""
 
     masks: tuple
 
@@ -118,8 +118,8 @@ def build_graph(adjacency_input: np.ndarray) -> Graph:
 
 
 def hop_masks(graph: Graph, n: int) -> HopMaskSet:
-    """Binary supports of the first n powers of the self-connection
-    adjacency.
+    """Supports of the first n powers of the self-connection adjacency, as
+    read-only bool arrays.
 
     mask(1) equals the self-connection adjacency; mask(k) grows monotonically
     and saturates once k reaches the graph diameter.
@@ -130,12 +130,11 @@ def hop_masks(graph: Graph, n: int) -> HopMaskSet:
     if n < 1:
         raise ValueError("hop mask order must be >= 1")
     masks = []
-    reach = graph.self_adjacency
+    reach = graph.self_adjacency > 0
     for _ in range(n):
-        masks.append(_frozen(reach))
-        # Kept binary: raw path counts overflow to inf on dense graphs, and
-        # inf * 0 then turns mask entries into NaN.
-        reach = ((reach @ graph.self_adjacency) > 0).astype(np.float64)
+        reach.setflags(write=False)
+        masks.append(reach)
+        reach = (reach @ graph.self_adjacency) > 0
     return HopMaskSet(masks=tuple(masks))
 
 

@@ -84,7 +84,7 @@ class GmnParams:
             mask = masks.mask(k)
             if w.shape != mask.shape:
                 raise ValueError(f"weight {k} shape {w.shape} != mask shape {mask.shape}")
-            if np.any(w[mask == 0.0] != 0.0):
+            if np.any(w[~mask] != 0.0):
                 raise ValueError(f"weight {k} has nonzero entries outside its {k}-hop support")
             dense[k - 1] = w
         theta = dense.reshape(-1)[masks.support]

@@ -132,6 +132,6 @@ def simulate_gmp(graph: Graph, spec: TransitionSpec, steps: int, seed: int) -> S
         values[t + 1] = np.clip(drift + noise, 0.0, 1.0)
     return StateSeries(
         values=values,
-        mask=np.ones((steps, s)),
+        mask=np.ones((steps, s), dtype=bool),
         timestamps=synthesize_timestamps(steps),
     )

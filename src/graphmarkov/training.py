@@ -182,7 +182,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         epoch_obs = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = train_data[order[lo : lo + config.batch_size]]
-            if batch.label_mask.sum() == 0:
+            if not batch.label_mask.any():
                 continue
             sq, observed, grad = params.loss_and_grad(batch)
             epoch_sq += sq

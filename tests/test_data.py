@@ -26,6 +26,11 @@ from graphmarkov.data import (
 from oracles import gated_lags, ingest_csv_reference, series_windows, write_speed_csv_reference
 
 
+def assert_read_only_bool(mask):
+    assert mask.dtype == np.bool_
+    assert not mask.flags.writeable
+
+
 def make_series(values, mask=None):
     values = np.asarray(values, dtype=float)
     if mask is None:
@@ -52,12 +57,22 @@ class TestStateSeries:
             )
 
     def test_rejects_nonbinary_mask(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            StateSeries(
-                values=np.array([[1.0]]),
-                mask=np.array([[0.5]]),
-                timestamps=np.array([0.0]),
-            )
+        for entry in (0.5, 2.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="0 or 1"):
+                StateSeries(
+                    values=np.array([[1.0]]),
+                    mask=np.array([[entry]]),
+                    timestamps=np.array([0.0]),
+                )
+
+    def test_mask_is_stored_as_read_only_bool(self):
+        """A 0/1 mask of any dtype is stored as bool; a read-only bool mask
+        is shared."""
+        for mask in ([[1.0, 0.0]], np.array([[1, 0]]), np.array([[True, False]])):
+            s = StateSeries(np.array([[2.0, 0.0]]), mask, np.array([0.0]))
+            assert_read_only_bool(s.mask)
+            np.testing.assert_array_equal(s.mask, [[True, False]])
+        assert StateSeries(s.values, s.mask, s.timestamps).mask is s.mask
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -129,6 +144,11 @@ class TestIngestCsv:
         s = ingest_csv(path)
         np.testing.assert_array_equal(s.mask, [[1, 0], [0, 1]])
         np.testing.assert_array_equal(s.values, [[1.0, 0.0], [0.0, 2.0]])
+
+    def test_mask_is_read_only_bool(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("1.0,0\n0.0,2.0\n")
+        assert_read_only_bool(ingest_csv(path).mask)
 
     def test_rejects_ragged(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -299,6 +319,8 @@ def bad_files(block):
     cell_then_stamp[block] = stamped([f"{block + 1},oops"], lo=block)[0]
     cell_then_stamp[block + 1] = "not-a-time," + rows[block + 1]
     padded_garbage = rows[:block] + [" ,2", "3, x "] + rows[block + 2 :]
+    bad_first_stamp = stamped(rows)
+    bad_first_stamp[0] = "2012-03-01T25:00:00," + rows[0]
     stamps_only = [row.split(",")[0] for row in stamped(rows)]
     return {
         "empty": "",
@@ -312,6 +334,7 @@ def bad_files(block):
         "unparseable-second-block": lines(garbage),
         "unparseable-then-ragged": lines(garbage_then_ragged),
         "bad-timestamp-second-block": lines(bad_stamp),
+        "bad-timestamp-first-row": lines(bad_first_stamp),
         "bad-timestamp-and-cell-same-row": lines(stamp_and_cell),
         "bad-cell-then-bad-timestamp": lines(cell_then_stamp),
         "whitespace-and-unparseable-same-block": lines(padded_garbage),
@@ -433,6 +456,10 @@ class TestInjectMissing:
         assert np.all(injected.mask <= s.mask)
         np.testing.assert_array_equal(injected.values * (1 - injected.mask), 0.0)
 
+    def test_mask_is_read_only_bool(self):
+        s = make_series(np.ones((4, 3)), np.array([[1.0, 0.0, 1.0]] * 4))
+        assert_read_only_bool(inject_missing(s, 0.5, seed=5).mask)
+
     def test_rejects_bad_rate(self):
         s = make_series(np.ones((3, 2)))
         with pytest.raises(ValueError):
@@ -513,11 +540,13 @@ class TestSplit:
 
     def test_parts_share_memory_with_source(self):
         """Parts of a series are read-only views of its frozen arrays, not
-        copies; so is the mask of a normalized series."""
+        copies; so is the mask of a normalized series, a bool array."""
         s = make_series(np.arange(20.0).reshape(10, 2) + 1.0)
         normed = normalize(s, observed_stats(s))
         assert np.shares_memory(normed.mask, s.mask)
+        assert_read_only_bool(normed.mask)
         for part in split(normed, SplitSpec()):
+            assert_read_only_bool(part.mask)
             for name in ("values", "mask", "timestamps"):
                 assert np.shares_memory(getattr(part, name), getattr(normed, name))
                 assert not getattr(part, name).flags.writeable
@@ -575,21 +604,30 @@ class TestWindow:
                     np.testing.assert_array_equal(data.label, part.values[n:])
                     np.testing.assert_array_equal(data.label_mask, part.mask[n:])
 
+    def test_label_mask_is_read_only_bool(self):
+        s = make_series(np.ones((6, 2)), np.array([[1.0, 0.0]] * 6))
+        gate = inject_missing(s, 0.5, seed=2).mask
+        for observed in (None, gate):
+            assert_read_only_bool(last_observations(s, 2, observed).label_mask)
+
     def test_rejects_short_series(self):
         with pytest.raises(ValueError, match="at least"):
             last_observations(make_series(np.ones((3, 1))), 3)
 
     def test_rejects_mismatched_gate(self):
         s = make_series(np.ones((5, 2)))
-        with pytest.raises(ValueError, match=r"gate shape \(5, 3\) != series shape \(5, 2\)"):
-            last_observations(s, 2, observed=np.ones((5, 3)))
+        with pytest.raises(ValueError, match=r"gate must be bool \(5, 2\), not bool \(5, 3\)"):
+            last_observations(s, 2, observed=np.ones((5, 3), dtype=bool))
 
     @pytest.mark.parametrize("entry", [0.5, 2.0, -1.0, np.nan])
     def test_rejects_non_binary_gate(self, entry):
+        """Only a bool gate is read; a float gate is rejected whatever it
+        holds."""
         s = make_series(np.ones((5, 2)))
         gate = np.ones((5, 2))
         gate[3, 1] = gate[4, 0] = entry
-        with pytest.raises(ValueError, match=f"gate entry {entry!r} at step 3, sensor 1 is not 0 or 1"):
+        message = r"gate must be bool \(5, 2\), not float64 \(5, 2\)"
+        with pytest.raises(ValueError, match=message):
             last_observations(s, 2, observed=gate)
 
     def test_rejects_gate_reading_a_gap(self):
@@ -597,8 +635,8 @@ class TestWindow:
         mask = np.ones((5, 2))
         mask[2, 0] = mask[4, 1] = 0.0
         s = make_series(np.arange(10.0).reshape(5, 2) + 1.0, mask)
-        with pytest.raises(ValueError, match="step 2, sensor 0 is 1 where the series has no reading"):
-            last_observations(s, 2, observed=np.ones((5, 2)))
+        with pytest.raises(ValueError, match="set at step 2, sensor 0, where the series has no reading"):
+            last_observations(s, 2, observed=np.ones((5, 2), dtype=bool))
 
 
 class TestLastObservationScan:

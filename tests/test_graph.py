@@ -108,6 +108,11 @@ class TestHopMasks:
             power = np.linalg.matrix_power(g.self_adjacency, k)
             np.testing.assert_array_equal(ms.mask(k), (power > 0).astype(float))
 
+    def test_masks_are_read_only_bool(self):
+        for mask in hop_masks(path_graph(4), 3).masks:
+            assert mask.dtype == np.bool_
+            assert not mask.flags.writeable
+
     def test_order_and_bounds(self):
         ms = hop_masks(path_graph(3), 2)
         assert ms.order == 2

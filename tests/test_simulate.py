@@ -109,6 +109,7 @@ class TestSimulateGmp:
         series = simulate_gmp(g, spec, steps=50, seed=1)
         assert series.steps == 50 and series.size == 5
         np.testing.assert_array_equal(series.mask, 1.0)
+        assert series.mask.dtype == np.bool_ and not series.mask.flags.writeable
         assert series.timestamps[1] - series.timestamps[0] == 300.0
 
     def test_rollout_starts_at_initial_state(self):
