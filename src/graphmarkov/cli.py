@@ -7,13 +7,13 @@ Four subcommands cover the full experiment cycle:
     eval       score a checkpoint against the data it was trained on
     influence  rank vertices by weight mass of a trained model
 
-Every run appends one flat key=value record to <out>/manifest.txt capturing
-the resolved flags, seeds, input digests, and output paths — enough to rerun
-the command to identical outputs. Input file paths are recorded relative to
-the manifest's own directory, so `eval` finds a training run's inputs from
-any working directory, and checks them against the recorded digests.
-Data/schedule seeds are explicit flags, so identical invocations are
-byte-identical in their checkpoint and history files.
+Every run appends one flat key=value record to <out>/manifest.txt: `main`
+wraps a handler's resolved flags, seeds, input digests and output paths in
+`command`, `started` and `finished` keys, enough to rerun the command to
+identical outputs. Input paths are recorded relative to the manifest's
+directory, so `eval` finds a training run's inputs from any working
+directory and checks them against the recorded digests. Seeds are explicit
+flags, so identical invocations give byte-identical checkpoints and histories.
 
 Flags may also be supplied through `--config FILE` (key=value lines, `#`
 comments); explicit command-line flags win over config values.
@@ -41,7 +41,7 @@ from .evaluation import (
     write_residual_csv,
 )
 from .graph import build_graph, read_adjacency_csv, write_adjacency_csv
-from .models import init_params
+from .models import MODELS, init_params
 from .simulate import random_transition, simulate_gmp
 from .training import TrainConfig, train, write_history_csv
 
@@ -92,7 +92,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Forecast network state sequences with missing data.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sim = subs.add_parser("simulate", help="generate a synthetic network and sequence")
     sim.add_argument("--nodes", type=_positive_int, default=10)
@@ -102,10 +101,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--config", help="key=value file of flag defaults")
-    registry["simulate"] = sim
+    sim.set_defaults(handler=cmd_simulate)
 
     tr = subs.add_parser("train", help="fit a model to a speed/adjacency pair")
-    tr.add_argument("--model", choices=("gmn", "sgmn"), required=True)
+    tr.add_argument("--model", choices=sorted(MODELS), required=True)
     tr.add_argument("--n", type=_positive_int, default=10, help="history depth")
     tr.add_argument("--gamma", type=_open_unit_gamma, default=0.9)
     tr.add_argument("--missing-rate", type=_missing_rate, default=0.0)
@@ -117,7 +116,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tr.add_argument("--adjacency", required=True, help="adjacency CSV path")
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--config", help="key=value file of flag defaults")
-    registry["train"] = tr
+    tr.set_defaults(handler=cmd_train)
 
     ev = subs.add_parser("eval", help="score a checkpoint on its test split")
     ev.add_argument("--checkpoint", required=True)
@@ -130,7 +129,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ev.add_argument("--residuals", choices=("hour", "weekday"), default=None)
     ev.add_argument("--out", required=True, help="output directory")
     ev.add_argument("--config", help="key=value file of flag defaults")
-    registry["eval"] = ev
+    ev.set_defaults(handler=cmd_eval)
 
     inf = subs.add_parser("influence", help="rank vertices by weight mass")
     inf.add_argument("--checkpoint", required=True)
@@ -140,9 +139,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     inf.add_argument("--mode", choices=("row", "column"), default="row")
     inf.add_argument("--out", required=True, help="output directory")
     inf.add_argument("--config", help="key=value file of flag defaults")
-    registry["influence"] = inf
+    inf.set_defaults(handler=cmd_influence)
 
-    return parser, registry
+    # The subparsers by command name, whose defaults a config file sets.
+    return parser, subs.choices
 
 
 def load_config_file(path) -> dict:
@@ -160,10 +160,12 @@ def load_config_file(path) -> dict:
     return values
 
 
-def _apply_config_defaults(sub: argparse.ArgumentParser, config: dict) -> None:
+def _apply_config_defaults(sub: argparse.ArgumentParser, config: dict, path) -> None:
     """Install config values as subparser defaults, converted through each
     flag's declared type so they behave exactly like typed command-line
-    input. Command-line flags still win, since they override defaults."""
+    input. Command-line flags still win, since they override defaults. A
+    key that is no flag of the subcommand, or a value its flag rejects,
+    raises ValueError naming the config file and the key."""
     actions = {a.dest: a for a in sub._actions}
     converted = {}
     for key, raw in config.items():
@@ -171,10 +173,13 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, config: dict) -> None:
             continue
         action = actions.get(key)
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of this subcommand")
-        value = action.type(raw) if action.type else raw
+            raise ValueError(f"{path}: config key {key!r} is not a flag of this subcommand")
+        try:
+            value = action.type(raw) if action.type else raw
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
         if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r}: {value!r} not one of {sorted(action.choices)}")
+            raise ValueError(f"{path}: config key {key!r}: {value!r} not one of {sorted(action.choices)}")
         converted[key] = value
         if action.required:
             action.required = False
@@ -261,8 +266,7 @@ def random_network(nodes: int, seed: int):
     return build_graph(adjacency)
 
 
-def cmd_simulate(args) -> int:
-    started = _utcnow()
+def cmd_simulate(args) -> dict:
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps to form a sequence, got {args.steps}")
     if args.noise < 0:
@@ -279,9 +283,7 @@ def cmd_simulate(args) -> int:
     write_speed_csv(speed_path, series)
     print(f"wrote {speed_path} ({series.steps} steps x {series.size} sensors) and {adjacency_path}")
 
-    append_manifest(out, {
-        "command": "simulate",
-        "started": started,
+    return {
         "nodes": args.nodes,
         "steps": args.steps,
         "gamma": args.gamma,
@@ -291,24 +293,24 @@ def cmd_simulate(args) -> int:
         "out_adjacency": adjacency_path,
         "sha256_speed": _sha256(speed_path),
         "sha256_adjacency": _sha256(adjacency_path),
-        "finished": _utcnow(),
-    })
-    return 0
+    }
 
 
-def cmd_train(args) -> int:
-    started = _utcnow()
-    out = _ensure_out(args.out)
-
-    graph = build_graph(read_adjacency_csv(args.adjacency))
-    series = ingest_csv(args.speed)
+def _load_datasets(speed, graph, n: int, missing_rate: float, seed: int, split: SplitSpec):
+    """The speed file's windowed parts, once its sensors match the graph's."""
+    series = ingest_csv(speed)
     if series.size != graph.size:
         raise ValueError(
             f"speed file has {series.size} sensor columns but adjacency is {graph.size}x{graph.size}"
         )
+    return prepare_datasets(series, n=n, missing_rate=missing_rate, seed=seed, spec=split)
 
-    bundle = prepare_datasets(series, n=args.n, missing_rate=args.missing_rate,
-                              seed=args.seed, spec=args.split)
+
+def cmd_train(args) -> dict:
+    out = _ensure_out(args.out)
+
+    graph = build_graph(read_adjacency_csv(args.adjacency))
+    bundle = _load_datasets(args.speed, graph, args.n, args.missing_rate, args.seed, args.split)
     params = init_params(args.model, graph, args.n, args.gamma)
     cfg = TrainConfig(batch_size=args.batch_size, lr_init=args.lr, seed=args.seed)
     trained, history = train(params, bundle.train, bundle.val, cfg, log=print)
@@ -322,9 +324,7 @@ def cmd_train(args) -> int:
         f"  val {history.val_losses().min():.6e}  -> {checkpoint_path}"
     )
 
-    append_manifest(out, {
-        "command": "train",
-        "started": started,
+    return {
         "model": args.model,
         "n": args.n,
         "gamma": args.gamma,
@@ -341,13 +341,10 @@ def cmd_train(args) -> int:
         "out_history": history_path,
         "epochs": history.epochs,
         "best_epoch": history.best_epoch,
-        "finished": _utcnow(),
-    })
-    return 0
+    }
 
 
-def cmd_eval(args) -> int:
-    started = _utcnow()
+def cmd_eval(args) -> dict:
     out = _ensure_out(args.out)
     checkpoint_path = Path(args.checkpoint)
     if not checkpoint_path.exists():
@@ -382,12 +379,7 @@ def cmd_eval(args) -> int:
     if args.n is not None and args.n != params.n:
         raise ValueError(f"--n {args.n} does not match the checkpoint's history depth {params.n}")
 
-    series = ingest_csv(speed)
-    if series.size != graph.size:
-        raise ValueError(
-            f"speed file has {series.size} sensor columns but adjacency is {graph.size}x{graph.size}"
-        )
-    bundle = prepare_datasets(series, n=params.n, missing_rate=missing_rate, seed=seed, spec=split)
+    bundle = _load_datasets(speed, graph, params.n, missing_rate, seed, split)
 
     reports = {
         "model": evaluate(params, bundle.test, bundle.stats),
@@ -398,9 +390,7 @@ def cmd_eval(args) -> int:
     print(format_metrics(reports))
 
     record = {
-        "command": "eval",
-        "started": started,
-        "checkpoint": checkpoint_path,
+        "checkpoint": _relative_to(checkpoint_path, out),
         "sha256_checkpoint": _sha256(checkpoint_path),
         "speed": _relative_to(speed, out),
         "adjacency": _relative_to(adjacency, out),
@@ -420,14 +410,10 @@ def cmd_eval(args) -> int:
         print(f"residual groups written to {residual_path}")
         record["residuals"] = args.residuals
         record["out_residuals"] = residual_path
-
-    record["finished"] = _utcnow()
-    append_manifest(out, record)
-    return 0
+    return record
 
 
-def cmd_influence(args) -> int:
-    started = _utcnow()
+def cmd_influence(args) -> dict:
     out = _ensure_out(args.out)
     graph = build_graph(read_adjacency_csv(args.adjacency))
     params = load_params(args.checkpoint, graph)
@@ -437,27 +423,15 @@ def cmd_influence(args) -> int:
     write_influence_csv(influence_path, table, top=args.top)
     print(format_influence(table, top=args.top))
 
-    append_manifest(out, {
-        "command": "influence",
-        "started": started,
-        "checkpoint": args.checkpoint,
+    return {
+        "checkpoint": _relative_to(args.checkpoint, out),
         "sha256_checkpoint": _sha256(args.checkpoint),
-        "adjacency": args.adjacency,
+        "adjacency": _relative_to(args.adjacency, out),
         "k": args.k,
         "mode": args.mode,
         "top": "" if args.top is None else args.top,
         "out_influence": influence_path,
-        "finished": _utcnow(),
-    })
-    return 0
-
-
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "influence": cmd_influence,
-}
+    }
 
 
 def main(argv=None) -> int:
@@ -467,22 +441,19 @@ def main(argv=None) -> int:
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
-    if known.config:
-        try:
+    try:
+        if known.config:
             config = load_config_file(known.config)
             command = next((a for a in argv if not a.startswith("-")), None)
             if command in registry:
-                _apply_config_defaults(registry[command], config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    args = parser.parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args)
+                _apply_config_defaults(registry[command], config, known.config)
+        args = parser.parse_args(argv)
+        record = {"command": args.command, "started": _utcnow(), **args.handler(args)}
+        append_manifest(Path(args.out), {**record, "finished": _utcnow()})
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

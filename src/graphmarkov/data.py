@@ -293,6 +293,8 @@ def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:
     drop = (rng.random(series.values.shape) < rate) & series.mask
     mask = series.mask & ~drop
     values = np.where(drop, 0.0, series.values)
+    for a in (values, mask):
+        a.setflags(write=False)
     return StateSeries(values=values, mask=mask, timestamps=series.timestamps)
 
 
@@ -318,6 +320,7 @@ def normalize(series: StateSeries, stats: NormStats) -> StateSeries:
     if stats.span == 0:
         raise ValueError("degenerate stats: max equals min")
     values = np.where(series.mask, (series.values - stats.vmin) / stats.span, 0.0)
+    values.setflags(write=False)
     return StateSeries(values=values, mask=series.mask, timestamps=series.timestamps)
 
 
@@ -435,12 +438,14 @@ def last_observations(
         if np.any(bad):
             t, s = np.unravel_index(np.argmax(bad), bad.shape)
             raise ValueError(f"gate is set at step {t}, sensor {s}, where the series has no reading")
-    steps = np.arange(series.steps)[:, None]
+    # Step indices in the smallest signed type that holds -1 and series.steps - 1.
+    steps = np.arange(series.steps, dtype=np.min_scalar_type(-series.steps))[:, None]
     last = np.where(observed, steps, -1)
     np.maximum.accumulate(last, axis=0, out=last)
     last = last[n - 1 : -1]
-    lag = np.minimum(steps[n - 1 : -1] - last, n).astype(np.min_scalar_type(n))
     value = np.take_along_axis(series.values, last, axis=0)
+    np.subtract(steps[n - 1 : -1], last, out=last)  # last now holds each window's lag
+    lag = np.minimum(last, n, out=last).astype(np.min_scalar_type(n))
     value[lag == n] = 0.0
     return LastObservations(
         value=value,

@@ -130,8 +130,8 @@ def simulate_gmp(graph: Graph, spec: TransitionSpec, steps: int, seed: int) -> S
         drift = spec.gamma * (spec.matrix @ values[t])
         noise = rng.normal(0.0, spec.noise_std, size=s) if spec.noise_std > 0 else 0.0
         values[t + 1] = np.clip(drift + noise, 0.0, 1.0)
-    return StateSeries(
-        values=values,
-        mask=np.ones((steps, s), dtype=bool),
-        timestamps=synthesize_timestamps(steps),
-    )
+    mask = np.ones((steps, s), dtype=bool)
+    timestamps = synthesize_timestamps(steps)
+    for a in (values, mask, timestamps):
+        a.setflags(write=False)
+    return StateSeries(values=values, mask=mask, timestamps=timestamps)

@@ -256,6 +256,19 @@ class TestConfigFile:
         assert code == 1
         assert "volume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["n=0", "gamma=1.5", "missing-rate=1.0", "n=abc"])
+    def test_rejected_config_value_is_single_line_error(self, tmp_path, capsys, line):
+        """A value the flag's type rejects names the config file and key."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        code = run(["train", "--config", str(config), "--model", "gmn",
+                    "--speed", "s.csv", "--adjacency", "a.csv", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        key = line.partition("=")[0].replace("-", "_")
+        assert str(config) in err and repr(key) in err
+
     def test_malformed_config_line_is_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("this is not a pair\n")
@@ -271,6 +284,57 @@ class TestManifest:
         records = read_manifest_records(tmp_path / "sim" / "manifest.txt")
         assert [r["command"] for r in records] == ["simulate", "train"]
         assert all("started" in r and "finished" in r for r in records)
+
+
+    # Keys of each command's record, in order: the manifest format that
+    # scripts reading earlier runs' manifests rely on.
+    RECORD_KEYS = {
+        "simulate": ["command", "started", "nodes", "steps", "gamma", "noise", "seed",
+                     "out_speed", "out_adjacency", "sha256_speed", "sha256_adjacency",
+                     "finished"],
+        "train": ["command", "started", "model", "n", "gamma", "missing_rate", "batch_size",
+                  "lr", "seed", "split", "speed", "adjacency", "sha256_speed",
+                  "sha256_adjacency", "out_checkpoint", "out_history", "epochs", "best_epoch",
+                  "finished"],
+        "eval": ["command", "started", "checkpoint", "sha256_checkpoint", "speed", "adjacency",
+                 "missing_rate", "seed", "split", "out_metrics", "residuals", "out_residuals",
+                 "finished"],
+        "influence": ["command", "started", "checkpoint", "sha256_checkpoint", "adjacency", "k",
+                      "mode", "top", "out_influence", "finished"],
+    }
+
+    def test_record_keys_in_order(self, tmp_path):
+        run_dir = tmp_path / "sim"
+        simulate_small(run_dir, steps=400)
+        ckpt = train_small(run_dir, run_dir)
+        assert run(["eval", "--checkpoint", str(ckpt), "--residuals", "hour",
+                    "--out", str(run_dir)]) == 0
+        assert run(["influence", "--checkpoint", str(ckpt),
+                    "--adjacency", str(run_dir / "adjacency.csv"), "--out", str(run_dir)]) == 0
+        records = read_manifest_records(run_dir / "manifest.txt")
+        assert [r["command"] for r in records] == list(self.RECORD_KEYS)
+        for record in records:
+            assert list(record) == self.RECORD_KEYS[record["command"]]
+
+    def test_input_paths_are_relative_to_the_manifest(self, tmp_path, monkeypatch):
+        """Commands run from another directory with relative input paths
+        record each input so that the manifest's directory joined with it
+        is the input file."""
+        simulate_small(tmp_path / "sim")
+        ckpt = train_small(tmp_path / "sim", tmp_path / "run")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run(["eval", "--checkpoint", "../run/model.ckpt", "--out", "eval"]) == 0
+        assert run(["influence", "--checkpoint", "../run/model.ckpt",
+                    "--adjacency", "../sim/adjacency.csv", "--out", "influence"]) == 0
+        inputs = {"checkpoint": ckpt, "speed": tmp_path / "sim" / "speed.csv",
+                  "adjacency": tmp_path / "sim" / "adjacency.csv"}
+        for out, keys in (("eval", ("checkpoint", "speed", "adjacency")),
+                          ("influence", ("checkpoint", "adjacency"))):
+            manifest_dir = tmp_path / "elsewhere" / out
+            record = read_manifest_records(manifest_dir / "manifest.txt")[-1]
+            for key in keys:
+                assert (manifest_dir / record[key]).resolve() == inputs[key].resolve(), (out, key)
 
 
 def load_tracing():

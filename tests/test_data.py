@@ -662,6 +662,16 @@ class TestLastObservationScan:
         for i in range(3):
             np.testing.assert_array_equal(data.at_lag(i), reference[:, i, :])
 
+    @pytest.mark.parametrize("steps", [128, 129, 32768, 32769])
+    def test_matches_reference_where_the_step_index_widens(self, steps):
+        """The scan indexes steps in int8 up to 128 steps, in int16 up to
+        32,768 and in int32 beyond; the windows are the reference's on each
+        side of both bounds."""
+        rng = np.random.default_rng(steps)
+        mask = (rng.random((steps, 2)) >= 0.7).astype(float)
+        s = make_series(rng.random((steps, 2)) + 1.0, mask)
+        assert_same_windows(last_observations(s, 3), series_windows(s, 3))
+
     def test_window_without_observation(self):
         mask = np.ones((8, 2))
         mask[2:6, 1] = 0.0  # sensor 1 dark for steps 2..5

@@ -1,6 +1,7 @@
 """The demo scripts run to completion against the package in this tree."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,4 +23,20 @@ def test_demo_runs(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    assert {p.name for p in tmp_path.iterdir()} <= {"demo_output"}
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_cli_workflow_runs(tmp_path):
+    """The shell demo runs all four subcommands, through the interpreter
+    running the tests, and writes only under demo_output/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PATH"] = os.pathsep.join(filter(None, [str(Path(sys.executable).parent), env.get("PATH")]))
+    done = subprocess.run(
+        ["bash", str(ROOT / "demos" / "cli_workflow.sh")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "== influence" in done.stdout
     assert {p.name for p in tmp_path.iterdir()} <= {"demo_output"}
