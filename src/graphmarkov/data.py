@@ -319,7 +319,9 @@ def normalize(series: StateSeries, stats: NormStats) -> StateSeries:
     part) to normalize validation/test data without leakage."""
     if stats.span == 0:
         raise ValueError("degenerate stats: max equals min")
-    values = np.where(series.mask, (series.values - stats.vmin) / stats.span, 0.0)
+    values = series.values - stats.vmin
+    values /= stats.span
+    values[~series.mask] = 0.0
     values.setflags(write=False)
     return StateSeries(values=values, mask=series.mask, timestamps=series.timestamps)
 
@@ -403,6 +405,10 @@ class LastObservations:
         """N x S input of the state i steps back: the reading where it is the
         newest observed one, else 0."""
         return np.where(self.lag == i, self.value, 0.0)
+
+    def present_lags(self) -> list:
+        """The lags 0..n-1 whose input is not all zeros."""
+        return [i for i in range(self.n) if (self.lag == i).any()]
 
 
 def last_observations(

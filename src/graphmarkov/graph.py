@@ -58,10 +58,12 @@ class HopMaskSet:
         return self.masks[k - 1]
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """Flat indices of the support entries of all masks, stacked hop by
-        hop into an order x S x S array (row-major)."""
-        return np.flatnonzero(np.stack(self.masks))
+    def hop_entries(self) -> tuple:
+        """Per hop, the flat indices of its support entries within one S x S
+        mask and the slice they take in a hop-major packing of all hops."""
+        flats = [np.flatnonzero(mask) for mask in self.masks]
+        ends = np.cumsum([flat.size for flat in flats])
+        return tuple((slice(end - flat.size, end), flat) for flat, end in zip(flats, ends))
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,10 @@ def _masked_error(pred: np.ndarray, data: LastObservations) -> tuple:
 class GmnParams:
     """Dense per-hop weights confined to the graph's hop reachability.
 
-    theta holds each hop's weights inside its support, in the order of
-    masks.support; weights outside have no entry, so they are zero.
-    weights[k-1] is the S x S matrix applied to the state k-1 steps back.
+    theta holds each hop's weights inside its support, hop by hop in the
+    slices of masks.hop_entries; weights outside have no entry, so they
+    are zero. weights[k-1] is the S x S matrix applied to the state k-1
+    steps back.
     """
 
     kind: ClassVar[str] = "gmn"
@@ -78,7 +79,7 @@ class GmnParams:
         _check_gamma(gamma)
         if len(weights) != masks.order:
             raise ValueError(f"{len(weights)} weight matrices but {masks.order} hop masks")
-        dense = np.empty((masks.order,) + masks.mask(1).shape)
+        packed = []
         for k, w in enumerate(weights, start=1):
             w = np.asarray(w, dtype=np.float64)
             mask = masks.mask(k)
@@ -86,8 +87,8 @@ class GmnParams:
                 raise ValueError(f"weight {k} shape {w.shape} != mask shape {mask.shape}")
             if np.any(w[~mask] != 0.0):
                 raise ValueError(f"weight {k} has nonzero entries outside its {k}-hop support")
-            dense[k - 1] = w
-        theta = dense.reshape(-1)[masks.support]
+            packed.append(w[mask])
+        theta = np.concatenate(packed)
         theta.setflags(write=False)
         return cls(theta=theta, masks=masks, gamma=gamma)
 
@@ -108,7 +109,8 @@ class GmnParams:
     def weights(self) -> np.ndarray:
         """n x S x S dense weights, scattered from theta."""
         dense = np.zeros((self.n, self.size, self.size))
-        dense.reshape(-1)[self.masks.support] = self.theta
+        for w, (entries, flat) in zip(dense, self.masks.hop_entries):
+            w.reshape(-1)[flat] = self.theta[entries]
         dense.setflags(write=False)
         return dense
 
@@ -129,8 +131,7 @@ class GmnParams:
         term past lag 0 is exactly zero, so the result reduces bit-for-bit
         to the single newest-step term.
         """
-        _check_compat(self, data)
-        return self._combine((data.at_lag(i) for i in range(self.n)), len(data))
+        return self._forward(data)[1]
 
     def loss_and_grad(self, data: LastObservations) -> tuple:
         """Masked squared-error sum, observed label count, and the gradient
@@ -138,21 +139,31 @@ class GmnParams:
 
         Each lag's input is formed once for both directions. Hop k's
         gradient is gamma^k times the batch-summed outer product of the
-        output gradient with the lag-(k-1) input, read on its support.
+        output gradient with the lag-(k-1) input, read on its support into
+        hop k's slice of theta. A hop whose lag holds no reading keeps a
+        zero gradient.
         """
-        _check_compat(self, data)
-        lags = [data.at_lag(i) for i in range(self.n)]
-        sq, observed, grad_out = _masked_error(self._combine(lags, len(data)), data)
-        grads = np.empty(self.weights.shape)
-        for i, z in enumerate(lags):
-            grads[i] = (self.gamma ** (i + 1)) * (grad_out.T @ z)
-        return sq, observed, grads.reshape(-1)[self.masks.support]
+        lags, pred = self._forward(data)
+        sq, observed, grad_out = _masked_error(pred, data)
+        grad = np.zeros_like(self.theta)
+        for i, z in lags:
+            entries, flat = self.masks.hop_entries[i]
+            np.multiply(self.gamma ** (i + 1), (grad_out.T @ z).reshape(-1)[flat], out=grad[entries])
+        return sq, observed, grad
 
-    def _combine(self, lags, rows: int) -> np.ndarray:
-        out = np.zeros((rows, self.size))
-        for i, (z, w) in enumerate(zip(lags, self.weights)):
+    def _forward(self, data: LastObservations) -> tuple:
+        """(lag, input) of each lag that holds a reading, and the
+        prediction. Empty lags add exact zeros, so they are skipped; each
+        other hop's S x S weights are built from its own slice of theta."""
+        _check_compat(self, data)
+        lags = [(i, data.at_lag(i)) for i in data.present_lags()]
+        out = np.zeros((len(data), self.size))
+        for i, z in lags:
+            entries, flat = self.masks.hop_entries[i]
+            w = np.zeros((self.size, self.size))
+            w.reshape(-1)[flat] = self.theta[entries]
             out += (self.gamma ** (i + 1)) * (z @ w.T)
-        return out
+        return lags, out
 
 
 @dataclass(frozen=True)
@@ -221,9 +232,7 @@ class SgmnParams:
         """Spectral counterpart of GmnParams.predict: each lag term moves
         its input into the eigenbasis, scales it by that hop's gains and
         moves it back, never forming a dense S x S weight."""
-        _check_compat(self, data)
-        u = self.basis.eigenvectors
-        return self._combine((data.at_lag(i) @ u for i in range(self.n)), len(data))
+        return self._forward(data)[1]
 
     def loss_and_grad(self, data: LastObservations) -> tuple:
         """Spectral counterpart of GmnParams.loss_and_grad.
@@ -231,24 +240,27 @@ class SgmnParams:
         The spectral coordinates of each lag's input are computed once for
         both directions. In the eigenbasis the forward term is diagonal, so
         each gain's gradient is the batch sum of the transformed output
-        gradient times the transformed input at that frequency.
+        gradient times the transformed input at that frequency. A hop whose
+        lag holds no reading keeps a zero gradient.
         """
-        _check_compat(self, data)
-        u = self.basis.eigenvectors
-        coords = [data.at_lag(i) @ u for i in range(self.n)]
-        sq, observed, grad_out = _masked_error(self._combine(coords, len(data)), data)
-        grad_coords = grad_out @ u
-        grads = np.empty((self.n, self.size))
-        for i, c in enumerate(coords):
+        coords, pred = self._forward(data)
+        sq, observed, grad_out = _masked_error(pred, data)
+        grad_coords = grad_out @ self.basis.eigenvectors
+        grads = np.zeros((self.n, self.size))
+        for i, c in coords:
             grads[i] = (self.gamma ** (i + 1)) * (grad_coords * c).sum(axis=0)
         return sq, observed, grads.reshape(-1)
 
-    def _combine(self, coords, rows: int) -> np.ndarray:
+    def _forward(self, data: LastObservations) -> tuple:
+        """(lag, spectral coordinates) of each lag that holds a reading, and
+        the prediction; empty lags add exact zeros, so they are skipped."""
+        _check_compat(self, data)
         u = self.basis.eigenvectors
-        out = np.zeros((rows, self.size))
-        for i, (c, g) in enumerate(zip(coords, self.gains)):
-            out += (self.gamma ** (i + 1)) * ((c * g) @ u.T)
-        return out
+        coords = [(i, data.at_lag(i) @ u) for i in data.present_lags()]
+        out = np.zeros((len(data), self.size))
+        for i, c in coords:
+            out += (self.gamma ** (i + 1)) * ((c * self.gains[i]) @ u.T)
+        return coords, out
 
 
 # Params classes by the kind name that checkpoints and the CLI use.

@@ -104,9 +104,10 @@ def write_history_csv(path, history: TrainHistory) -> None:
 
 
 def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float):
-    """The step-th (from 1) bias-corrected Adam update of the packed
-    parameter vector. Updates the moment estimates `first` and `second` in
-    place and returns the new params.
+    """The step-th (from 1) bias-corrected Adam update of the first
+    len(grad) entries of the packed parameter vector; the rest are copied,
+    which is exact while their gradients and moments are zero. Updates the
+    moment estimates `first` and `second` in place and returns the new params.
 
     Raises:
         ValueError: non-finite gradient entries; the moments are left as
@@ -130,10 +131,11 @@ def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, s
     np.divide(second, scale2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
-    theta = np.divide(first, scale1)
-    theta *= lr
-    theta /= scratch
-    np.subtract(params.theta, theta, out=theta)
+    theta = params.theta.copy()
+    update = np.divide(first, scale1, out=theta[: grad.size])
+    update *= lr
+    update /= scratch
+    np.subtract(params.theta[: grad.size], update, out=update)
     theta.setflags(write=False)
     return replace(params, theta=theta)
 
@@ -166,6 +168,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
     """
     rng = np.random.default_rng(config.seed)
     first, second = np.zeros_like(params.theta), np.zeros_like(params.theta)
+    end = 0  # past theta[:end] no gradient entry has been nonzero (or NaN) yet
     step = 0
     lr = config.lr_init
 
@@ -188,7 +191,10 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             epoch_sq += sq
             epoch_obs += observed
             step += 1
-            params = adam_step(params, grad, first, second, step, lr)
+            touched = np.flatnonzero(grad[end:])
+            if touched.size:
+                end += int(touched[-1]) + 1
+            params = adam_step(params, grad[:end], first[:end], second[:end], step, lr)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data)

@@ -18,12 +18,14 @@ from graphmarkov.models import (
 from oracles import (
     complete_dataset,
     cumulative_mask,
+    dense_passes,
     dense_spectral_map,
     fd_theta_grad,
     gmn_backward,
     masked_mse_grad,
     masked_params,
     mse_of,
+    per_hop_tensors,
     random_instance,
     relative_grad_error,
     sgmn_backward,
@@ -345,6 +347,56 @@ class TestSgmnBackward:
             upstream = masked_mse_grad(params.predict(batch), batch.label, batch.label_mask)
             dense = sgmn_backward(params.gains, params.basis, params.gamma, batch, upstream)
             np.testing.assert_array_equal(analytic, np.concatenate(dense))
+
+
+class TestPresentLags:
+    """Both models skip the lags that hold no reading in a batch; the
+    predictions and gradients still equal the dense passes over every lag
+    bit for bit."""
+
+    def batch(self, lags, seed=0):
+        rng = np.random.default_rng(seed)
+        lag = np.asarray(lags)
+        value = np.where(lag < 5, rng.standard_normal(lag.shape), 0.0)
+        label = rng.standard_normal(lag.shape)
+        return LastObservations(
+            value=value, lag=lag, label=label, label_mask=np.ones(lag.shape, dtype=bool), n=5
+        )
+
+    def random_params(self, kind, seed=0):
+        rng = np.random.default_rng(seed)
+        adjacency = (rng.random((6, 6)) < 0.4).astype(float)
+        g = build_graph(np.maximum(adjacency, adjacency.T))
+        params = init_params(kind, g, n=5, gamma=0.8)
+        return masked_params(params, [rng.standard_normal(np.shape(t)) for t in per_hop_tensors(params)])
+
+    def check_against_dense(self, params, data):
+        tensors, forward, backward, _ = dense_passes(params)
+        expected = forward(tensors, data)
+        np.testing.assert_array_equal(params.predict(data), expected)
+        sq, observed, grad = params.loss_and_grad(data)
+        diff = (expected - data.label) * data.label_mask
+        assert (sq, observed) == (float((diff * diff).sum()), float(data.label_mask.sum()))
+        upstream = masked_mse_grad(expected, data.label, data.label_mask)
+        dense = masked_params(params, backward(tensors, data, upstream)).theta
+        np.testing.assert_array_equal(grad, dense)
+        return grad
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_empty_middle_and_deepest_lags(self, kind):
+        """Lags 0, 1 and 3 hold readings; lag 2 between them and lag 4
+        below them hold none, and some sensors saw nothing (lag 5)."""
+        data = self.batch([[0, 1, 3, 0, 5, 1], [3, 0, 0, 5, 1, 0], [1, 1, 0, 3, 0, 5]])
+        assert data.present_lags() == [0, 1, 3]
+        self.check_against_dense(self.random_params(kind), data)
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_no_reading_in_any_window(self, kind):
+        data = self.batch(np.full((4, 6), 5))
+        assert data.present_lags() == []
+        params = self.random_params(kind, seed=1)
+        np.testing.assert_array_equal(params.predict(data), 0.0)
+        np.testing.assert_array_equal(self.check_against_dense(params, data), 0.0)
 
 
 class TestInitParams:

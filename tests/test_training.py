@@ -176,6 +176,28 @@ class TestAdamStep:
             w = params.weights[k - 1]
             np.testing.assert_array_equal(w * (1 - params.masks.mask(k)), 0.0)
 
+    def test_prefix_update_matches_full_update(self):
+        """While the gradient and both moments are zero past `end`, a call
+        on the first `end` entries gives the full call's theta and moments
+        and copies the rest of theta bit for bit, negative zeros included."""
+        params, _ = self.make()
+        rng = np.random.default_rng(5)
+        theta = rng.standard_normal(params.theta.shape)
+        end = theta.size // 2
+        theta[end::3] = -0.0
+        params = replace(params, theta=theta)
+        full, prefix = self.fresh(params), self.fresh(params)
+        a = b = params
+        for step in range(1, 6):
+            grad = rng.standard_normal(theta.shape)
+            grad[end:] = 0.0
+            a = adam_step(a, grad, *full, step, lr=1e-2)
+            b = adam_step(b, grad[:end], prefix[0][:end], prefix[1][:end], step, lr=1e-2)
+        assert a.theta.tobytes() == b.theta.tobytes()
+        assert b.theta[end:].tobytes() == theta[end:].tobytes()
+        for x, y in zip(full, prefix):
+            assert x.tobytes() == y.tobytes()
+
     def test_rejects_nonfinite_grads(self):
         params, grad = self.make()
         grad[3] = np.nan
@@ -352,3 +374,24 @@ class TestTrainOracle:
         assert history.epochs >= 2
         np.testing.assert_array_equal(np.stack(per_hop_tensors(trained)), np.stack(best))
         assert [(r.train_loss, r.val_loss, r.lr) for r in history.records] == records
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_deepest_lag_never_present(self, kind):
+        """No training window holds a reading at lag 4, so Adam never reaches
+        hop 5's entries at the end of theta; they keep their initial values
+        and everything else still matches the reference bit for bit."""
+        g, bundle = simulated_bundle(seed=17, steps=120, noise=0.01, n=5, missing=0.2)
+        config = TrainConfig(batch_size=8, seed=4, max_epochs=4, lr_init=1e-2)
+        data = bundle.train
+        assert not np.any(data.lag == 4) and np.any(data.lag == 3)
+
+        params = init_params(kind, g, n=5, gamma=0.9)
+        trained, history = train(params, data, bundle.val, config)
+        best, records = train_reference(params, data, bundle.val, config)
+        assert history.epochs >= 2
+        np.testing.assert_array_equal(np.stack(per_hop_tensors(trained)), np.stack(best))
+        assert [(r.train_loss, r.val_loss, r.lr) for r in history.records] == records
+        tail = params.masks.hop_entries[-1][0] if kind == "gmn" else slice(-g.size, None)
+        assert trained.theta[tail].size > 0
+        assert trained.theta[tail].tobytes() == params.theta[tail].tobytes()
+        assert not np.array_equal(trained.theta, params.theta)
