@@ -87,6 +87,11 @@ def load_params(path, graph: Graph):
     for k, (label, index, rows) in enumerate(blocks, start=1):
         if label != model.block_label or index != k:
             raise ValueError(f"checkpoint {path}: expected block [{model.block_label} {k}]")
+        for r, row in enumerate(rows, start=1):
+            if len(row) != size:
+                raise ValueError(
+                    f"checkpoint {path}: block [{label} {k}] row {r} has {len(row)} values, want {size}"
+                )
         arr = np.array(rows)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:

@@ -269,12 +269,9 @@ def random_network(nodes: int, seed: int):
 def cmd_simulate(args) -> dict:
     if args.steps < 2:
         raise ValueError(f"need at least 2 steps to form a sequence, got {args.steps}")
-    if args.noise < 0:
-        raise ValueError(f"noise level must be nonnegative, got {args.noise}")
-    out = _ensure_out(args.out)
-
     graph = random_network(args.nodes, args.seed)
     spec = random_transition(graph, args.seed, gamma=args.gamma, noise_std=args.noise)
+    out = _ensure_out(args.out)
     series = simulate_gmp(graph, spec, steps=args.steps, seed=args.seed + 1)
 
     adjacency_path = out / "adjacency.csv"
@@ -307,12 +304,12 @@ def _load_datasets(speed, graph, n: int, missing_rate: float, seed: int, split: 
 
 
 def cmd_train(args) -> dict:
+    cfg = TrainConfig(batch_size=args.batch_size, lr_init=args.lr, seed=args.seed)
     out = _ensure_out(args.out)
 
     graph = build_graph(read_adjacency_csv(args.adjacency))
     bundle = _load_datasets(args.speed, graph, args.n, args.missing_rate, args.seed, args.split)
     params = init_params(args.model, graph, args.n, args.gamma)
-    cfg = TrainConfig(batch_size=args.batch_size, lr_init=args.lr, seed=args.seed)
     trained, history = train(params, bundle.train, bundle.val, cfg, log=print)
 
     checkpoint_path = out / "model.ckpt"

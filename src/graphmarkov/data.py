@@ -118,7 +118,8 @@ def ingest_csv(path) -> StateSeries:
     cell starts with no digit is a header even when its IDs are numeric.
     Empty or whitespace-only cells and literal zeros are treated as missing
     (mask False, value 0). When no timestamp column is present, timestamps
-    are synthesized at 5-minute spacing from epoch 0.
+    are synthesized at 5-minute spacing from epoch 0. A UTF-8 byte-order mark
+    is stripped.
 
     The file is read in blocks of _CSV_BLOCK_ROWS rows, so memory is set by
     the series and not by the text of the file.
@@ -128,7 +129,7 @@ def ingest_csv(path) -> StateSeries:
             non-monotonic timestamps. Row and column numbers count data rows
             and sensor columns from 0.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = filter(None, csv.reader(fh))
         head = list(islice(rows, 2))
         if not head:
@@ -494,8 +495,10 @@ def prepare_datasets(
         spec = SplitSpec()
     gates = split(inject_missing(series, missing_rate, seed), spec)
     stats = observed_stats(gates[0])
+    # Only the injected masks are read from here on; the values are freed.
+    gates = [g.mask for g in gates]
     parts = split(normalize(series, stats), spec)
-    train, val, test = (last_observations(p, n, g.mask) for p, g in zip(parts, gates))
+    train, val, test = (last_observations(p, n, g) for p, g in zip(parts, gates))
     return DatasetBundle(train, val, test, stats, test_label_times=parts[2].timestamps[n:])
 
 

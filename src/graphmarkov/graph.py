@@ -180,9 +180,10 @@ def spectral_basis(laplacian: np.ndarray) -> SpectralBasis:
 
 
 def read_adjacency_csv(path) -> np.ndarray:
-    """Read a headerless S x S adjacency CSV of nonnegative reals."""
+    """Read a headerless S x S adjacency CSV of nonnegative reals; a UTF-8
+    byte-order mark is stripped."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line in csv.reader(fh):
             if not line:
                 continue

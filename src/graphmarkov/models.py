@@ -9,7 +9,8 @@ window, propagated through an appropriately-sized graph neighborhood. The
 models therefore read a window as its last observation (a
 `LastObservations` dataset) and form each lag's input with `at_lag`.
 
-Two parameterizations of the per-hop linear maps:
+The damped sum is written once (`_DampedHopSum`); the kinds differ only in
+their per-hop linear maps:
 
 * dense: an S x S weight matrix per hop, free only on the hop's
   reachability support;
@@ -39,11 +40,9 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"damping factor must lie in (0,1], got {gamma}")
 
 
-def _check_compat(params, data: LastObservations) -> None:
-    if data.n != params.n:
-        raise ValueError(f"dataset history {data.n} != model history {params.n}")
-    if data.size != params.size:
-        raise ValueError(f"dataset has {data.size} sensors but model has {params.size}")
+def _check_history(n: int) -> None:
+    if n < 1:
+        raise ValueError("history depth must be >= 1")
 
 
 def _masked_error(pred: np.ndarray, data: LastObservations) -> tuple:
@@ -56,8 +55,48 @@ def _masked_error(pred: np.ndarray, data: LastObservations) -> tuple:
     return float((diff * diff).sum()), float(observed), 2.0 * diff / observed
 
 
+class _DampedHopSum:
+    """The sum over lags i of gamma^(i+1) times hop i+1's map of the lag-i
+    input. A kind supplies the coordinates its maps act in (`_coords`), one
+    hop's map (`_hop`), and its slice of theta and gradient (`_hop_grad`)."""
+
+    def predict(self, data: LastObservations) -> np.ndarray:
+        """Predict the next state for each window in the dataset. On a fully
+        observed window every term past lag 0 is exactly zero, so the result
+        reduces bit-for-bit to the single newest-step term."""
+        return self._forward(data)[1]
+
+    def loss_and_grad(self, data: LastObservations) -> tuple:
+        """Masked squared-error sum, observed label count, and the gradient
+        of their ratio with respect to theta. Each lag's input and the output
+        gradient are moved into the maps' coordinates once. Hop k's gradient
+        is gamma^k times its batch-summed gradient at the lag-(k-1) input, and
+        stays zero when that lag holds no reading."""
+        lags, pred = self._forward(data)
+        sq, observed, grad_out = _masked_error(pred, data)
+        grad_out = self._coords(grad_out)
+        grad = np.zeros_like(self.theta)
+        for i, c in lags:
+            entries, hop_grad = self._hop_grad(i, grad_out, c)
+            np.multiply(self.gamma ** (i + 1), hop_grad, out=grad[entries])
+        return sq, observed, grad
+
+    def _forward(self, data: LastObservations) -> tuple:
+        """(lag, input coordinates) of each lag that holds a reading, and
+        the prediction; empty lags add exact zeros, so they are skipped."""
+        if data.n != self.n:
+            raise ValueError(f"dataset history {data.n} != model history {self.n}")
+        if data.size != self.size:
+            raise ValueError(f"dataset has {data.size} sensors but model has {self.size}")
+        lags = [(i, self._coords(data.at_lag(i))) for i in data.present_lags()]
+        out = np.zeros((len(data), self.size))
+        for i, c in lags:
+            out += (self.gamma ** (i + 1)) * self._hop(i, c)
+        return lags, out
+
+
 @dataclass(frozen=True)
-class GmnParams:
+class GmnParams(_DampedHopSum):
     """Dense per-hop weights confined to the graph's hop reachability.
 
     theta holds each hop's weights inside its support, hop by hop in the
@@ -95,6 +134,7 @@ class GmnParams:
     @classmethod
     def from_blocks(cls, blocks, graph: Graph, gamma: float) -> "GmnParams":
         """Params from checkpoint blocks: one S x S weight matrix per hop."""
+        _check_history(len(blocks))
         return cls.from_weights(blocks, hop_masks(graph, len(blocks)), gamma)
 
     @property
@@ -108,9 +148,7 @@ class GmnParams:
     @cached_property
     def weights(self) -> np.ndarray:
         """n x S x S dense weights, scattered from theta."""
-        dense = np.zeros((self.n, self.size, self.size))
-        for w, (entries, flat) in zip(dense, self.masks.hop_entries):
-            w.reshape(-1)[flat] = self.theta[entries]
+        dense = np.stack([self._weight(i) for i in range(self.n)])
         dense.setflags(write=False)
         return dense
 
@@ -123,51 +161,27 @@ class GmnParams:
         """The S x S linear map of hop k."""
         return self.weights[k - 1]
 
-    def predict(self, data: LastObservations) -> np.ndarray:
-        """Predict the next state for each window in the dataset.
+    def _weight(self, i: int) -> np.ndarray:
+        """Hop i+1's S x S weights, scattered from its own slice of theta."""
+        entries, flat = self.masks.hop_entries[i]
+        w = np.zeros((self.size, self.size))
+        w.reshape(-1)[flat] = self.theta[entries]
+        return w
 
-        The lag-i term applies gamma^(i+1) times hop i+1's weights to the
-        input of the state i steps back. On a fully observed window every
-        term past lag 0 is exactly zero, so the result reduces bit-for-bit
-        to the single newest-step term.
-        """
-        return self._forward(data)[1]
+    def _coords(self, x: np.ndarray) -> np.ndarray:
+        return x
 
-    def loss_and_grad(self, data: LastObservations) -> tuple:
-        """Masked squared-error sum, observed label count, and the gradient
-        of their ratio with respect to theta.
+    def _hop(self, i: int, z: np.ndarray) -> np.ndarray:
+        return z @ self._weight(i).T
 
-        Each lag's input is formed once for both directions. Hop k's
-        gradient is gamma^k times the batch-summed outer product of the
-        output gradient with the lag-(k-1) input, read on its support into
-        hop k's slice of theta. A hop whose lag holds no reading keeps a
-        zero gradient.
-        """
-        lags, pred = self._forward(data)
-        sq, observed, grad_out = _masked_error(pred, data)
-        grad = np.zeros_like(self.theta)
-        for i, z in lags:
-            entries, flat = self.masks.hop_entries[i]
-            np.multiply(self.gamma ** (i + 1), (grad_out.T @ z).reshape(-1)[flat], out=grad[entries])
-        return sq, observed, grad
-
-    def _forward(self, data: LastObservations) -> tuple:
-        """(lag, input) of each lag that holds a reading, and the
-        prediction. Empty lags add exact zeros, so they are skipped; each
-        other hop's S x S weights are built from its own slice of theta."""
-        _check_compat(self, data)
-        lags = [(i, data.at_lag(i)) for i in data.present_lags()]
-        out = np.zeros((len(data), self.size))
-        for i, z in lags:
-            entries, flat = self.masks.hop_entries[i]
-            w = np.zeros((self.size, self.size))
-            w.reshape(-1)[flat] = self.theta[entries]
-            out += (self.gamma ** (i + 1)) * (z @ w.T)
-        return lags, out
+    def _hop_grad(self, i: int, grad_out: np.ndarray, z: np.ndarray) -> tuple:
+        """The batch-summed outer product, read on hop i+1's support."""
+        entries, flat = self.masks.hop_entries[i]
+        return entries, (grad_out.T @ z).reshape(-1)[flat]
 
 
 @dataclass(frozen=True)
-class SgmnParams:
+class SgmnParams(_DampedHopSum):
     """Spectral per-hop gains in a fixed Laplacian eigenbasis.
 
     theta holds the gain vectors hop by hop; gains[k-1] is the length-S
@@ -189,9 +203,7 @@ class SgmnParams:
             raise ValueError("need at least one gain vector")
         for k, g in enumerate(gains, start=1):
             if np.shape(g) != (basis.size,):
-                raise ValueError(
-                    f"gain vector {k} has shape {np.shape(g)}, expected ({basis.size},)"
-                )
+                raise ValueError(f"gain vector {k} has shape {np.shape(g)}, expected ({basis.size},)")
         theta = np.array(gains, dtype=np.float64).reshape(-1)
         theta.setflags(write=False)
         return cls(theta=theta, basis=basis, gamma=gamma)
@@ -199,6 +211,7 @@ class SgmnParams:
     @classmethod
     def from_blocks(cls, blocks, graph: Graph, gamma: float) -> "SgmnParams":
         """Params from checkpoint blocks: one 1 x S row of gains per hop."""
+        _check_history(len(blocks))
         for k, block in enumerate(blocks, start=1):
             if np.shape(block) != (1, graph.size):
                 raise ValueError(f"gain block {k} is {np.shape(block)}, want 1x{graph.size}")
@@ -228,39 +241,15 @@ class SgmnParams:
         u = self.basis.eigenvectors
         return (u * self.gains[k - 1]) @ u.T
 
-    def predict(self, data: LastObservations) -> np.ndarray:
-        """Spectral counterpart of GmnParams.predict: each lag term moves
-        its input into the eigenbasis, scales it by that hop's gains and
-        moves it back, never forming a dense S x S weight."""
-        return self._forward(data)[1]
+    def _coords(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.basis.eigenvectors
 
-    def loss_and_grad(self, data: LastObservations) -> tuple:
-        """Spectral counterpart of GmnParams.loss_and_grad.
+    def _hop(self, i: int, c: np.ndarray) -> np.ndarray:
+        return (c * self.gains[i]) @ self.basis.eigenvectors.T
 
-        The spectral coordinates of each lag's input are computed once for
-        both directions. In the eigenbasis the forward term is diagonal, so
-        each gain's gradient is the batch sum of the transformed output
-        gradient times the transformed input at that frequency. A hop whose
-        lag holds no reading keeps a zero gradient.
-        """
-        coords, pred = self._forward(data)
-        sq, observed, grad_out = _masked_error(pred, data)
-        grad_coords = grad_out @ self.basis.eigenvectors
-        grads = np.zeros((self.n, self.size))
-        for i, c in coords:
-            grads[i] = (self.gamma ** (i + 1)) * (grad_coords * c).sum(axis=0)
-        return sq, observed, grads.reshape(-1)
-
-    def _forward(self, data: LastObservations) -> tuple:
-        """(lag, spectral coordinates) of each lag that holds a reading, and
-        the prediction; empty lags add exact zeros, so they are skipped."""
-        _check_compat(self, data)
-        u = self.basis.eigenvectors
-        coords = [(i, data.at_lag(i) @ u) for i in data.present_lags()]
-        out = np.zeros((len(data), self.size))
-        for i, c in coords:
-            out += (self.gamma ** (i + 1)) * ((c * self.gains[i]) @ u.T)
-        return coords, out
+    def _hop_grad(self, i: int, grad_out: np.ndarray, c: np.ndarray) -> tuple:
+        """The map is diagonal in the eigenbasis: one batch sum per frequency."""
+        return slice(i * self.size, (i + 1) * self.size), (grad_out * c).sum(axis=0)
 
 
 # Params classes by the kind name that checkpoints and the CLI use.
@@ -272,20 +261,15 @@ def init_gmn(graph: Graph, n: int, gamma: float) -> GmnParams:
     newest observation (a damped-persistence forecast), with all deeper hops
     zeroed. Deterministic — no random initialization.
     """
-    if n < 1:
-        raise ValueError("history depth must be >= 1")
-    weights = [np.eye(graph.size)] + [np.zeros((graph.size, graph.size)) for _ in range(n - 1)]
-    return GmnParams.from_weights(weights, hop_masks(graph, n), gamma)
+    blocks = [np.eye(graph.size) * (k == 0) for k in range(n)]
+    return GmnParams.from_blocks(blocks, graph, gamma)
 
 
 def init_sgmn(graph: Graph, n: int, gamma: float) -> SgmnParams:
     """Spectral analog of init_gmn: unit gains at hop 1 reconstruct the
     identity map through the orthonormal basis; deeper hops start at zero."""
-    if n < 1:
-        raise ValueError("history depth must be >= 1")
-    basis = spectral_basis(normalized_laplacian(graph))
-    gains = [np.ones(graph.size)] + [np.zeros(graph.size) for _ in range(n - 1)]
-    return SgmnParams.from_gains(gains, basis, gamma)
+    blocks = [np.full((1, graph.size), float(k == 0)) for k in range(n)]
+    return SgmnParams.from_blocks(blocks, graph, gamma)
 
 
 def init_params(kind: str, graph: Graph, n: int, gamma: float):

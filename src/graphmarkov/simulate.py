@@ -46,8 +46,8 @@ class TransitionSpec:
             raise ValueError("transition matrix entries must be finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"damping factor must lie in [0,1], got {self.gamma}")
-        if self.noise_std < 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise level must be finite and nonnegative, got {self.noise_std}")
         if m.size:
             radius = np.max(np.abs(np.linalg.eigvals(self.gamma * m)))
             if radius > 1.0 + SPECTRAL_RADIUS_TOL:
@@ -61,7 +61,7 @@ class TransitionSpec:
                 f"initial state must have one entry per vertex, got shape {x0.shape} "
                 f"for {m.shape[0]} vertices"
             )
-        if np.any(x0 < 0.0) or np.any(x0 > 1.0):
+        if not np.all((x0 >= 0.0) & (x0 <= 1.0)):
             raise ValueError("initial state entries must lie in [0,1]")
         m.setflags(write=False)
         x0.setflags(write=False)

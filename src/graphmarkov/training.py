@@ -42,6 +42,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr_init", "lr_floor", "min_delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.lr_floor > self.lr_init:

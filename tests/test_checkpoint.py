@@ -106,6 +106,19 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="unparseable"):
             load_params(path, g)
 
+    @pytest.mark.parametrize("init, label", [(init_gmn, "hop_weights"), (init_sgmn, "frequency_gains")])
+    def test_rejects_row_of_wrong_width(self, tmp_path, init, label):
+        g = random_graph(6)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init(g, n=2, gamma=0.9))
+        lines = path.read_text().splitlines()
+        row = lines.index(f"[{label} 2]") + 1
+        lines[row] = lines[row].rpartition(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"\[{label} 2\] row 1 has 4 values, want 5") as err:
+            load_params(path, g)
+        assert str(path) in str(err.value)
+
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("graphmarkov-model v1\nkind=gmn\nsize=notanumber\n")

@@ -65,8 +65,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_rejects_non_finite_noise(self, tmp_path, capsys, noise):
+        code = run(["simulate", "--noise", noise, "--out", str(tmp_path / "sim")])
+        assert code == 1
+        assert "noise level must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
 
 class TestTrain:
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_rejects_non_finite_lr_before_reading_data(self, tmp_path, capsys, lr):
+        code = run([
+            "train", "--model", "gmn", "--lr", lr, "--speed", str(tmp_path / "absent.csv"),
+            "--adjacency", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert "lr_init must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_produces_checkpoint_history_manifest(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim")
         ckpt = train_small(tmp_path / "sim", tmp_path / "run")

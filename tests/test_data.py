@@ -1,6 +1,7 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+import weakref
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -242,6 +243,26 @@ class TestIngestCsv:
             ingest_csv(path)
         assert str(path) in str(err.value)
         assert "data row 1, column 1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2012-03-01T00:00:00,61.5,55.0\n2012-03-01T00:05:00,,54.0\n2012-03-01T00:10:00,60.0,53.5\n",
+            "timestamp,s0,s1\n2012-03-01T00:00:00,61.5,55.0\n2012-03-01T00:05:00,,54.0\n",
+            "61.5,55.0\n,54.0\n60.0,53.5\n",
+        ],
+        ids=["headerless-timestamped", "header", "bare-grid"],
+    )
+    def test_byte_order_mark_is_stripped(self, tmp_path, text):
+        """A UTF-8 byte-order mark in front of the first cell neither turns
+        a data row into a header nor fails the file."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected, got = ingest_csv(plain), ingest_csv(marked)
+        assert got.steps == text.count("\n") - text.startswith("timestamp")
+        for name in ("values", "mask", "timestamps"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
 
 
 @pytest.fixture(params=[None, 2, 3], ids=["default-block", "block-2", "block-3"])
@@ -739,6 +760,26 @@ class TestPrepareDatasets:
         bundle = prepare_datasets(s, n=2, missing_rate=0.0, seed=0)
         assert bundle.stats.vmin == 1.0
         assert bundle.stats.vmax == 12.0  # max of the 12-step train slice
+
+    def test_injected_values_are_freed_before_windowing(self, monkeypatch):
+        """Only the injected mask gates the windows, so the injected values
+        are no longer alive when the parts are windowed."""
+        injected, alive = [], []
+
+        def inject(*args):
+            series = inject_missing(*args)
+            injected.append(weakref.ref(series.values))
+            return series
+
+        def window(*args):
+            alive.append(injected[0]() is not None)
+            return last_observations(*args)
+
+        monkeypatch.setattr(data_module, "inject_missing", inject)
+        monkeypatch.setattr(data_module, "last_observations", window)
+        rng = np.random.default_rng(25)
+        prepare_datasets(make_series(rng.random((30, 3)) + 1.0), n=2, missing_rate=0.3, seed=4)
+        assert alive == [False, False, False]
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)

@@ -230,6 +230,12 @@ class TestAdjacencyCsv:
         with pytest.raises(ValueError, match="unparseable"):
             read_adjacency_csv(path)
 
+    def test_byte_order_mark_is_stripped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("0,1,0.5\n1,0,0\n0.5,0,0\n", encoding="utf-8")
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        np.testing.assert_array_equal(read_adjacency_csv(marked), read_adjacency_csv(plain))
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_cell(self, tmp_path, cell):
         """A NaN weight used to pass the sign check and silently drop its

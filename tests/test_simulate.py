@@ -43,6 +43,17 @@ class TestTransitionSpec:
             TransitionSpec(matrix=np.eye(2), gamma=0.9, noise_std=-1.0,
                            initial_state=[0.0, 0.0])
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_rejects_non_finite_noise(self, noise):
+        with pytest.raises(ValueError, match="noise level must be finite"):
+            TransitionSpec(matrix=np.eye(2), gamma=0.9, noise_std=noise,
+                           initial_state=[0.0, 0.0])
+
+    def test_rejects_nan_initial_state(self):
+        with pytest.raises(ValueError, match="initial state"):
+            TransitionSpec(matrix=np.eye(2), gamma=0.9, noise_std=0.0,
+                           initial_state=[0.5, np.nan])
+
     def test_rejects_initial_state_outside_unit_interval(self):
         with pytest.raises(ValueError, match="initial state"):
             TransitionSpec(matrix=np.eye(2), gamma=0.9, noise_std=0.0,

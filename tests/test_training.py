@@ -65,6 +65,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(max_epochs=0)
 
+    @pytest.mark.parametrize("name", ["lr_init", "lr_floor", "min_delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
 
 def identity_model(size=2):
     """The undamped one-step identity map: it predicts each window's value."""
