@@ -352,7 +352,10 @@ def cmd_eval(args) -> dict:
         if flag_value is not None:
             return flag_value
         if key in inherited:
-            return convert(inherited[key])
+            try:
+                return convert(inherited[key])
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{checkpoint_path.parent / MANIFEST_NAME}: key {key!r}: {exc}") from None
         raise ValueError(
             f"--{description} not given and no training manifest next to the checkpoint records it"
         )
@@ -367,7 +370,7 @@ def cmd_eval(args) -> dict:
 
     speed = input_file(args.speed, "speed")
     adjacency = input_file(args.adjacency, "adjacency")
-    missing_rate = resolve(args.missing_rate, "missing_rate", float, "missing-rate")
+    missing_rate = resolve(args.missing_rate, "missing_rate", _missing_rate, "missing-rate")
     seed = resolve(args.seed, "seed", int, "seed")
     split = resolve(args.split, "split", _split_fractions, "split")
 

@@ -16,6 +16,8 @@ import numpy as np
 
 DEFAULT_STEP_SECONDS = 300.0
 
+_CHUNK_ROWS = 1024  # rows per part of a whole-dataset pass (LastObservations.chunks)
+
 
 @dataclass(frozen=True)
 class NormStats:
@@ -130,7 +132,7 @@ def ingest_csv(path) -> StateSeries:
             and sensor columns from 0.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = filter(None, csv.reader(fh))
+        rows = filter(None, _csv_rows(path, fh))
         head = list(islice(rows, 2))
         if not head:
             raise ValueError(f"speed file {path} is empty")
@@ -184,6 +186,15 @@ def ingest_csv(path) -> StateSeries:
 _CSV_BLOCK_ROWS = 2048
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
+
+
+def _csv_rows(path, fh):
+    """csv.reader's rows of fh; its csv.Error (a field over the size limit,
+    as an unbalanced quote makes) raised as a ValueError naming the file."""
+    try:
+        yield from csv.reader(fh)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_widths(path, width, rows) -> None:
@@ -410,6 +421,16 @@ class LastObservations:
     def present_lags(self) -> list:
         """The lags 0..n-1 whose input is not all zeros."""
         return [i for i in range(self.n) if (self.lag == i).any()]
+
+    def chunks(self):
+        """The rows in consecutive parts of at most _CHUNK_ROWS rows, in order."""
+        for lo in range(0, len(self), _CHUNK_ROWS):
+            yield self[lo : lo + _CHUNK_ROWS]
+
+    def squared_error(self, pred: np.ndarray) -> tuple:
+        """Squared-error sum and count of the observed labels, and the masked pred - label."""
+        diff = (pred - self.label) * self.label_mask
+        return float((diff * diff).sum()), float(self.label_mask.sum()), diff
 
 
 def last_observations(

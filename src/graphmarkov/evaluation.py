@@ -16,8 +16,6 @@ from .data import NormStats, denormalize
 
 MAPE_TRUTH_FLOOR = 1e-6
 
-_CHUNK = 1024
-
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
 _EPOCH_WEEKDAY = 3  # 1970-01-01 was a Thursday; weekday 0 is Monday.
@@ -136,10 +134,7 @@ def metrics(
 def predict(params, data) -> np.ndarray:
     """Model predictions for a dataset, stacked in order (normalized units),
     evaluated in bounded chunks."""
-    outputs = []
-    for lo in range(0, len(data), _CHUNK):
-        outputs.append(params.predict(data[lo : lo + _CHUNK]))
-    return np.concatenate(outputs, axis=0)
+    return np.concatenate([params.predict(chunk) for chunk in data.chunks()], axis=0)
 
 
 def evaluate(params, data, stats: NormStats) -> MetricsReport:
@@ -229,6 +224,11 @@ def influence_scores(params, step: int, mode: str = "row") -> InfluenceTable:
     return InfluenceTable(scores=scores, ranks=ranks, step=step, mode=mode)
 
 
+def _ranked(table: InfluenceTable, top: int | None) -> np.ndarray:
+    """Vertices in rank order; `top` keeps the highest-ranked ones."""
+    return np.argsort(table.ranks)[:top]
+
+
 def _fmt(v: float) -> str:
     return "%.17g" % float(v)
 
@@ -261,12 +261,9 @@ def write_residual_csv(path, summary: ResidualSummary) -> None:
 
 def write_influence_csv(path, table: InfluenceTable, top: int | None = None) -> None:
     """Rows ordered by rank; `top` truncates to the highest-ranked vertices."""
-    order = np.argsort(table.ranks)
-    if top is not None:
-        order = order[:top]
     with open(path, "w", newline="") as fh:
         fh.write("rank,vertex,score\n")
-        for v in order:
+        for v in _ranked(table, top):
             fh.write(f"{table.ranks[v]},{v},{_fmt(table.scores[v])}\n")
 
 
@@ -282,10 +279,7 @@ def format_metrics(reports: dict) -> str:
 
 
 def format_influence(table: InfluenceTable, top: int | None = None) -> str:
-    order = np.argsort(table.ranks)
-    if top is not None:
-        order = order[:top]
     lines = [f"{'rank':>6}{'vertex':>8}{'score':>14}"]
-    for v in order:
+    for v in _ranked(table, top):
         lines.append(f"{table.ranks[v]:>6d}{v:>8d}{table.scores[v]:>14.6e}")
     return "\n".join(lines)

@@ -13,13 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import _csv_rows
+
 SYMMETRY_TOL = 1e-10
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -111,12 +107,9 @@ def build_graph(adjacency_input: np.ndarray) -> Graph:
     np.fill_diagonal(adjacency, 0.0)
     self_adjacency = adjacency + np.eye(a.shape[0])
     degree = adjacency.sum(axis=1)
-    return Graph(
-        size=a.shape[0],
-        adjacency=_frozen(adjacency),
-        self_adjacency=_frozen(self_adjacency),
-        degree=_frozen(degree),
-    )
+    for fresh in (adjacency, self_adjacency, degree):
+        fresh.setflags(write=False)
+    return Graph(size=a.shape[0], adjacency=adjacency, self_adjacency=self_adjacency, degree=degree)
 
 
 def hop_masks(graph: Graph, n: int) -> HopMaskSet:
@@ -175,8 +168,9 @@ def spectral_basis(laplacian: np.ndarray) -> SpectralBasis:
     pivot = np.argmax(np.abs(eigenvectors), axis=0)
     signs = np.where(eigenvectors[pivot, np.arange(lap.shape[0])] < 0, -1.0, 1.0)
     eigenvectors = eigenvectors * signs[None, :]
-
-    return SpectralBasis(eigenvectors=_frozen(eigenvectors), eigenvalues=_frozen(eigenvalues))
+    for fresh in (eigenvectors, eigenvalues):
+        fresh.setflags(write=False)
+    return SpectralBasis(eigenvectors=eigenvectors, eigenvalues=eigenvalues)
 
 
 def read_adjacency_csv(path) -> np.ndarray:
@@ -184,9 +178,7 @@ def read_adjacency_csv(path) -> np.ndarray:
     byte-order mark is stripped."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line in csv.reader(fh):
-            if not line:
-                continue
+        for line in filter(None, _csv_rows(path, fh)):
             try:
                 rows.append([float(cell) for cell in line])
             except ValueError as exc:

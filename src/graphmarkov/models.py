@@ -45,20 +45,19 @@ def _check_history(n: int) -> None:
         raise ValueError("history depth must be >= 1")
 
 
-def _masked_error(pred: np.ndarray, data: LastObservations) -> tuple:
-    """Squared-error sum and count over the observed labels, and the
-    gradient of their ratio (the masked MSE) at pred."""
-    observed = data.label_mask.sum()
-    if observed == 0:
-        raise ValueError("the loss needs at least one observed label entry")
-    diff = (pred - data.label) * data.label_mask
-    return float((diff * diff).sum()), float(observed), 2.0 * diff / observed
-
-
 class _DampedHopSum:
     """The sum over lags i of gamma^(i+1) times hop i+1's map of the lag-i
     input. A kind supplies the coordinates its maps act in (`_coords`), one
-    hop's map (`_hop`), and its slice of theta and gradient (`_hop_grad`)."""
+    hop's map (`_hop`), its slice of theta and gradient (`_hop_grad`), and
+    the checkpoint block of an identity hop map (`_identity_block`)."""
+
+    @classmethod
+    def warm_start(cls, graph: Graph, n: int, gamma: float):
+        """Identity-on-hop-1 start: the fresh model predicts gamma times the
+        newest observation (a damped-persistence forecast), with all deeper
+        hops zeroed. Deterministic — no random initialization."""
+        identity = cls._identity_block(graph.size)
+        return cls.from_blocks([identity * (k == 0) for k in range(n)], graph, gamma)
 
     def predict(self, data: LastObservations) -> np.ndarray:
         """Predict the next state for each window in the dataset. On a fully
@@ -73,8 +72,10 @@ class _DampedHopSum:
         is gamma^k times its batch-summed gradient at the lag-(k-1) input, and
         stays zero when that lag holds no reading."""
         lags, pred = self._forward(data)
-        sq, observed, grad_out = _masked_error(pred, data)
-        grad_out = self._coords(grad_out)
+        sq, observed, diff = data.squared_error(pred)
+        if observed == 0:
+            raise ValueError("the loss needs at least one observed label entry")
+        grad_out = self._coords(2.0 * diff / observed)
         grad = np.zeros_like(self.theta)
         for i, c in lags:
             entries, hop_grad = self._hop_grad(i, grad_out, c)
@@ -168,6 +169,8 @@ class GmnParams(_DampedHopSum):
         w.reshape(-1)[flat] = self.theta[entries]
         return w
 
+    _identity_block = staticmethod(np.eye)
+
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return x
 
@@ -241,6 +244,10 @@ class SgmnParams(_DampedHopSum):
         u = self.basis.eigenvectors
         return (u * self.gains[k - 1]) @ u.T
 
+    @staticmethod
+    def _identity_block(size: int) -> np.ndarray:
+        return np.ones((1, size))  # unit gains: the identity through the orthonormal basis
+
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return x @ self.basis.eigenvectors
 
@@ -256,26 +263,12 @@ class SgmnParams(_DampedHopSum):
 MODELS = {cls.kind: cls for cls in (GmnParams, SgmnParams)}
 
 
-def init_gmn(graph: Graph, n: int, gamma: float) -> GmnParams:
-    """Identity-on-hop-1 start: the fresh model predicts gamma times the
-    newest observation (a damped-persistence forecast), with all deeper hops
-    zeroed. Deterministic — no random initialization.
-    """
-    blocks = [np.eye(graph.size) * (k == 0) for k in range(n)]
-    return GmnParams.from_blocks(blocks, graph, gamma)
-
-
-def init_sgmn(graph: Graph, n: int, gamma: float) -> SgmnParams:
-    """Spectral analog of init_gmn: unit gains at hop 1 reconstruct the
-    identity map through the orthonormal basis; deeper hops start at zero."""
-    blocks = [np.full((1, graph.size), float(k == 0)) for k in range(n)]
-    return SgmnParams.from_blocks(blocks, graph, gamma)
+init_gmn = GmnParams.warm_start
+init_sgmn = SgmnParams.warm_start
 
 
 def init_params(kind: str, graph: Graph, n: int, gamma: float):
-    """Dispatch on model kind ("gmn" or "sgmn")."""
-    if kind == "gmn":
-        return init_gmn(graph, n, gamma)
-    if kind == "sgmn":
-        return init_sgmn(graph, n, gamma)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """The warm start of the model kind named in MODELS ("gmn" or "sgmn")."""
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODELS[kind].warm_start(graph, n, gamma)

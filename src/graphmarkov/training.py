@@ -23,8 +23,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_EVAL_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -145,13 +143,11 @@ def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, s
 
 def _dataset_loss(params, data) -> float:
     """Masked MSE over a whole dataset, evaluated in bounded chunks."""
-    total_sq = 0.0
-    total_obs = 0.0
-    for lo in range(0, len(data), _EVAL_CHUNK):
-        chunk = data[lo : lo + _EVAL_CHUNK]
-        diff = (params.predict(chunk) - chunk.label) * chunk.label_mask
-        total_sq += float((diff * diff).sum())
-        total_obs += float(chunk.label_mask.sum())
+    total_sq = total_obs = 0.0
+    for chunk in data.chunks():
+        sq, observed, _ = chunk.squared_error(params.predict(chunk))
+        total_sq += sq
+        total_obs += observed
     if total_obs == 0:
         raise ValueError("dataset has no observed label entries")
     return total_sq / total_obs

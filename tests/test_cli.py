@@ -112,6 +112,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "sensor columns" in err and err.count("\n") == 1
 
+    def test_over_long_csv_field_is_single_line_error(self, tmp_path, capsys):
+        """An unbalanced quote in the speed file's header runs its field to
+        the end of the file, past the csv module's size limit."""
+        speed, adjacency = simulate_small(tmp_path / "sim")
+        text = speed.read_text()
+        speed.write_text(text.replace(",", ',"', 1) + text * (140_000 // len(text)))
+        capsys.readouterr()
+        code = run([
+            "train", "--model", "gmn", "--speed", str(speed), "--adjacency", str(adjacency),
+            "--out", str(tmp_path / "bad"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {speed}: field larger") and err.count("\n") == 1
+
     def test_missing_speed_file_errors(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim")
         code = run([
@@ -171,6 +186,23 @@ class TestEval:
         ])
         assert code == 1
         assert "history depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("split", "6:2"), ("seed", "x"), ("missing_rate", ""), ("missing_rate", "1.5")]
+    )
+    def test_corrupt_manifest_value_is_single_line_error(self, tmp_path, capsys, key, value):
+        simulate_small(tmp_path / "sim")
+        ckpt = train_small(tmp_path / "sim", tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(
+            f"{key}={value}\n" if line.startswith(f"{key}=") else line for line in lines
+        ))
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: key {key!r}:") and err.count("\n") == 1
 
     def test_errors_without_manifest_or_flags(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim")

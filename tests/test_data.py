@@ -9,6 +9,7 @@ import pytest
 
 from graphmarkov import data as data_module
 from graphmarkov.data import (
+    LastObservations,
     NormStats,
     SplitSpec,
     StateSeries,
@@ -24,7 +25,13 @@ from graphmarkov.data import (
     write_speed_csv,
 )
 
-from oracles import gated_lags, ingest_csv_reference, series_windows, write_speed_csv_reference
+from oracles import (
+    gated_lags,
+    ingest_csv_reference,
+    masked_mse,
+    series_windows,
+    write_speed_csv_reference,
+)
 
 
 def assert_read_only_bool(mask):
@@ -263,6 +270,14 @@ class TestIngestCsv:
         assert got.steps == text.count("\n") - text.startswith("timestamp")
         for name in ("values", "mask", "timestamps"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+
+    def test_over_long_field_is_a_value_error(self, tmp_path):
+        """An unbalanced quote runs its field past the csv module's size
+        limit, whose csv.Error is no ValueError; the reader names the file."""
+        path = tmp_path / "quote.csv"
+        path.write_text('timestamp,s0\n2024-03-01T00:00:00,"61.5\n' + "2024-03-01T00:05:00,61.5\n" * 6000)
+        with pytest.raises(ValueError, match=r"quote\.csv: field larger than field limit"):
+            ingest_csv(path)
 
 
 @pytest.fixture(params=[None, 2, 3], ids=["default-block", "block-2", "block-3"])
@@ -788,3 +803,45 @@ class TestPrepareDatasets:
         b2 = prepare_datasets(s, n=2, missing_rate=0.3, seed=4)
         for name in ("value", "lag", "label", "label_mask"):
             np.testing.assert_array_equal(getattr(b1.train, name), getattr(b2.train, name))
+
+
+def observations(rows, size=2, seed=0):
+    """A dataset of random labels and label masks with no input readings."""
+    rng = np.random.default_rng(seed)
+    return LastObservations(
+        value=np.zeros((rows, size)),
+        lag=np.ones((rows, size), dtype=np.uint8),
+        label=rng.random((rows, size)),
+        label_mask=rng.random((rows, size)) < 0.6,
+        n=1,
+    )
+
+
+class TestWholeDatasetPass:
+    @pytest.mark.parametrize("rows, parts", [
+        (1, [1]), (1024, [1024]), (1025, [1024, 1]), (2049, [1024, 1024, 1]),
+    ])
+    def test_chunks_cover_each_row_once_in_order(self, rows, parts):
+        data = observations(rows)
+        chunks = list(data.chunks())
+        assert [len(c) for c in chunks] == parts
+        assert all(c.n == data.n for c in chunks)
+        for name in ("value", "lag", "label", "label_mask"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(c, name) for c in chunks]), getattr(data, name)
+            )
+
+    def test_squared_error_matches_masked_mse(self):
+        data = observations(9, size=4, seed=3)
+        pred = np.random.default_rng(4).standard_normal((9, 4))
+        sq, observed, diff = data.squared_error(pred)
+        assert observed == data.label_mask.sum()
+        assert sq / observed == masked_mse(pred, data.label, data.label_mask)
+        np.testing.assert_array_equal(diff, np.where(data.label_mask, pred - data.label, 0.0))
+
+    def test_squared_error_leaves_an_empty_count_to_its_caller(self):
+        data = observations(3)
+        data = LastObservations(data.value, data.lag, data.label, np.zeros((3, 2), bool), n=1)
+        sq, observed, diff = data.squared_error(np.ones((3, 2)))
+        assert (sq, observed) == (0.0, 0.0)
+        np.testing.assert_array_equal(diff, 0.0)

@@ -20,7 +20,21 @@ def path_graph(size):
     return build_graph(a)
 
 
+def assert_read_only(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 1.0
+
+
 class TestBuildGraph:
+    def test_arrays_are_read_only_and_the_input_is_not(self):
+        raw = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        g = build_graph(raw)
+        for a in (g.adjacency, g.self_adjacency, g.degree):
+            assert_read_only(a)
+            assert not np.shares_memory(a, raw)
+        assert raw.flags.writeable
+
     def test_binarizes_and_symmetrizes(self):
         raw = np.array([[0.0, 2.5, 0.0], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0]])
         g = build_graph(raw)
@@ -152,6 +166,14 @@ class TestNormalizedLaplacian:
 
 
 class TestSpectralBasis:
+    def test_arrays_are_read_only_and_the_input_is_not(self):
+        lap = normalized_laplacian(path_graph(4))
+        basis = spectral_basis(lap)
+        for a in (basis.eigenvectors, basis.eigenvalues):
+            assert_read_only(a)
+            assert not np.shares_memory(a, lap)
+        assert lap.flags.writeable
+
     def test_two_vertex_analytic(self):
         g = build_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
         basis = spectral_basis(normalized_laplacian(g))
@@ -199,6 +221,14 @@ class TestSpectralBasis:
 
 
 class TestAdjacencyCsv:
+    def test_over_long_field_is_a_value_error(self, tmp_path):
+        """An unbalanced quote runs its field past the csv module's size
+        limit, whose csv.Error is no ValueError; the reader names the file."""
+        path = tmp_path / "quote.csv"
+        path.write_text('0,"1\n' + "1,0\n" * 40000)
+        with pytest.raises(ValueError, match=r"quote\.csv: field larger than field limit"):
+            read_adjacency_csv(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(29)
         a = (rng.random((5, 5)) < 0.5).astype(float)

@@ -8,6 +8,7 @@ import pytest
 from graphmarkov.data import LastObservations
 from graphmarkov.graph import build_graph, hop_masks, normalized_laplacian, spectral_basis
 from graphmarkov.models import (
+    MODELS,
     GmnParams,
     SgmnParams,
     init_gmn,
@@ -415,6 +416,20 @@ class TestInitParams:
         assert init_params("sgmn", g, 2, 0.9).kind == "sgmn"
         with pytest.raises(ValueError, match="kind"):
             init_params("mlp", g, 2, 0.9)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_is_the_kinds_warm_start_with_an_identity_hop_1(self, kind):
+        """init_params, the kind's warm start and explicit blocks (the
+        identity at hop 1, zeros deeper) give the same bits."""
+        rng = np.random.default_rng(31)
+        g = build_graph((rng.random((6, 6)) < 0.4).astype(float))
+        cls = MODELS[kind]
+        identity = np.eye(6) if kind == "gmn" else np.ones((1, 6))
+        explicit = cls.from_blocks([identity, 0.0 * identity, 0.0 * identity], g, 0.8)
+        for params in (init_params(kind, g, 3, 0.8), cls.warm_start(g, 3, 0.8)):
+            assert type(params) is cls and params.gamma == 0.8
+            assert params.theta.tobytes() == explicit.theta.tobytes()
+            assert params.blocks.tobytes() == explicit.blocks.tobytes()
 
     def test_rejects_bad_history(self):
         with pytest.raises(ValueError):

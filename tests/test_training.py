@@ -13,6 +13,7 @@ from graphmarkov.training import (
     EpochRecord,
     TrainConfig,
     TrainHistory,
+    _dataset_loss,
     adam_step,
     train,
     write_history_csv,
@@ -108,6 +109,15 @@ class TestMaskedMse:
         )
         with pytest.raises(ValueError, match="observed"):
             identity_model().loss_and_grad(data)
+
+    def test_dataset_loss_rejects_all_masked(self):
+        data = complete_dataset(np.ones((1100, 1, 2)))
+        data = LastObservations(
+            value=data.value, lag=data.lag, label=data.label,
+            label_mask=np.zeros((1100, 2), bool), n=1,
+        )
+        with pytest.raises(ValueError, match="dataset has no observed label entries"):
+            _dataset_loss(identity_model(), data)
 
     def test_grad_matches_loss_slope(self):
         rng = np.random.default_rng(0)
