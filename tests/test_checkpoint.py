@@ -106,7 +106,11 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="unparseable"):
             load_params(path, g)
 
-    @pytest.mark.parametrize("init, label", [(init_gmn, "hop_weights"), (init_sgmn, "frequency_gains")])
+    @pytest.mark.parametrize(
+        "init, label",
+        [(init_gmn, "hop_weights"), (init_sgmn, "frequency_gains")],
+        ids=["init_gmn-hop_weights", "init_sgmn-frequency_gains"],
+    )
     def test_rejects_row_of_wrong_width(self, tmp_path, init, label):
         g = random_graph(6)
         path = tmp_path / "model.ckpt"
