@@ -13,14 +13,15 @@ import os as _os
 # variables are only read when the linear-algebra backend first loads, so
 # this translation has to happen before numpy is imported below. Variables
 # the user already set explicitly are left alone.
+_BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 _threads = _os.environ.get("GRAPHMARKOV_THREADS")
 if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for _var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, _threads)
 
 from .data import (

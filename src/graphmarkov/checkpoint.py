@@ -11,14 +11,11 @@ masks, the spectral basis) is rebuilt from the adjacency at load time.
 import numpy as np
 
 from . import __version__
+from .data import _fmt
 from .graph import Graph
 from .models import MODELS
 
 MAGIC = "graphmarkov-model v1"
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
 
 
 def save_params(path, params) -> None:

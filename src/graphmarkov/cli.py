@@ -10,10 +10,12 @@ Four subcommands cover the full experiment cycle:
 Every run appends one flat key=value record to <out>/manifest.txt: `main`
 wraps a handler's resolved flags, seeds, input digests and output paths in
 `command`, `started` and `finished` keys, enough to rerun the command to
-identical outputs. Input paths are recorded relative to the manifest's
-directory, so `eval` finds a training run's inputs from any working
-directory and checks them against the recorded digests. Seeds are explicit
-flags, so identical invocations give byte-identical checkpoints and histories.
+identical outputs. After `started` it records what produced the run: the
+package, numpy and BLAS versions and the thread count. Input paths are
+recorded relative to the manifest's directory, so `eval` finds a training
+run's inputs from any working directory and checks them against the
+recorded digests. Seeds are explicit flags, so identical invocations give
+byte-identical checkpoints and histories.
 
 Flags may also be supplied through `--config FILE` (key=value lines, `#`
 comments); explicit command-line flags win over config values.
@@ -26,8 +28,11 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .checkpoint import load_params, save_params
-from .data import SplitSpec, ingest_csv, prepare_datasets, write_speed_csv
+from .data import SplitSpec, _thread_count, ingest_csv, prepare_datasets, write_speed_csv
 from .evaluation import (
     evaluate,
     format_influence,
@@ -186,6 +191,18 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, config: dict, path) -> 
     sub.set_defaults(**converted)
 
 
+def _provenance() -> dict:
+    """The package, numpy and BLAS versions, and the thread count, which caps
+    the BLAS pool when GRAPHMARKOV_THREADS is set and the speed CSV reader's
+    part count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy without the dict mode (before 1.26)
+        blas = "unknown"
+    return {"version": __version__, "numpy": np.__version__, "blas": blas, "threads": _thread_count()}
+
+
 def _utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
@@ -252,8 +269,6 @@ def _format_split(spec: SplitSpec) -> str:
 def random_network(nodes: int, seed: int):
     """A connected random graph: a random attachment tree plus a sprinkling
     of extra edges (about 30% of remaining pairs)."""
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     adjacency = np.zeros((nodes, nodes))
     for v in range(1, nodes):
@@ -448,7 +463,7 @@ def main(argv=None) -> int:
             if command in registry:
                 _apply_config_defaults(registry[command], config, known.config)
         args = parser.parse_args(argv)
-        record = {"command": args.command, "started": _utcnow(), **args.handler(args)}
+        record = {"command": args.command, "started": _utcnow(), **_provenance(), **args.handler(args)}
         append_manifest(Path(args.out), {**record, "finished": _utcnow()})
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

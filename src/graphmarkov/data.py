@@ -6,7 +6,11 @@ same shape; missing readings are zero-filled so that values * mask == values
 always holds. Operations never mutate a series; they return new ones.
 """
 
+import codecs
 import csv
+import io
+import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -124,53 +128,24 @@ def ingest_csv(path) -> StateSeries:
     is stripped.
 
     The file is read in blocks of _CSV_BLOCK_ROWS rows, so memory is set by
-    the series and not by the text of the file.
+    the series and not by the text of the file. A file of at least
+    _SPLIT_BYTES is cut at newlines into one part per thread (_thread_count,
+    at most _MAX_PARTS): this process reads the first part and a child
+    process each other one, with the same block reader. When any part fails
+    or holds a quote (a cut may then fall inside a quoted field), the file
+    is read again whole in this process, which raises the error below.
 
     Raises:
         ValueError: ragged rows, unparseable or non-finite values, or
             non-monotonic timestamps. Row and column numbers count data rows
             and sensor columns from 0.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = filter(None, _csv_rows(path, fh))
-        head = list(islice(rows, 2))
-        if not head:
-            raise ValueError(f"speed file {path} is empty")
-        has_time_col = _parse_iso(head[-1][0]) is not None
-        first = 1 if has_time_col else 0
-        width = len(head[0])
-        # A time column's header cell starts with no digit, unlike any timestamp,
-        # whatever the sensor IDs: `timestamp,773869,…` or a pandas `,773869,…`.
-        has_header = (has_time_col and not head[0][0].strip()[:1].isdigit()) or any(
-            cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
-        )
-        if has_header and len(head) == 1:
-            raise ValueError(f"speed file {path} has a header but no data rows")
-        data = chain(head[1:] if has_header else head, rows)
-        if width - first < 1:
-            _check_widths(path, width, data)
-            raise ValueError(f"speed file {path} has no sensor columns")
-
-        value_blocks, time_blocks = [], []
-        for block in iter(lambda: list(islice(data, _CSV_BLOCK_ROWS)), []):
-            try:
-                _check_widths(path, width, block)
-                t0 = len(value_blocks) * _CSV_BLOCK_ROWS
-                values, stamps = _read_block(path, block, first, t0)
-            except ValueError:
-                # A ragged row anywhere in the file is reported before any
-                # bad cell, as a whole-file reader would.
-                _check_widths(path, width, chain(block, data))
-                raise
-            value_blocks.append(values)
-            time_blocks.append(stamps)
-
-    values = np.concatenate(value_blocks)
-    del value_blocks
+    cuts = _cuts(path)
+    read = _read_parts(path, cuts) if len(cuts) > 2 else None
+    values, times = read or _read_whole(path)
     mask = values != 0.0
     steps = values.shape[0]
-    if has_time_col:
-        times = np.concatenate(time_blocks)
+    if times is not None:
         if steps >= 2 and np.any(np.diff(times) <= 0):
             raise ValueError(f"speed file {path} has non-monotonic timestamps")
     else:
@@ -186,6 +161,221 @@ def ingest_csv(path) -> StateSeries:
 _CSV_BLOCK_ROWS = 2048
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
+
+# A speed file this large is read in parts: below it, a child's start-up
+# (about 0.2 s, mostly importing numpy) costs more than its part saves.
+_SPLIT_BYTES = 16 << 20
+_MAX_PARTS = 4
+_PART_READ_BYTES = 1 << 20
+_PART_MAGIC = b"graphmarkov part\n"  # opens a child's output, ahead of its row count
+
+
+def _thread_count() -> int:
+    """GRAPHMARKOV_THREADS when it is a positive integer, else the number of
+    CPUs this process may run on."""
+    text = os.environ.get("GRAPHMARKOV_THREADS", "").strip()
+    if text.isdigit() and int(text) > 0:
+        return int(text)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sniff(path, rows):
+    """The time-column flag (0 or 1), the row width and the data rows of a
+    speed file's non-empty rows, whose optional header is dropped.
+
+    Raises:
+        ValueError: no rows, a header without data rows, or no sensor columns
+            (after a check for ragged rows).
+    """
+    head = list(islice(rows, 2))
+    if not head:
+        raise ValueError(f"speed file {path} is empty")
+    first = 1 if _parse_iso(head[-1][0]) is not None else 0
+    width = len(head[0])
+    # A time column's header cell starts with no digit, unlike any timestamp,
+    # whatever the sensor IDs: `timestamp,773869,…` or a pandas `,773869,…`.
+    has_header = (first and not head[0][0].strip()[:1].isdigit()) or any(
+        cell.strip() != "" and not _is_float(cell) for cell in head[0][first:]
+    )
+    if has_header and len(head) == 1:
+        raise ValueError(f"speed file {path} has a header but no data rows")
+    data = chain(head[1:] if has_header else head, rows)
+    if width - first < 1:
+        _check_widths(path, width, data)
+        raise ValueError(f"speed file {path} has no sensor columns")
+    return first, width, data
+
+
+def _read_rows(path, rows, first, width) -> tuple:
+    """The value blocks and timestamp blocks (None each without a time
+    column) of data rows, read _CSV_BLOCK_ROWS at a time.
+
+    Raises:
+        ValueError: a ragged row anywhere in the rows before any bad cell, as
+            a whole-file reader would; else the first block's bad cell or
+            timestamp (_read_block).
+    """
+    value_blocks, time_blocks = [], []
+    for block in iter(lambda: list(islice(rows, _CSV_BLOCK_ROWS)), []):
+        try:
+            _check_widths(path, width, block)
+            t0 = len(value_blocks) * _CSV_BLOCK_ROWS
+            values, stamps = _read_block(path, block, first, t0)
+        except ValueError:
+            _check_widths(path, width, chain(block, rows))
+            raise
+        value_blocks.append(values)
+        time_blocks.append(stamps)
+        # Freed before the next block is read, so that only one block of cell
+        # strings is alive at a time.
+        del block
+    return value_blocks, time_blocks
+
+
+def _read_whole(path) -> tuple:
+    """Values and timestamps (None without a time column) of the whole file,
+    read in this process."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        first, width, rows = _sniff(path, filter(None, _csv_rows(path, fh)))
+        value_blocks, time_blocks = _read_rows(path, rows, first, width)
+    values = np.concatenate(value_blocks)
+    del value_blocks
+    return values, np.concatenate(time_blocks) if first else None
+
+
+def _cuts(path) -> list:
+    """Byte offsets [start, ..., size] that cut the file into parts at line
+    starts, one per thread, the k-th cut at the first line start after
+    k * size / parts. start skips a UTF-8 byte-order mark. The first part
+    holds the first two non-empty lines, which its reader sniffs. A file
+    below _SPLIT_BYTES, or one thread, gives [0, size]."""
+    parts = min(_thread_count(), _MAX_PARTS)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if parts < 2 or size < _SPLIT_BYTES:
+            return [0, size]
+        cuts = [len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0]
+        fh.seek(cuts[0])
+        lines = 0
+        while lines < 2 and (line := fh.readline()):
+            lines += bool(line.strip())
+        head = fh.tell()
+        for k in range(1, parts):
+            at = max(head, k * size // parts)
+            fh.seek(at)
+            if at > head:
+                fh.readline()
+            if cuts[-1] < fh.tell() < size:
+                cuts.append(fh.tell())
+    return cuts + [size]
+
+
+def _part_lines(path, start, stop):
+    """The text lines of bytes start..stop of the file, which fall at line
+    starts (or its end), read _PART_READ_BYTES at a time.
+
+    Raises:
+        ValueError: the bytes hold a quote, so a cut may fall inside a
+            quoted field; or they are no UTF-8.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop:
+            chunk = fh.read(min(_PART_READ_BYTES, stop - start))
+            if not chunk.endswith(b"\n"):
+                chunk += fh.readline()
+            if not chunk:
+                break
+            start += len(chunk)
+            if b'"' in chunk:
+                raise ValueError(f"speed file {path} has a quote")
+            yield from io.StringIO(chunk.decode(), newline="")
+
+
+def _part_rows(path, start, stop):
+    return filter(None, _csv_rows(path, _part_lines(path, start, stop)))
+
+
+def _read_parts(path, cuts) -> tuple | None:
+    """Values and timestamps (None without a time column) of the file, read
+    in the parts between cuts: the first here, each other one by a child
+    process (_part_main) that writes its arrays to a pipe, which is read
+    straight into the result. None when any part fails or holds a quote, or
+    a child cannot start. No child outlives the call."""
+    children = []
+    try:
+        first, width, rows = _sniff(path, _part_rows(path, cuts[0], cuts[1]))
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            children.append(_start_part(path, lo, hi, first, width))
+        value_blocks, time_blocks = _read_rows(path, rows, first, width)
+        counts = []
+        for child in children:
+            # A child that fails exits before it writes this.
+            head = child.stdout.read(len(_PART_MAGIC) + 8)
+            if len(head) != len(_PART_MAGIC) + 8 or not head.startswith(_PART_MAGIC):
+                return None
+            counts.append(int(np.frombuffer(head[len(_PART_MAGIC) :], np.int64)[0]))
+        steps = sum(map(len, value_blocks))
+        values = np.empty((steps + sum(counts), width - first))
+        for k, block in enumerate(value_blocks):
+            lo = k * _CSV_BLOCK_ROWS
+            values[lo : lo + len(block)] = block
+            value_blocks[k] = None  # freed as it is copied
+        # This part's timestamps, then room for the children's.
+        times = np.concatenate(time_blocks + [np.empty(sum(counts))]) if first else None
+        arrays = (values, times) if first else (values,)
+        for child, count in zip(children, counts):
+            for a in arrays:
+                part = a[steps : steps + count]
+                if child.stdout.readinto(part) != part.nbytes:
+                    return None
+            steps += count
+        return values, times
+    except (ValueError, OSError):
+        return None
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+
+
+def _start_part(path, start, stop, first, width):
+    """A child process (subprocess.Popen) that reads bytes start..stop of the
+    file. It imports only this package, on this process's sys.path, so a
+    caller's __main__ is never run again; its BLAS pool has one thread."""
+    import subprocess  # only a split read needs it; simulate never loads it
+
+    from . import _BLAS_THREAD_VARS
+
+    code = (
+        f"import sys; sys.path[:] = {sys.path!r}\n"
+        "from graphmarkov.data import _part_main; _part_main(*sys.argv[1:])"
+    )
+    return subprocess.Popen(
+        [sys.executable, "-I", "-c", code, os.fspath(path), str(start), str(stop), str(first), str(width)],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, GRAPHMARKOV_THREADS="1", **dict.fromkeys(_BLAS_THREAD_VARS, "1")),
+    )
+
+
+def _part_main(path, start, stop, first, width) -> None:
+    """A child's part of a speed file: writes _PART_MAGIC and its row count
+    as int64 to stdout, then its values and, with a time column, its
+    timestamps as raw float64. A part that fails or holds a quote raises
+    before anything is written."""
+    first, width = int(first), int(width)
+    value_blocks, time_blocks = _read_rows(path, _part_rows(path, int(start), int(stop)), first, width)
+    out = sys.stdout.buffer
+    out.write(_PART_MAGIC + np.int64(sum(map(len, value_blocks))).tobytes())
+    for block in (value_blocks + time_blocks) if first else value_blocks:
+        out.write(block)
+    out.flush()
 
 
 def _csv_rows(path, fh):
@@ -521,6 +711,12 @@ def prepare_datasets(
     parts = split(normalize(series, stats), spec)
     train, val, test = (last_observations(p, n, g) for p, g in zip(parts, gates))
     return DatasetBundle(train, val, test, stats, test_label_times=parts[2].timestamps[n:])
+
+
+def _fmt(v: float) -> str:
+    """v with 17 significant digits, which round-trip an IEEE double: the one
+    float format of checkpoints, training histories and result CSVs."""
+    return "%.17g" % float(v)
 
 
 def _is_float(text: str) -> bool:

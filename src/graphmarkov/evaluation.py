@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormStats, denormalize
+from .data import NormStats, _fmt, denormalize
 
 MAPE_TRUTH_FLOOR = 1e-6
 
@@ -227,10 +227,6 @@ def influence_scores(params, step: int, mode: str = "row") -> InfluenceTable:
 def _ranked(table: InfluenceTable, top: int | None) -> np.ndarray:
     """Vertices in rank order; `top` keeps the highest-ranked ones."""
     return np.argsort(table.ranks)[:top]
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % float(v)
 
 
 def write_metrics_csv(path, reports: dict) -> None:

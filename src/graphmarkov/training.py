@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import _fmt
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -99,9 +101,7 @@ def write_history_csv(path, history: TrainHistory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("epoch,train_loss,val_loss,lr\n")
         for rec in history.records:
-            fh.write(
-                f"{rec.epoch},{rec.train_loss:.17g},{rec.val_loss:.17g},{rec.lr:.17g}\n"
-            )
+            fh.write(f"{rec.epoch},{_fmt(rec.train_loss)},{_fmt(rec.val_loss)},{_fmt(rec.lr)}\n")
 
 
 def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float):

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
@@ -338,17 +339,21 @@ class TestManifest:
     # Keys of each command's record, in order: the manifest format that
     # scripts reading earlier runs' manifests rely on.
     RECORD_KEYS = {
-        "simulate": ["command", "started", "nodes", "steps", "gamma", "noise", "seed",
+        "simulate": ["command", "started", "version", "numpy", "blas", "threads",
+                     "nodes", "steps", "gamma", "noise", "seed",
                      "out_speed", "out_adjacency", "sha256_speed", "sha256_adjacency",
                      "finished"],
-        "train": ["command", "started", "model", "n", "gamma", "missing_rate", "batch_size",
+        "train": ["command", "started", "version", "numpy", "blas", "threads",
+                  "model", "n", "gamma", "missing_rate", "batch_size",
                   "lr", "seed", "split", "speed", "adjacency", "sha256_speed",
                   "sha256_adjacency", "out_checkpoint", "out_history", "epochs", "best_epoch",
                   "finished"],
-        "eval": ["command", "started", "checkpoint", "sha256_checkpoint", "speed", "adjacency",
+        "eval": ["command", "started", "version", "numpy", "blas", "threads",
+                 "checkpoint", "sha256_checkpoint", "speed", "adjacency",
                  "missing_rate", "seed", "split", "out_metrics", "residuals", "out_residuals",
                  "finished"],
-        "influence": ["command", "started", "checkpoint", "sha256_checkpoint", "adjacency", "k",
+        "influence": ["command", "started", "version", "numpy", "blas", "threads",
+                      "checkpoint", "sha256_checkpoint", "adjacency", "k",
                       "mode", "top", "out_influence", "finished"],
     }
 
@@ -364,6 +369,22 @@ class TestManifest:
         assert [r["command"] for r in records] == list(self.RECORD_KEYS)
         for record in records:
             assert list(record) == self.RECORD_KEYS[record["command"]]
+
+    @pytest.mark.parametrize("threads", ["3", None], ids=["set", "unset"])
+    def test_records_what_produced_the_run(self, tmp_path, monkeypatch, threads):
+        """Package, numpy and BLAS versions, and the thread count that sets
+        the speed reader's parts: GRAPHMARKOV_THREADS, else the usable CPUs."""
+        if threads is None:
+            monkeypatch.delenv("GRAPHMARKOV_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GRAPHMARKOV_THREADS", threads)
+        simulate_small(tmp_path)
+        record = read_manifest_records(tmp_path / "manifest.txt")[0]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert record["version"] == importlib.import_module("graphmarkov").__version__
+        assert record["numpy"] == np.__version__
+        assert record["blas"] == f"{blas['name']} {blas['version']}"
+        assert record["threads"] == (threads or str(len(os.sched_getaffinity(0))))
 
     def test_input_paths_are_relative_to_the_manifest(self, tmp_path, monkeypatch):
         """Commands run from another directory with relative input paths

@@ -1,8 +1,12 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+import os
+import subprocess
+import sys
 import weakref
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,6 +466,196 @@ class TestCsvAgainstReference:
         write_speed_csv(tmp_path / "got.csv", series, sensor_ids=ids)
         write_speed_csv_reference(tmp_path / "ref.csv", series, sensor_ids=ids)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.fixture(
+    params=[(2, None), (3, 2)], ids=["2-parts-default-block", "3-parts-block-2"]
+)
+def split_reader(request, monkeypatch):
+    """The speed CSV reader forced to cut every file into parts, with the
+    part count and block size of the case; yields the child processes it
+    starts."""
+    parts, block = request.param
+    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+    monkeypatch.setenv("GRAPHMARKOV_THREADS", str(parts))
+    if block is not None:
+        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", block)
+    return record_children(monkeypatch)
+
+
+def record_children(monkeypatch) -> list:
+    """The list that each child process the reader starts is appended to."""
+    children = []
+    start = data_module._start_part
+
+    def recording_start(*args):
+        children.append(start(*args))
+        return children[-1]
+
+    monkeypatch.setattr(data_module, "_start_part", recording_start)
+    return children
+
+
+def assert_all_reaped(children):
+    for child in children:
+        assert child.returncode is not None, child.pid
+
+
+def spans_parts(path, text) -> bool:
+    """Whether the reader cuts the file: it does so whenever a line follows
+    the first two non-empty ones."""
+    parts = len(data_module._cuts(path)) - 1
+    assert parts >= 2 or sum(1 for line in text.split("\n") if line.strip()) <= 2, parts
+    return parts >= 2
+
+
+class TestSplitCsvAgainstReference:
+    """The reader that cuts a file into parts and parses all but the first
+    in child processes, against the whole-file reference, on every file of
+    TestCsvAgainstReference and on bodies that stress the cuts."""
+
+    @pytest.mark.parametrize("name", sorted(good_files(4)))
+    def test_reads_as_reference(self, tmp_path, split_reader, monkeypatch, name):
+        text = good_files(data_module._CSV_BLOCK_ROWS)[name]
+        path = tmp_path / "speed.csv"
+        path.write_bytes(text.encode())
+        whole = []
+        read_whole = data_module._read_whole
+        monkeypatch.setattr(data_module, "_read_whole", lambda p: whole.append(p) or read_whole(p))
+        got = ingest_outcome(ingest_csv, path)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        if spans_parts(path, text):
+            # Only a quote sends a good file back to the whole-file reader.
+            assert bool(whole) == ('"' in text)
+            assert split_reader or whole
+        assert_all_reaped(split_reader)
+
+    @pytest.mark.parametrize("name", sorted(bad_files(4)))
+    def test_rejects_as_reference(self, tmp_path, split_reader, name):
+        text = bad_files(data_module._CSV_BLOCK_ROWS)[name]
+        path = tmp_path / "speed.csv"
+        path.write_bytes(text.encode())
+        spans_parts(path, text)
+        got = ingest_outcome(ingest_csv, path)
+        assert isinstance(got[0], type) and issubclass(got[0], ValueError), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert_all_reaped(split_reader)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'timestamp,"s\n0",s1\n' + lines(stamped(["1,2", "3,4", "5,6", "7,8"])),
+            "a,b\n" + lines(["1,2", "3,4", "5,6", '"7",8', "9,10"]),
+            "a,b\r\n" + lines([f"{t},{t + 1}" for t in range(1, 40)], end="\r\n"),
+            "a,b\n" + lines([f"{t},{t + 1}" for t in range(1, 40)], end="\n\n\r\n"),
+            lines([f"{t},{t + 1}" for t in range(1, 30)]) + "5," + "6" * 120 + "\n",
+            lines([f"{t},{t + 1}" for t in range(1, 30)]) + "5," + "6" * 120,
+        ],
+        ids=["quoted-newline", "quoted-cell-late", "crlf", "blank-lines-at-cuts",
+             "cut-at-end", "cut-at-end-no-final-newline"],
+    )
+    def test_body_reads_as_reference(self, tmp_path, split_reader, text):
+        path = tmp_path / "speed.csv"
+        path.write_bytes(text.encode())
+        got = ingest_outcome(ingest_csv, path)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert_all_reaped(split_reader)
+
+    def test_cuts_fall_at_line_starts_after_the_head(self, tmp_path, split_reader):
+        text = "\ufeffa,b\n\n1,2\r\n" + lines([f"{t},{t}" for t in range(3, 60)])
+        path = tmp_path / "speed.csv"
+        path.write_bytes(text.encode())
+        raw = path.read_bytes()
+        cuts = data_module._cuts(path)
+        assert cuts[0] == 3 and cuts[-1] == len(raw)
+        assert cuts == sorted(set(cuts)) and len(cuts) == int(os.environ["GRAPHMARKOV_THREADS"]) + 1
+        assert raw[cuts[0] : cuts[1]].startswith(b"a,b\n\n1,2\r\n")
+        assert all(raw[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
+
+    def test_cut_at_the_end_of_the_file_is_dropped(self, tmp_path, split_reader):
+        """A cut whose line runs to the end of the file would start an empty
+        part; the file is then read in fewer parts, here in one."""
+        path = tmp_path / "speed.csv"
+        path.write_bytes(b"a,b\n1,2\n3," + b"4" * 80 + b"\n")
+        assert data_module._cuts(path) == [0, path.stat().st_size]
+        assert ingest_csv(path).steps == 2
+        assert not split_reader
+
+
+class TestSplitCsvProcesses:
+    """The split reader's child processes: none outlives a call, whatever
+    its outcome, and none starts on one thread or for a caller whose script
+    has no __main__ guard."""
+
+    ROWS = [f"{t},{t + 1}" for t in range(1, 200)]
+
+    @pytest.fixture
+    def children(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "3")
+        return record_children(monkeypatch)
+
+    def test_none_alive_after_a_read(self, tmp_path, children):
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.ROWS))
+        assert ingest_csv(path).steps == len(self.ROWS)
+        assert len(children) == 2
+        assert_all_reaped(children)
+
+    @pytest.mark.parametrize(
+        "row, fault, message",
+        [
+            (150, "7", r"ragged rows \(widths \[1, 2\]\)"),
+            (150, "7,oops", r"unparseable value 'oops' at data row 150, column 1"),
+            (5, "7,oops", r"unparseable value 'oops' at data row 5, column 1"),
+        ],
+        ids=["ragged-in-a-child", "bad-cell-in-a-child", "bad-cell-in-the-caller"],
+    )
+    def test_none_alive_after_an_error(self, tmp_path, children, row, fault, message):
+        rows = list(self.ROWS)
+        rows[row] = fault
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        with pytest.raises(ValueError, match=message):
+            ingest_csv(path)
+        assert len(children) == 2
+        assert_all_reaped(children)
+
+    def test_one_thread_reads_in_process(self, tmp_path, children, monkeypatch):
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "1")
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.ROWS))
+        assert data_module._cuts(path) == [0, path.stat().st_size]
+        assert ingest_csv(path).steps == len(self.ROWS)
+        assert not children
+
+    def test_script_without_main_guard(self, tmp_path):
+        """A script that reads a split file at top level runs once: the
+        children import only the package, never the caller's __main__."""
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.ROWS))
+        script = tmp_path / "script.py"
+        script.write_text(
+            "import sys\n"
+            "from graphmarkov import data\n"
+            "data._SPLIT_BYTES = 0\n"
+            "started = []\n"
+            "start = data._start_part\n"
+            "data._start_part = lambda *args: started.append(start(*args)) or started[-1]\n"
+            "series = data.ingest_csv(sys.argv[1])\n"
+            "assert len(started) == 1 and series.steps == 199, (started, series.steps)\n"
+            "print('read once')\n"
+        )
+        src = Path(data_module.__file__).resolve().parents[1]
+        env = dict(os.environ, GRAPHMARKOV_THREADS="2", PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, str(script), str(path)], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "read once\n"
 
 
 class TestInjectMissing:
