@@ -162,10 +162,12 @@ _CSV_BLOCK_ROWS = 2048
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
 
-# A speed file this large is read in parts: below it, a child's start-up
-# (about 0.2 s, mostly importing numpy) costs more than its part saves.
+# A speed file this large is read in parts. A child's start-up takes about
+# 0.2 s, mostly importing numpy. On 2 cores with METR-shaped rows, 2 parts
+# broke even with one near 8-12 MiB and were 22% faster at 16 MiB.
 _SPLIT_BYTES = 16 << 20
-_MAX_PARTS = 4
+# More than 2 parts were never measured, so more cores still read in 2.
+_MAX_PARTS = 2
 _PART_READ_BYTES = 1 << 20
 _PART_MAGIC = b"graphmarkov part\n"  # opens a child's output, ahead of its row count
 

@@ -473,10 +473,11 @@ class TestCsvAgainstReference:
 )
 def split_reader(request, monkeypatch):
     """The speed CSV reader forced to cut every file into parts, with the
-    part count and block size of the case; yields the child processes it
-    starts."""
+    part count (above the default cap, too) and block size of the case;
+    yields the child processes it starts."""
     parts, block = request.param
     monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(data_module, "_MAX_PARTS", parts)
     monkeypatch.setenv("GRAPHMARKOV_THREADS", str(parts))
     if block is not None:
         monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", block)
@@ -574,6 +575,14 @@ class TestSplitCsvAgainstReference:
         assert raw[cuts[0] : cuts[1]].startswith(b"a,b\n\n1,2\r\n")
         assert all(raw[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
 
+    def test_parts_are_capped(self, tmp_path, monkeypatch):
+        """More threads than _MAX_PARTS still read the file in _MAX_PARTS parts."""
+        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "8")
+        path = tmp_path / "speed.csv"
+        path.write_text("a,b\n" + lines([f"{t},{t}" for t in range(1, 60)]))
+        assert len(data_module._cuts(path)) == data_module._MAX_PARTS + 1 == 3
+
     def test_cut_at_the_end_of_the_file_is_dropped(self, tmp_path, split_reader):
         """A cut whose line runs to the end of the file would start an empty
         part; the file is then read in fewer parts, here in one."""
@@ -594,6 +603,7 @@ class TestSplitCsvProcesses:
     @pytest.fixture
     def children(self, monkeypatch):
         monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(data_module, "_MAX_PARTS", 3)
         monkeypatch.setenv("GRAPHMARKOV_THREADS", "3")
         return record_children(monkeypatch)
 
