@@ -1,12 +1,8 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
-import os
-import subprocess
-import sys
 import weakref
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,10 +313,11 @@ def lines(rows, end="\n"):
 
 
 def good_files(block):
-    """Speed files the reader must read exactly as the reference does; three
+    """Speed files the reader must read exactly as the reference does; several
     of them run past the first block."""
     grid = [f"{t + 1}.5,{t % 7},{t * 0.25}" for t in range(block + 3)]
     padded = grid[: block + 1] + [" 7.5 , ,\t2", "  ,\t 0 , 1e1 "]
+    long_grid = [f"{t},{t + 1}" for t in range(1, 40)]
     return {
         "header-time": "timestamp,s0,s1\n"
         + lines(stamped(["61.5,55.0", ",54.0", "0,53.5", "1e-05,2"])),
@@ -338,7 +335,36 @@ def good_files(block):
         "quoted-header-comma": 'timestamp,"s,0",s1\n' + lines(stamped(["1,2", "3,4", "5,6"])),
         "no-final-newline": "1,2\n3,4",
         "single-row": "1,2,3",
+        "quoted-newline": 'timestamp,"s\n0",s1\n' + lines(stamped(["1,2", "3,4", "5,6", "7,8"])),
+        "quoted-cell-late": "a,b\n" + lines(["1,2", "3,4", "5,6", '"7",8', "9,10"]),
+        "crlf-long": "a,b\r\n" + lines(long_grid, end="\r\n"),
+        "blank-lines-long": "a,b\n" + lines(long_grid, end="\n\n\r\n"),
+        "long-last-line": lines(long_grid[:29]) + "5," + "6" * 120 + "\n",
+        "long-last-line-no-final-newline": lines(long_grid[:29]) + "5," + "6" * 120,
+        "hash-in-header": "#a,b\n1,2\n3,4\n",
+        "whitespace-only-line": "1\n2\n \n\t\n3\n",
+        "cr-line-ends": "a,b\r1,2\r3,\r0,4\r",
+        "cr-inside-a-line": "1\n2\n3\r4\n5\n",
+        "underscore-digits": lines(grid[: block + 1] + ["1_0,2,3"] + grid[block + 1 :]),
+        "non-ascii-digit": lines(grid[: block + 1] + ["1,\u0663,\u0e53"] + grid[block + 1 :]),
+        "form-feed-padding": lines(grid[: block + 1] + ["\f1\f,\v2,3\f"] + grid[block + 1 :]),
+        "commas-only-line": lines(grid[: block + 1] + [",,"] + grid[block + 1 :]),
+        "quoted-line-break-cell": 'a\n"\n"\n',
     }
+
+
+# The good files with a cell that numpy's reader turns down, which the exact
+# reader then reads: a whitespace-only cell, a digit that is not ASCII, an
+# underscore between digits, a line break, or a quote past the head rows.
+EXACT_READER_ONLY = {
+    "quoted-line-break-cell",
+    "whitespace-cells",
+    "whitespace-cells-second-block",
+    "whitespace-only-line",
+    "underscore-digits",
+    "non-ascii-digit",
+    "quoted-cell-late",
+}
 
 
 def bad_files(block):
@@ -362,6 +388,14 @@ def bad_files(block):
     bad_first_stamp = stamped(rows)
     bad_first_stamp[0] = "2012-03-01T25:00:00," + rows[0]
     stamps_only = [row.split(",")[0] for row in stamped(rows)]
+
+    def late(row):
+        """rows with row in front of the second block."""
+        return lines(rows[: block + 1] + [row] + rows[block + 1 :])
+
+    one_sensor = stamped(str(t) for t in range(1, block + 4))
+    one_sensor[block + 1] = one_sensor[block + 1].split(",")[0]
+
     return {
         "empty": "",
         "blank-only": "\n\n",
@@ -380,6 +414,15 @@ def bad_files(block):
         "whitespace-and-unparseable-same-block": lines(padded_garbage),
         "non-monotonic-second-block": lines(backwards),
         "irregular-spacing": lines(stamped(["1,2", "3,4"]) + stamped(["5,6"], lo=5)),
+        "hash-in-cell": late("1,#2"),
+        "whitespace-only-line": late(" "),
+        "cr-inside-a-line": late("7,\r8"),
+        "hex-cell": late("0x10,2"),
+        "fortran-exponent": late("1,1d3"),
+        "quoted-comma-in-head": 'a,b,c\n1,2,3\n"4,5",6,7\n8,9,10\n',
+        "unbalanced-quote-at-end": 'a,b,c\n1,2,3\n4,"5,6',
+        "quoted-commas-in-head-ragged": 'a,b\n"1,2",3\n"4,5",6\n7,8,9\n',
+        "timestamp-without-cells": lines(one_sensor),
     }
 
 
@@ -439,8 +482,16 @@ class TestCsvAgainstReference:
                 (" 2", " inf "),
                 "speed file {path} has a non-finite value ' inf ' at data row {row}, column 1",
             ),
+            (
+                ("infinity", "2"),
+                "speed file {path} has a non-finite value 'infinity' at data row {row}, column 0",
+            ),
+            (
+                ("1e999", "2"),
+                "speed file {path} has a non-finite value '1e999' at data row {row}, column 0",
+            ),
         ],
-        ids=["non-finite-first", "unparseable-first", "padded-non-finite"],
+        ids=["non-finite-first", "unparseable-first", "padded-non-finite", "infinity", "overflow"],
     )
     def test_first_bad_cell_of_a_block(self, tmp_path, block_rows, faults, message):
         """Within a block, unparseable and non-finite cells are reported in
@@ -468,204 +519,34 @@ class TestCsvAgainstReference:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.fixture(
-    params=[(2, None), (3, 2)], ids=["2-parts-default-block", "3-parts-block-2"]
-)
-def split_reader(request, monkeypatch):
-    """The speed CSV reader forced to cut every file into parts, with the
-    part count (above the default cap, too) and block size of the case;
-    yields the child processes it starts."""
-    parts, block = request.param
-    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(data_module, "_MAX_PARTS", parts)
-    monkeypatch.setenv("GRAPHMARKOV_THREADS", str(parts))
-    if block is not None:
-        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", block)
-    return record_children(monkeypatch)
-
-
-def record_children(monkeypatch) -> list:
-    """The list that each child process the reader starts is appended to."""
-    children = []
-    start = data_module._start_part
-
-    def recording_start(*args):
-        children.append(start(*args))
-        return children[-1]
-
-    monkeypatch.setattr(data_module, "_start_part", recording_start)
-    return children
-
-
-def assert_all_reaped(children):
-    for child in children:
-        assert child.returncode is not None, child.pid
-
-
-def spans_parts(path, text) -> bool:
-    """Whether the reader cuts the file: it does so whenever a line follows
-    the first two non-empty ones."""
-    parts = len(data_module._cuts(path)) - 1
-    assert parts >= 2 or sum(1 for line in text.split("\n") if line.strip()) <= 2, parts
-    return parts >= 2
-
-
-class TestSplitCsvAgainstReference:
-    """The reader that cuts a file into parts and parses all but the first
-    in child processes, against the whole-file reference, on every file of
-    TestCsvAgainstReference and on bodies that stress the cuts."""
+class TestFastCsvPath:
+    """numpy's C reader in ingest_csv, which the exact reader backs."""
 
     @pytest.mark.parametrize("name", sorted(good_files(4)))
-    def test_reads_as_reference(self, tmp_path, split_reader, monkeypatch, name):
-        text = good_files(data_module._CSV_BLOCK_ROWS)[name]
+    def test_reads_good_files_alone(self, tmp_path, block_rows, monkeypatch, name):
+        """Every good file but those of EXACT_READER_ONLY reads as the
+        reference does without the exact reader; those are turned down."""
         path = tmp_path / "speed.csv"
-        path.write_bytes(text.encode())
-        whole = []
-        read_whole = data_module._read_whole
-        monkeypatch.setattr(data_module, "_read_whole", lambda p: whole.append(p) or read_whole(p))
+        path.write_bytes(good_files(block_rows)[name].encode())
+        if name in EXACT_READER_ONLY:
+            assert data_module._read_fast(path) is None
+            return
+
+        def no_exact_reader(path):
+            raise AssertionError(f"{path} was read again by the exact reader")
+
+        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
-        if spans_parts(path, text):
-            # Only a quote sends a good file back to the whole-file reader.
-            assert bool(whole) == ('"' in text)
-            assert split_reader or whole
-        assert_all_reaped(split_reader)
 
-    @pytest.mark.parametrize("name", sorted(bad_files(4)))
-    def test_rejects_as_reference(self, tmp_path, split_reader, name):
-        text = bad_files(data_module._CSV_BLOCK_ROWS)[name]
-        path = tmp_path / "speed.csv"
-        path.write_bytes(text.encode())
-        spans_parts(path, text)
-        got = ingest_outcome(ingest_csv, path)
-        assert isinstance(got[0], type) and issubclass(got[0], ValueError), got
-        assert got == ingest_outcome(ingest_csv_reference, path)
-        assert_all_reaped(split_reader)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            'timestamp,"s\n0",s1\n' + lines(stamped(["1,2", "3,4", "5,6", "7,8"])),
-            "a,b\n" + lines(["1,2", "3,4", "5,6", '"7",8', "9,10"]),
-            "a,b\r\n" + lines([f"{t},{t + 1}" for t in range(1, 40)], end="\r\n"),
-            "a,b\n" + lines([f"{t},{t + 1}" for t in range(1, 40)], end="\n\n\r\n"),
-            lines([f"{t},{t + 1}" for t in range(1, 30)]) + "5," + "6" * 120 + "\n",
-            lines([f"{t},{t + 1}" for t in range(1, 30)]) + "5," + "6" * 120,
-        ],
-        ids=["quoted-newline", "quoted-cell-late", "crlf", "blank-lines-at-cuts",
-             "cut-at-end", "cut-at-end-no-final-newline"],
-    )
-    def test_body_reads_as_reference(self, tmp_path, split_reader, text):
-        path = tmp_path / "speed.csv"
-        path.write_bytes(text.encode())
-        got = ingest_outcome(ingest_csv, path)
-        assert not isinstance(got[0], type), got
-        assert got == ingest_outcome(ingest_csv_reference, path)
-        assert_all_reaped(split_reader)
-
-    def test_cuts_fall_at_line_starts_after_the_head(self, tmp_path, split_reader):
-        text = "\ufeffa,b\n\n1,2\r\n" + lines([f"{t},{t}" for t in range(3, 60)])
-        path = tmp_path / "speed.csv"
-        path.write_bytes(text.encode())
-        raw = path.read_bytes()
-        cuts = data_module._cuts(path)
-        assert cuts[0] == 3 and cuts[-1] == len(raw)
-        assert cuts == sorted(set(cuts)) and len(cuts) == int(os.environ["GRAPHMARKOV_THREADS"]) + 1
-        assert raw[cuts[0] : cuts[1]].startswith(b"a,b\n\n1,2\r\n")
-        assert all(raw[cut - 1 : cut] == b"\n" for cut in cuts[1:-1])
-
-    def test_parts_are_capped(self, tmp_path, monkeypatch):
-        """More threads than _MAX_PARTS still read the file in _MAX_PARTS parts."""
-        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "8")
-        path = tmp_path / "speed.csv"
-        path.write_text("a,b\n" + lines([f"{t},{t}" for t in range(1, 60)]))
-        assert len(data_module._cuts(path)) == data_module._MAX_PARTS + 1 == 3
-
-    def test_cut_at_the_end_of_the_file_is_dropped(self, tmp_path, split_reader):
-        """A cut whose line runs to the end of the file would start an empty
-        part; the file is then read in fewer parts, here in one."""
-        path = tmp_path / "speed.csv"
-        path.write_bytes(b"a,b\n1,2\n3," + b"4" * 80 + b"\n")
-        assert data_module._cuts(path) == [0, path.stat().st_size]
-        assert ingest_csv(path).steps == 2
-        assert not split_reader
-
-
-class TestSplitCsvProcesses:
-    """The split reader's child processes: none outlives a call, whatever
-    its outcome, and none starts on one thread or for a caller whose script
-    has no __main__ guard."""
-
-    ROWS = [f"{t},{t + 1}" for t in range(1, 200)]
-
-    @pytest.fixture
-    def children(self, monkeypatch):
-        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-        monkeypatch.setattr(data_module, "_MAX_PARTS", 3)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "3")
-        return record_children(monkeypatch)
-
-    def test_none_alive_after_a_read(self, tmp_path, children):
-        path = tmp_path / "speed.csv"
-        path.write_text(lines(self.ROWS))
-        assert ingest_csv(path).steps == len(self.ROWS)
-        assert len(children) == 2
-        assert_all_reaped(children)
-
-    @pytest.mark.parametrize(
-        "row, fault, message",
-        [
-            (150, "7", r"ragged rows \(widths \[1, 2\]\)"),
-            (150, "7,oops", r"unparseable value 'oops' at data row 150, column 1"),
-            (5, "7,oops", r"unparseable value 'oops' at data row 5, column 1"),
-        ],
-        ids=["ragged-in-a-child", "bad-cell-in-a-child", "bad-cell-in-the-caller"],
-    )
-    def test_none_alive_after_an_error(self, tmp_path, children, row, fault, message):
-        rows = list(self.ROWS)
-        rows[row] = fault
-        path = tmp_path / "speed.csv"
-        path.write_text(lines(rows))
-        with pytest.raises(ValueError, match=message):
+    def test_padded_cell_over_the_field_limit_is_a_value_error(self, tmp_path):
+        """numpy reads a cell of any length, the csv module none longer than
+        its field limit; a line past the head with such a cell still fails."""
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,2\n3,4\n5," + " " * 139_999 + "6\n7,8\n")
+        with pytest.raises(ValueError, match=r"long\.csv: field larger than field limit"):
             ingest_csv(path)
-        assert len(children) == 2
-        assert_all_reaped(children)
-
-    def test_one_thread_reads_in_process(self, tmp_path, children, monkeypatch):
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "1")
-        path = tmp_path / "speed.csv"
-        path.write_text(lines(self.ROWS))
-        assert data_module._cuts(path) == [0, path.stat().st_size]
-        assert ingest_csv(path).steps == len(self.ROWS)
-        assert not children
-
-    def test_script_without_main_guard(self, tmp_path):
-        """A script that reads a split file at top level runs once: the
-        children import only the package, never the caller's __main__."""
-        path = tmp_path / "speed.csv"
-        path.write_text(lines(self.ROWS))
-        script = tmp_path / "script.py"
-        script.write_text(
-            "import sys\n"
-            "from graphmarkov import data\n"
-            "data._SPLIT_BYTES = 0\n"
-            "started = []\n"
-            "start = data._start_part\n"
-            "data._start_part = lambda *args: started.append(start(*args)) or started[-1]\n"
-            "series = data.ingest_csv(sys.argv[1])\n"
-            "assert len(started) == 1 and series.steps == 199, (started, series.steps)\n"
-            "print('read once')\n"
-        )
-        src = Path(data_module.__file__).resolve().parents[1]
-        env = dict(os.environ, GRAPHMARKOV_THREADS="2", PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, str(script), str(path)], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "read once\n"
 
 
 class TestInjectMissing:

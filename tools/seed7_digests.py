@@ -5,7 +5,9 @@ the committed list in seed7_digests.txt next to this script.
     python3 tools/seed7_digests.py
 
 The commands run the checkout's own package (src/) as `python3 -m
-graphmarkov`, one at a time:
+graphmarkov`, one at a time, with GRAPHMARKOV_THREADS=2: the BLAS thread
+count sets the summation order in training, and the list was recorded
+with 2 threads. The script prints that setting first.
 
     train --model {gmn,sgmn} --n 10 --missing-rate 0.1   (train-shaped set)
     eval --residuals hour                                 (each trained model)
@@ -89,7 +91,9 @@ def main() -> int:
     metr, _ = inputs.inputs_for(WORK / "inputs", "metr", SEED, inputs.FULL)
     runs = WORK / "runs"
     shutil.rmtree(runs, ignore_errors=True)
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # The setting under which seed7_digests.txt was recorded.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "GRAPHMARKOV_THREADS": "2"}
+    print(f"GRAPHMARKOV_THREADS={env['GRAPHMARKOV_THREADS']}", flush=True)
     for argv in commands(train, metr, runs):
         print("graphmarkov", " ".join(argv), flush=True)
         subprocess.run([sys.executable, "-m", "graphmarkov", *argv], env=env, check=True,
