@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_params, save_params
-from .data import SplitSpec, ingest_csv, prepare_datasets, write_speed_csv
+from .data import SplitSpec, _thread_count, ingest_csv, prepare_datasets, write_speed_csv
 from .evaluation import (
     evaluate,
     format_influence,
@@ -189,18 +189,6 @@ def _apply_config_defaults(sub: argparse.ArgumentParser, config: dict, path) -> 
         if action.required:
             action.required = False
     sub.set_defaults(**converted)
-
-
-def _thread_count() -> int:
-    """GRAPHMARKOV_THREADS when it is a positive integer, else the number of
-    CPUs this process may run on."""
-    text = os.environ.get("GRAPHMARKOV_THREADS", "").strip()
-    if text.isdigit() and int(text) > 0:
-        return int(text)
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _provenance() -> dict:

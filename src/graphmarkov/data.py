@@ -7,6 +7,8 @@ always holds. Operations never mutate a series; they return new ones.
 """
 
 import csv
+import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
@@ -342,29 +344,189 @@ def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = No
     timestamp column; missing entries become empty cells. Values are written
     as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows.
 
+    A series of at least _SPLIT_CELLS cells and more than one block is
+    formatted by 2 processes when 2 threads are allowed (_thread_count):
+    this one formats the even blocks and a child process the odd ones, and
+    this one writes every block in row order (_write_split). A child that
+    cannot start or fails makes this process write the whole body itself,
+    so a file that cannot seek back, such as a pipe, is written here alone.
+    The bytes do not depend on the number of processes. Each block's rows
+    become Python floats one row at a time, which keeps a block's memory
+    to about its text.
+
     Raises:
         ValueError: sensor_ids of another length than the series' sensors;
-            nothing is written.
+            nothing is written and no process is started.
     """
     if sensor_ids is None:
         sensor_ids = [f"sensor_{s}" for s in range(series.size)]
     if len(sensor_ids) != series.size:
         raise ValueError(f"{len(sensor_ids)} sensor IDs given for {series.size} sensors")
+    split = (
+        series.steps > _CSV_BLOCK_ROWS
+        and series.values.size >= _SPLIT_CELLS
+        and _thread_count() >= 2
+    )
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
+        # A file that cannot seek, such as a pipe, could not be cut back to
+        # the rows' start if the child failed.
+        if split and fh.seekable() and _write_split(fh, series):
+            return
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-            lines = []
-            for stamp, values, observed in zip(
-                series.timestamps[rows].tolist(),
-                series.values[rows].tolist(),
-                series.mask[rows].tolist(),
-            ):
-                stamp = datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
-                # str * True is the repr, str * False the empty cell of a missing entry.
-                cells = ",".join(map(mul, map(repr, values), observed))
-                lines.append(f"{stamp},{cells}\r\n")
-            fh.write("".join(lines))
+            fh.write(_block_text(*_block(series, lo)))
+
+
+# A series with this many cells is written by 2 processes. A child's
+# start-up takes about 0.2 s, mostly importing numpy, and this process waits
+# for it. On 2 cores with 207-sensor rows, 2 processes broke even with one
+# near 700,000 cells (3,400 rows) and were about 28% faster at 848,000.
+_SPLIT_CELLS = 800_000
+_COPY_BYTES = 1 << 20  # a child's text is copied to the file this much at a time
+
+
+def _thread_count() -> int:
+    """GRAPHMARKOV_THREADS when it is a positive integer, else the number of
+    CPUs this process may run on."""
+    text = os.environ.get("GRAPHMARKOV_THREADS", "").strip()
+    if text.isdigit() and int(text) > 0:
+        return int(text)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _block(series, lo) -> tuple:
+    """Timestamps, values and mask of the block of rows that starts at row lo."""
+    rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+    return series.timestamps[rows], series.values[rows], series.mask[rows]
+
+
+def _block_text(stamps, values, mask) -> str:
+    """The CSV lines of a block of rows: each row's ISO-8601 timestamp, then
+    the repr of each observed value and an empty cell for each missing one."""
+    lines = []
+    for stamp, row, observed in zip(stamps.tolist(), values, mask):
+        stamp = datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+        # str * True is the repr, str * False the empty cell of a missing entry.
+        cells = ",".join(map(mul, map(repr, row.tolist()), observed.tolist()))
+        lines.append(f"{stamp},{cells}\r\n")
+    return "".join(lines)
+
+
+def _write_split(fh, series) -> bool:
+    """Write the series' rows to fh, this process formatting the even
+    blocks and a child process (_writer_main) the odd ones. Each odd block
+    is sent to the child before the even block ahead of it is formatted
+    here, and its text is read back after that block is written, so the
+    two processes alternate strictly. True when every row is written;
+    False, with fh back at where the rows start, when the child cannot
+    start or stops early. An error of this process is raised. No child
+    outlives the call."""
+    start = fh.tell()
+    try:
+        child = _start_writer(series.size)
+    except OSError:
+        return False
+    try:
+        for lo in range(0, series.steps, 2 * _CSV_BLOCK_ROWS):
+            odd = lo + _CSV_BLOCK_ROWS
+            if odd < series.steps and not _send_block(child.stdin, _block(series, odd)):
+                return _rewind(fh, start)
+            text = _block_text(*_block(series, lo))
+            fh.write(text)
+            del text  # freed before the child's text is read
+            if odd < series.steps and not _copy_text(child.stdout, fh):
+                return _rewind(fh, start)
+        child.stdin.close()
+        child.wait()
+        return True
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+        try:
+            child.stdin.close()
+        except BrokenPipeError:  # the data a dead child never read
+            pass
+
+
+def _rewind(fh, start) -> bool:
+    """Cut fh back to start; False, for _write_split's caller to write the rows itself."""
+    fh.seek(start)
+    fh.truncate()
+    return False
+
+
+def _start_writer(size):
+    """A child process (subprocess.Popen) that formats blocks of rows of
+    size sensors (_writer_main). It imports only this package, on this
+    process's sys.path, so a caller's __main__ is never run again; its BLAS
+    pool has one thread."""
+    import subprocess  # only a split write needs it; the module's importers never load it
+
+    from . import _BLAS_THREAD_VARS
+
+    code = (
+        f"import sys; sys.path[:] = {sys.path!r}\n"
+        "from graphmarkov.data import _writer_main; _writer_main(int(sys.argv[1]))"
+    )
+    return subprocess.Popen(
+        [sys.executable, "-I", "-c", code, str(size)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, GRAPHMARKOV_THREADS="1", **dict.fromkeys(_BLAS_THREAD_VARS, "1")),
+    )
+
+
+def _send_block(pipe, block) -> bool:
+    """Write a block to a writer child: its row count as int64, then its
+    timestamps, values and mask as raw bytes, sent from the series' own
+    memory. False when the child has closed its input."""
+    try:
+        pipe.write(len(block[0]).to_bytes(8, "little"))
+        for a in block:
+            pipe.write(memoryview(np.ascontiguousarray(a)).cast("B"))
+        pipe.flush()
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _copy_text(pipe, fh) -> bool:
+    """Copy a writer child's next block of text from pipe to the end of fh,
+    _COPY_BYTES at a time. False when the child's output ends early."""
+    head = pipe.read(8)
+    if len(head) != 8:
+        return False
+    left = int.from_bytes(head, "little")
+    fh.flush()
+    while left:
+        piece = pipe.read(min(left, _COPY_BYTES))
+        if not piece:
+            return False
+        fh.buffer.write(piece)
+        left -= len(piece)
+    return True
+
+
+def _writer_main(size) -> None:
+    """A writer child's loop over the blocks on stdin (_send_block): each
+    block's text (_block_text) goes to stdout, its byte length as int64
+    first. Ends at the end of stdin."""
+    pipe_in, pipe_out = sys.stdin.buffer, sys.stdout.buffer
+    while len(head := pipe_in.read(8)) == 8:
+        rows = int.from_bytes(head, "little")
+        block = (np.empty(rows), np.empty((rows, size)), np.empty((rows, size), np.bool_))
+        for a in block:
+            if pipe_in.readinto(memoryview(a).cast("B")) != a.nbytes:
+                return
+        text = _block_text(*block).encode()
+        pipe_out.write(len(text).to_bytes(8, "little"))
+        pipe_out.write(text)
+        pipe_out.flush()
 
 
 def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:

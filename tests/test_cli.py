@@ -373,7 +373,7 @@ class TestManifest:
     @pytest.mark.parametrize("threads", ["3", None], ids=["set", "unset"])
     def test_records_what_produced_the_run(self, tmp_path, monkeypatch, threads):
         """Package, numpy and BLAS versions, and the thread count that sets
-        the speed reader's parts: GRAPHMARKOV_THREADS, else the usable CPUs."""
+        the speed writer's processes: GRAPHMARKOV_THREADS, else the usable CPUs."""
         if threads is None:
             monkeypatch.delenv("GRAPHMARKOV_THREADS", raising=False)
         else:

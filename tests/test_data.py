@@ -1,6 +1,10 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+import os
+import signal
+import subprocess
+import sys
 import weakref
 from datetime import datetime, timedelta
 
@@ -289,6 +293,28 @@ def block_rows(request, monkeypatch):
     return data_module._CSV_BLOCK_ROWS
 
 
+@pytest.fixture
+def split_writes(monkeypatch):
+    """The writer made to split any series of more than one block on 2
+    threads, and to fail where a child's failure would make this process
+    write the rows itself; the child processes it starts, in order."""
+    children = []
+    start_writer = data_module._start_writer
+
+    def recording_start(size):
+        children.append(start_writer(size))
+        return children[-1]
+
+    def no_rewind(fh, start):
+        raise AssertionError("the child failed and the rows were written again here")
+
+    monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(data_module, "_start_writer", recording_start)
+    monkeypatch.setattr(data_module, "_rewind", no_rewind)
+    monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+    return children
+
+
 def ingest_outcome(read, path):
     """The exact bytes of what a reader returns, or its exception type and
     message."""
@@ -458,7 +484,8 @@ class TestCsvAgainstReference:
     @pytest.mark.parametrize(
         "missing", [0.0, 0.3, 1.0], ids=["observed", "some-missing", "all-missing"]
     )
-    def test_writes_as_reference(self, tmp_path, block_rows, cells, missing):
+    def test_writes_as_reference(self, tmp_path, block_rows, split_writes, cells, missing):
+        """Three blocks: this process writes two and a child one."""
         steps = 2 * block_rows + 1
         rng = np.random.default_rng(37)
         values = np.resize(np.array(cells), (steps, len(cells)))
@@ -469,6 +496,8 @@ class TestCsvAgainstReference:
         write_speed_csv(tmp_path / "got.csv", series)
         write_speed_csv_reference(tmp_path / "ref.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        # The child ran to the end of its input and was reaped.
+        assert [child.returncode for child in split_writes] == [0]
 
     @pytest.mark.parametrize(
         "faults, message",
@@ -506,7 +535,8 @@ class TestCsvAgainstReference:
             ingest_csv(path)
         assert str(err.value) == message.format(path=path, row=block_rows)
 
-    def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows):
+    def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows, split_writes):
+        """Five rows: one block (no child), two blocks at 3 rows, three at 2."""
         ids = ["a,b", 'say "hi"', "plain", "line\nbreak"]
         mask = np.array([[1.0, 0.0, 1.0, 1.0]] * 5)
         series = StateSeries(
@@ -517,6 +547,101 @@ class TestCsvAgainstReference:
         write_speed_csv(tmp_path / "got.csv", series, sensor_ids=ids)
         write_speed_csv_reference(tmp_path / "ref.csv", series, sensor_ids=ids)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        blocks = -(-series.steps // block_rows)
+        assert [child.returncode for child in split_writes] == [0] * (blocks > 1)
+
+
+class TestSplitWriter:
+    """The child process of a split write: never left running, and a child
+    that fails or cannot start makes this process write the whole file."""
+
+    @pytest.fixture
+    def series(self, monkeypatch):
+        """Three blocks of 2 rows but the last, some entries missing."""
+        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", 2)
+        mask = np.random.default_rng(41).random((5, 3)) >= 0.3
+        return StateSeries(
+            values=np.arange(1.0, 16.0).reshape(5, 3) / 7 * mask,
+            mask=mask,
+            timestamps=synthesize_timestamps(5),
+        )
+
+    def assert_writes_as_reference(self, tmp_path, series):
+        write_speed_csv(tmp_path / "got.csv", series)
+        write_speed_csv_reference(tmp_path / "ref.csv", series)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "",
+            "import sys; sys.stdout.buffer.write((999).to_bytes(8, 'little') + b'2024-')",
+        ],
+        ids=["exits-at-once", "stops-mid-text"],
+    )
+    def test_failed_child_leaves_the_write_to_this_process(
+        self, tmp_path, monkeypatch, series, code
+    ):
+        children = []
+
+        def failing_start(size):
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", code],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
+            )
+            return children[-1]
+
+        monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
+        monkeypatch.setattr(data_module, "_start_writer", failing_start)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        self.assert_writes_as_reference(tmp_path, series)
+        assert len(children) == 1 and children[0].returncode is not None
+
+    def test_child_that_cannot_start_leaves_the_write_to_this_process(
+        self, tmp_path, monkeypatch, series
+    ):
+        monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+        self.assert_writes_as_reference(tmp_path, series)
+
+    def test_failure_here_kills_and_reaps_the_child(self, tmp_path, monkeypatch, series, split_writes):
+        def failing_text(*block):
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(data_module, "_block_text", failing_text)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_speed_csv(tmp_path / "got.csv", series)
+        assert [child.returncode for child in split_writes] == [-signal.SIGKILL]
+
+    def test_one_thread_starts_no_child(self, tmp_path, monkeypatch, series, split_writes):
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "1")
+        self.assert_writes_as_reference(tmp_path, series)
+        assert split_writes == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_file_that_cannot_seek_starts_no_child(self, tmp_path, series, split_writes):
+        """A pipe could not be cut back if a child failed, so no child starts."""
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                write_speed_csv(f"/dev/fd/{write_end}", series)
+            finally:
+                os.close(write_end)
+            got = pipe.read()
+        write_speed_csv_reference(tmp_path / "ref.csv", series)
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert split_writes == []
+
+    def test_sensor_id_count_is_checked_before_a_child_starts(self, tmp_path, series, split_writes):
+        path = tmp_path / "speed.csv"
+        with pytest.raises(ValueError, match="2 sensor IDs given for 3 sensors"):
+            write_speed_csv(path, series, sensor_ids=["a", "b"])
+        assert not path.exists() and split_writes == []
 
 
 class TestFastCsvPath:
