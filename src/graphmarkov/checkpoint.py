@@ -8,6 +8,8 @@ byte-identical. Only learned values are stored; graph-derived structure (hop
 masks, the spectral basis) is rebuilt from the adjacency at load time.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import __version__
@@ -75,7 +77,7 @@ def load_params(path, graph: Graph):
             f"checkpoint {path} was trained on {size} sensors but the graph has {graph.size}"
         )
 
-    blocks = _read_blocks(lines, cursor, path)
+    blocks = _read_blocks(lines, cursor, path, size)
     if len(blocks) != history:
         raise ValueError(
             f"checkpoint {path} declares history {history} but holds {len(blocks)} blocks"
@@ -89,7 +91,7 @@ def load_params(path, graph: Graph):
                 raise ValueError(
                     f"checkpoint {path}: block [{label} {k}] row {r} has {len(row)} values, want {size}"
                 )
-        arr = np.array(rows)
+        arr = np.asarray(rows)
         bad = np.argwhere(~np.isfinite(arr))
         if bad.size:
             raise ValueError(
@@ -102,7 +104,41 @@ def load_params(path, graph: Graph):
         raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
-def _read_blocks(lines, start, path):
+def _read_blocks(lines, start, path, size):
+    """The (label, index, rows) of each block of lines[start:]. rows is an
+    array when every block holds rows of size values that np.loadtxt reads;
+    else each row's float() values, read row by row, which names the first
+    fault."""
+    try:
+        blocks = _scan_blocks(lines, start, path, str)
+        return [(label, index, _loadtxt_rows(rows, size)) for label, index, rows in blocks]
+    except ValueError:
+        return _scan_blocks(lines, start, path, partial(_float_row, path))
+
+
+def _loadtxt_rows(rows, size) -> np.ndarray:
+    """The rows as an array of size columns, read by np.loadtxt where it
+    reads each cell as float() does. It also reads cells padded with some
+    control characters, which float() turns down, and it warns on no rows.
+    """
+    if not rows or not all(map(str.isprintable, rows)):
+        raise ValueError
+    values = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    if values.shape != (len(rows), size):
+        raise ValueError
+    return values
+
+
+def _float_row(path, line) -> list:
+    try:
+        return [float(cell) for cell in line.split(",")]
+    except ValueError:
+        raise ValueError(f"checkpoint {path}: unparseable row {line!r}") from None
+
+
+def _scan_blocks(lines, start, path, row):
+    """The (label, index, rows) of each block of lines[start:], rows holding
+    row(line) of each of its non-blank lines."""
     blocks = []
     current = None
     for line in lines[start:]:
@@ -117,8 +153,5 @@ def _read_blocks(lines, start, path):
             continue
         if current is None:
             raise ValueError(f"checkpoint {path}: data outside any block")
-        try:
-            current[2].append([float(cell) for cell in line.split(",")])
-        except ValueError:
-            raise ValueError(f"checkpoint {path}: unparseable row {line!r}") from None
+        current[2].append(row(line))
     return blocks

@@ -6,8 +6,10 @@ same shape; missing readings are zero-filled so that values * mask == values
 always holds. Operations never mutate a series; they return new ones.
 """
 
+import codecs
 import csv
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -125,15 +127,17 @@ def ingest_csv(path) -> StateSeries:
     are synthesized at 5-minute spacing from epoch 0. A UTF-8 byte-order mark
     is stripped.
 
-    The file is read in this process, by numpy's C reader where it can be
-    (_read_fast): the csv module reads the header and the first two data
-    rows, which _sniff types, and one np.loadtxt parses those data rows and
-    every later line. A file that numpy could read otherwise than the csv
-    module and float() do, such as one with a whitespace-only cell or a
-    quote past the head, and any faulty file, is read again by the exact
-    reader (_read_whole) in blocks of _CSV_BLOCK_ROWS rows, which raises the
-    error below. Either way memory is set by the series and not by the text
-    of the file.
+    The file is read by numpy's C reader where it can be (_read_fast): the
+    csv module reads the header and the first two data rows, which _sniff
+    types, and np.loadtxt parses those data rows and every later line. A
+    file of at least _SPLIT_BYTES is read in 2 parts when 2 threads are
+    allowed (_thread_count): this process parses the lines up to a cut at a
+    line start, and a child process the lines after it. A file that numpy
+    could read otherwise than the csv module and float() do, such as one
+    with a quote past the head, and any faulty file, is read again whole in
+    this process by the exact reader (_read_whole) in blocks of
+    _CSV_BLOCK_ROWS rows, which raises the error below. Either way memory
+    is set by the series and not by the text of the file.
 
     Raises:
         ValueError: ragged rows, unparseable or non-finite values, or
@@ -159,6 +163,20 @@ def ingest_csv(path) -> StateSeries:
 _CSV_BLOCK_ROWS = 2048
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
+
+# A speed file this large is read in 2 parts. A child's start-up takes about
+# 0.25 s, mostly importing numpy. On 2 cores, over prefixes of the 121 MB
+# METR-shaped file and 7 alternating reads each, 2 parts took 0.33 s against
+# 0.25 s in one at 8 MiB, broke even near 16-20 MiB, and were faster in 4
+# and 6 of 7 reads at 24 MiB, 7 of 7 at 28 MiB and 7 of 7 at 32 MiB (0.60
+# against 0.79 s).
+_SPLIT_BYTES = 24 << 20
+# This process's share of the bytes after the head. The child starts to
+# parse later, so this process takes a little more. Medians of 7
+# alternating reads of the METR-shaped file on 2 cores: 2.05 s at 0.45,
+# 2.09 and 2.19 s at 0.5, 2.10 and 2.17 s at 0.55, 2.28 s at 0.6.
+_CALLER_SHARE = 0.55
+_PART_READ_BYTES = 1 << 20  # bytes of a part decoded at a time
 
 
 def _sniff(path, rows):
@@ -218,40 +236,117 @@ def _read_whole(path) -> tuple:
 
 
 def _read_fast(path) -> tuple | None:
-    """Values and timestamps (None without a time column) of the file, its
-    lines parsed by one np.loadtxt after _sniff: the head's data rows joined
-    back into lines, then every later non-blank line. None when the file is
+    """Values and timestamps (None without a time column) of the file, read
+    by np.loadtxt after _sniff: the head's data rows joined back into lines,
+    then every later non-blank line, those up to the cut (_cuts) here and
+    those after it in a child process (_part_main). None when the file is
     faulty or may read otherwise than in _read_whole: a line holds a quote,
     a line break or more characters than the csv field limit, numpy rejects
-    a line (as it does a whitespace-only cell), skips one or reads a
-    non-finite value, or a timestamp does not parse."""
-    stamps = []
+    a line (as it does a cell that is a form feed alone), skips one or
+    reads a non-finite value, a timestamp does not parse, or the child
+    cannot start or fails. No child outlives the call."""
+    child = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            first, width, rows = _sniff(path, filter(None, _csv_rows(path, fh)))
-            # The head holds at least one data row, so loadtxt never meets an
-            # empty input, on which it warns. A comma inside a cell of a head
-            # row of the right width adds a cell, which the shape check finds.
+            # The lines the head rows come from; the rest of the file starts
+            # where their bytes end.
+            seen = []
+            lines = (seen.append(line) or line for line in fh)
+            first, width, rows = _sniff(path, filter(None, _csv_rows(path, lines)))
+            # A comma inside a cell of a head row of the right width adds a
+            # cell, which the shape check finds.
             head = list(islice(rows, 2))
             _check_widths(path, width, head)
-            body = filter(None, (line.rstrip("\r\n") for line in fh))
-            lines = _numeric_lines(chain(map(",".join, head), body), first, stamps)
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+            cuts = _cuts(path, fh, seen)
+            if cuts is None:
+                body = filter(None, (line.rstrip("\r\n") for line in fh))
+            else:
+                start, cut, size = cuts
+                child = _start_child(_part_main, os.fsdecode(path), cut, size, first, width)
+                body = _part_lines(path, start, cut)
+            part = _read_part(chain(map(",".join, head), body), first, width)
+        return part if child is None else _join_part(child, *part)
+    except (ValueError, OSError):
         return None
+    finally:
+        if child is not None:
+            _stop(child)
+
+
+def _cuts(path, fh, seen) -> tuple | None:
+    """Byte offsets (start, cut, size) of the file open as fh: start where
+    the lines seen (after a UTF-8 byte-order mark) end, cut at the first
+    line start at or after _CALLER_SHARE of the bytes from start to size,
+    the file's end. None when fh is read in this process alone: it is no
+    regular file (a pipe cannot be read again), it is smaller than
+    _SPLIT_BYTES, fewer than 2 threads are allowed (_thread_count), or no
+    line starts at or after that share."""
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES or _thread_count() < 2:
+        return None
+    with open(path, "rb") as raw:
+        start = sum(len(line.encode()) for line in seen)
+        start += len(codecs.BOM_UTF8) * (raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8)
+        raw.seek(start + int((info.st_size - start) * _CALLER_SHARE) - 1)
+        raw.readline()  # to the end of the line holding that byte
+        cut = raw.tell()
+    return (start, cut, info.st_size) if cut < info.st_size else None
+
+
+def _part_lines(path, start, stop):
+    """The non-blank lines, without their line ends, of bytes start..stop
+    of the file; stop is a line start or the file's end. The bytes are
+    decoded _PART_READ_BYTES at a time, each piece cut after a newline, and
+    split into lines where a file opened with newline="" splits them: at
+    each \\r\\n, \\r and \\n.
+
+    Raises:
+        ValueError: the bytes are no UTF-8.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop:
+            chunk = fh.read(min(_PART_READ_BYTES, stop - start))
+            if not chunk.endswith(b"\n"):
+                chunk += fh.readline()
+            if not chunk:
+                return
+            start += len(chunk)
+            text = chunk.decode().replace("\r\n", "\n").replace("\r", "\n")
+            yield from filter(None, text.split("\n"))
+
+
+def _read_part(lines, first, width) -> tuple:
+    """Values and float64 timestamps (None without a time column) of data
+    lines of width cells, parsed by one np.loadtxt (_numeric_lines).
+
+    Raises:
+        ValueError: a line that _numeric_lines or numpy turns down, a shape
+            other than (lines, width - first), a non-finite value or a
+            timestamp that does not parse.
+    """
+    stamps = []
+    lines = _numeric_lines(lines, first, stamps)
+    line = next(lines, None)  # none in a part of blank lines, on which loadtxt warns
+    if line is None:
+        values = np.empty((0, width - first))
+    else:
+        values = np.loadtxt(chain([line], lines), delimiter=",", comments=None, ndmin=2)
     if values.shape != (len(stamps), width - first) or not np.isfinite(values).all():
-        return None
+        raise ValueError
     values[values == 0.0] = 0.0
     if not first:
         return values, None
     times = list(map(_parse_iso, stamps))
-    return None if None in times else (values, np.array(times))
+    if None in times:
+        raise ValueError
+    return values, np.array(times)
 
 
 def _numeric_lines(lines, first, stamps):
-    """The lines without their time cell, each empty cell written as 0.
-    Each line appends its time cell to stamps, or None without a time
-    column.
+    """The lines without their time cell, each empty cell, and each cell of
+    spaces and tabs alone, written as 0. Each line appends its time cell to
+    stamps, or None without a time column.
 
     Raises:
         ValueError: a line holds a quote, a line break or more characters
@@ -267,7 +362,45 @@ def _numeric_lines(lines, first, stamps):
             if not comma:
                 raise ValueError
         stamps.append(stamp)
-        yield f",{line},".replace(",,", ",0,").replace(",,", ",0,")[1:-1]
+        if " " in line or "\t" in line:
+            # float() strips these, so such a cell is empty to the exact reader.
+            yield ",".join([cell if cell.strip(" \t") else "0" for cell in line.split(",")])
+        else:
+            yield f",{line},".replace(",,", ",0,").replace(",,", ",0,")[1:-1]
+
+
+def _join_part(child, values, times) -> tuple | None:
+    """values and times with the rows of a reader child (_part_main) after
+    them; None when the child fails or its output ends early."""
+    head = child.stdout.read(8)
+    if len(head) != 8:
+        return None
+    rows, steps = int.from_bytes(head, "little"), len(values)
+    # Grown in place where the allocator can, so that this part is not copied.
+    values.resize((steps + rows, values.shape[1]), refcheck=False)
+    parts = [values[steps:]]
+    if times is not None:
+        times = np.concatenate([times, np.empty(rows)])
+        parts.append(times[steps:])
+    for part in parts:
+        if child.stdout.readinto(part) != part.nbytes:
+            return None
+    return (values, times) if child.wait() == 0 else None
+
+
+def _part_main(path, start, stop, first, width) -> None:
+    """A reader child's part of a speed file, bytes start..stop
+    (_part_lines, _read_part): writes its row count as int64 to stdout,
+    then its values and, with a time column, its timestamps as raw float64.
+    A part that fails raises before anything is written."""
+    first, width = int(first), int(width)
+    values, times = _read_part(_part_lines(path, int(start), int(stop)), first, width)
+    out = sys.stdout.buffer
+    out.write(len(values).to_bytes(8, "little"))
+    out.write(values)
+    if times is not None:
+        out.write(times)
+    out.flush()
 
 
 def _csv_rows(path, fh):
@@ -369,12 +502,14 @@ def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = No
     )
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
+        fh.flush()  # the rows go to the file's bytes
+        out = fh.buffer
         # A file that cannot seek, such as a pipe, could not be cut back to
         # the rows' start if the child failed.
-        if split and fh.seekable() and _write_split(fh, series):
+        if split and out.seekable() and _write_split(out, series):
             return
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
-            fh.write(_block_text(*_block(series, lo)))
+            out.write(_block_text(*_block(series, lo)))
 
 
 # A series with this many cells is written by 2 processes. A child's
@@ -403,82 +538,88 @@ def _block(series, lo) -> tuple:
     return series.timestamps[rows], series.values[rows], series.mask[rows]
 
 
-def _block_text(stamps, values, mask) -> str:
-    """The CSV lines of a block of rows: each row's ISO-8601 timestamp, then
-    the repr of each observed value and an empty cell for each missing one."""
-    lines = []
+def _block_text(stamps, values, mask) -> bytearray:
+    """The CSV lines of a block of rows as bytes, encoded line by line into
+    one buffer: each row's ISO-8601 timestamp, then the repr of each
+    observed value and an empty cell for each missing one."""
+    text = bytearray()
     for stamp, row, observed in zip(stamps.tolist(), values, mask):
         stamp = datetime.fromtimestamp(stamp, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
         # str * True is the repr, str * False the empty cell of a missing entry.
         cells = ",".join(map(mul, map(repr, row.tolist()), observed.tolist()))
-        lines.append(f"{stamp},{cells}\r\n")
-    return "".join(lines)
+        text += f"{stamp},{cells}\r\n".encode()
+    return text
 
 
-def _write_split(fh, series) -> bool:
-    """Write the series' rows to fh, this process formatting the even
-    blocks and a child process (_writer_main) the odd ones. Each odd block
-    is sent to the child before the even block ahead of it is formatted
-    here, and its text is read back after that block is written, so the
-    two processes alternate strictly. True when every row is written;
-    False, with fh back at where the rows start, when the child cannot
+def _write_split(out, series) -> bool:
+    """Write the series' rows to out, a binary file, this process formatting
+    the even blocks and a child process (_writer_main) the odd ones. Each
+    odd block is sent to the child before the even block ahead of it is
+    formatted here, and its text is read back after that block is written,
+    so the two processes alternate strictly. True when every row is written;
+    False, with out back at where the rows start, when the child cannot
     start or stops early. An error of this process is raised. No child
     outlives the call."""
-    start = fh.tell()
+    start = out.tell()
     try:
-        child = _start_writer(series.size)
+        child = _start_child(_writer_main, series.size)
     except OSError:
         return False
     try:
         for lo in range(0, series.steps, 2 * _CSV_BLOCK_ROWS):
             odd = lo + _CSV_BLOCK_ROWS
             if odd < series.steps and not _send_block(child.stdin, _block(series, odd)):
-                return _rewind(fh, start)
+                return _rewind(out, start)
             text = _block_text(*_block(series, lo))
-            fh.write(text)
+            out.write(text)
             del text  # freed before the child's text is read
-            if odd < series.steps and not _copy_text(child.stdout, fh):
-                return _rewind(fh, start)
+            if odd < series.steps and not _copy_text(child.stdout, out):
+                return _rewind(out, start)
         child.stdin.close()
         child.wait()
         return True
     finally:
-        child.kill()
-        child.wait()
-        child.stdout.close()
-        try:
-            child.stdin.close()
-        except BrokenPipeError:  # the data a dead child never read
-            pass
+        _stop(child)
 
 
-def _rewind(fh, start) -> bool:
-    """Cut fh back to start; False, for _write_split's caller to write the rows itself."""
-    fh.seek(start)
-    fh.truncate()
+def _rewind(out, start) -> bool:
+    """Cut out back to start; False, for _write_split's caller to write the rows itself."""
+    out.seek(start)
+    out.truncate()
     return False
 
 
-def _start_writer(size):
-    """A child process (subprocess.Popen) that formats blocks of rows of
-    size sensors (_writer_main). It imports only this package, on this
-    process's sys.path, so a caller's __main__ is never run again; its BLAS
-    pool has one thread."""
-    import subprocess  # only a split write needs it; the module's importers never load it
+def _start_child(main, *args):
+    """A child process (subprocess.Popen) that runs main, a function of
+    this module, on args as strings, with pipes for its stdin and stdout.
+    It imports only this package, on this process's sys.path, so a caller's
+    __main__ is never run again; its BLAS pool has one thread."""
+    import subprocess  # only a split read or write needs it; the module's importers never load it
 
     from . import _BLAS_THREAD_VARS
 
     code = (
         f"import sys; sys.path[:] = {sys.path!r}\n"
-        "from graphmarkov.data import _writer_main; _writer_main(int(sys.argv[1]))"
+        f"from graphmarkov.data import {main.__name__} as main; main(*sys.argv[1:])"
     )
     return subprocess.Popen(
-        [sys.executable, "-I", "-c", code, str(size)],
+        [sys.executable, "-I", "-c", code, *map(str, args)],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         env=dict(os.environ, GRAPHMARKOV_THREADS="1", **dict.fromkeys(_BLAS_THREAD_VARS, "1")),
     )
+
+
+def _stop(child) -> None:
+    """Kill child unless it has ended, reap it and close its pipes."""
+    child.kill()
+    child.wait()
+    child.stdout.close()
+    try:
+        child.stdin.close()
+    except BrokenPipeError:  # the data a dead child never read
+        pass
 
 
 def _send_block(pipe, block) -> bool:
@@ -495,19 +636,18 @@ def _send_block(pipe, block) -> bool:
     return True
 
 
-def _copy_text(pipe, fh) -> bool:
-    """Copy a writer child's next block of text from pipe to the end of fh,
+def _copy_text(pipe, out) -> bool:
+    """Copy a writer child's next block of text from pipe to the end of out,
     _COPY_BYTES at a time. False when the child's output ends early."""
     head = pipe.read(8)
     if len(head) != 8:
         return False
     left = int.from_bytes(head, "little")
-    fh.flush()
     while left:
         piece = pipe.read(min(left, _COPY_BYTES))
         if not piece:
             return False
-        fh.buffer.write(piece)
+        out.write(piece)
         left -= len(piece)
     return True
 
@@ -516,6 +656,7 @@ def _writer_main(size) -> None:
     """A writer child's loop over the blocks on stdin (_send_block): each
     block's text (_block_text) goes to stdout, its byte length as int64
     first. Ends at the end of stdin."""
+    size = int(size)
     pipe_in, pipe_out = sys.stdin.buffer, sys.stdout.buffer
     while len(head := pipe_in.read(8)) == 8:
         rows = int.from_bytes(head, "little")
@@ -523,7 +664,7 @@ def _writer_main(size) -> None:
         for a in block:
             if pipe_in.readinto(memoryview(a).cast("B")) != a.nbytes:
                 return
-        text = _block_text(*block).encode()
+        text = _block_text(*block)
         pipe_out.write(len(text).to_bytes(8, "little"))
         pipe_out.write(text)
         pipe_out.flush()

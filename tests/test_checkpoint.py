@@ -149,3 +149,42 @@ class TestLoadErrors:
         save_params(path, masked_params(params, gains))
         with pytest.raises(ValueError, match=r"\[frequency_gains 2\] row 1 holds a non-finite"):
             load_params(path, g)
+
+
+class TestRowParsing:
+    """Rows are read by one np.loadtxt per block where numpy and float()
+    agree, else row by row with float(), which names the first fault."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        g = random_graph(7)
+        rng = np.random.default_rng(8)
+        params = masked_params(
+            init_gmn(g, n=2, gamma=0.9), [awkward_values((5, 5), rng) for _ in range(2)]
+        )
+        path = tmp_path / "model.ckpt"
+        save_params(path, params)
+        return g, path
+
+    def test_cells_only_float_reads_load_row_by_row(self, saved):
+        g, path = saved
+        expected = load_params(path, g)
+        text = path.read_text()
+        path.write_text(text.replace("\n0,", "\n0_0,", 1).replace(",0,", ",٠,", 1))
+        assert path.read_text() != text
+        for got, want in zip(per_hop_tensors(load_params(path, g)), per_hop_tensors(expected)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_control_character_padding_is_unparseable(self, saved):
+        """numpy reads a cell padded with \\x1c; float() does not."""
+        g, path = saved
+        path.write_text(path.read_text().replace("\n0,", "\n\x1c0,", 1))
+        with pytest.raises(ValueError, match=r"unparseable row '\\x1c0,"):
+            load_params(path, g)
+
+    def test_first_fault_in_file_order(self, saved):
+        g, path = saved
+        text = path.read_text().replace("\n0,", "\noops,", 1)
+        path.write_text(text.replace("[hop_weights 2]", "[hop_weights two]"))
+        with pytest.raises(ValueError, match="unparseable row 'oops,"):
+            load_params(path, g)

@@ -293,26 +293,45 @@ def block_rows(request, monkeypatch):
     return data_module._CSV_BLOCK_ROWS
 
 
+def record_children(monkeypatch):
+    """The child processes the module starts from now on, in order, with 2
+    threads allowed."""
+    children = []
+    start_child = data_module._start_child
+
+    def recording_start(main, *args):
+        children.append(start_child(main, *args))
+        return children[-1]
+
+    monkeypatch.setattr(data_module, "_start_child", recording_start)
+    monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+    return children
+
+
 @pytest.fixture
 def split_writes(monkeypatch):
     """The writer made to split any series of more than one block on 2
     threads, and to fail where a child's failure would make this process
     write the rows itself; the child processes it starts, in order."""
-    children = []
-    start_writer = data_module._start_writer
-
-    def recording_start(size):
-        children.append(start_writer(size))
-        return children[-1]
 
     def no_rewind(fh, start):
         raise AssertionError("the child failed and the rows were written again here")
 
     monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
-    monkeypatch.setattr(data_module, "_start_writer", recording_start)
     monkeypatch.setattr(data_module, "_rewind", no_rewind)
-    monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
-    return children
+    return record_children(monkeypatch)
+
+
+@pytest.fixture
+def split_reads(monkeypatch):
+    """The reader made to read any file in 2 parts on 2 threads; the child
+    processes it starts, in order."""
+    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+    return record_children(monkeypatch)
+
+
+def no_exact_reader(path):
+    raise AssertionError(f"{path} was read again by the exact reader")
 
 
 def ingest_outcome(read, path):
@@ -380,13 +399,10 @@ def good_files(block):
 
 
 # The good files with a cell that numpy's reader turns down, which the exact
-# reader then reads: a whitespace-only cell, a digit that is not ASCII, an
-# underscore between digits, a line break, or a quote past the head rows.
+# reader then reads: a digit that is not ASCII, an underscore between digits,
+# a line break, or a quote past the head rows.
 EXACT_READER_ONLY = {
     "quoted-line-break-cell",
-    "whitespace-cells",
-    "whitespace-cells-second-block",
-    "whitespace-only-line",
     "underscore-digits",
     "non-ascii-digit",
     "quoted-cell-late",
@@ -584,7 +600,7 @@ class TestSplitWriter:
     ):
         children = []
 
-        def failing_start(size):
+        def failing_start(main, *args):
             children.append(
                 subprocess.Popen(
                     [sys.executable, "-c", code],
@@ -596,7 +612,7 @@ class TestSplitWriter:
             return children[-1]
 
         monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
-        monkeypatch.setattr(data_module, "_start_writer", failing_start)
+        monkeypatch.setattr(data_module, "_start_child", failing_start)
         monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
         self.assert_writes_as_reference(tmp_path, series)
         assert len(children) == 1 and children[0].returncode is not None
@@ -657,9 +673,6 @@ class TestFastCsvPath:
             assert data_module._read_fast(path) is None
             return
 
-        def no_exact_reader(path):
-            raise AssertionError(f"{path} was read again by the exact reader")
-
         monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
@@ -672,6 +685,199 @@ class TestFastCsvPath:
         path.write_text("a,b\n1,2\n3,4\n5," + " " * 139_999 + "6\n7,8\n")
         with pytest.raises(ValueError, match=r"long\.csv: field larger than field limit"):
             ingest_csv(path)
+
+
+# The good files at 3-row blocks with no line start past the cut, which
+# _CALLER_SHARE sets, or no newline at all: no child starts.
+UNCUT_GOOD_FILES = {
+    "cr-line-ends",
+    "crlf",
+    "crlf-time",
+    "hash-in-header",
+    "header-no-time",
+    "header-time",
+    "no-final-newline",
+    "quoted-header-comma",
+    "quoted-newline",
+    "single-row",
+    "time-no-header",
+    "trailing-empty-column",
+    "zero-spellings",
+}
+
+
+class TestSplitReader:
+    """ingest_csv in 2 parts, this process and a child, against the exact
+    reference. Every good and bad file of TestCsvAgainstReference is read
+    at 3-row blocks only, as each child start takes about 0.1 s."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", 3)
+
+    @pytest.mark.parametrize("name", sorted(good_files(3)))
+    def test_reads_as_reference(self, tmp_path, monkeypatch, split_reads, name):
+        """Every good file but those of EXACT_READER_ONLY reads without the
+        exact reader, and in 2 parts unless its body is too short to cut."""
+        path = tmp_path / "speed.csv"
+        path.write_bytes(good_files(3)[name].encode())
+        if name not in EXACT_READER_ONLY:
+            monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        got = ingest_outcome(ingest_csv, path)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        codes = [child.returncode for child in split_reads]
+        if name in EXACT_READER_ONLY:
+            assert None not in codes and len(codes) <= 1
+        else:
+            assert codes == [0] * (name not in UNCUT_GOOD_FILES)
+
+    @pytest.mark.parametrize("name", sorted(bad_files(3)))
+    def test_rejects_as_reference(self, tmp_path, split_reads, name):
+        path = tmp_path / "speed.csv"
+        path.write_bytes(bad_files(3)[name].encode())
+        got = ingest_outcome(ingest_csv, path)
+        assert isinstance(got[0], type) and issubclass(got[0], ValueError), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert None not in [child.returncode for child in split_reads]
+
+    def rows(self, count, lo=0):
+        return stamped((f"{t % 50 + 1}.25,,{t % 7}" for t in range(lo, lo + count)), lo=lo)
+
+    def test_error_here_kills_and_reaps_the_child(self, tmp_path, split_reads):
+        rows = self.rows(20_000)
+        rows[5] = rows[5].replace(".25,", ".25,oops")
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        got = ingest_outcome(ingest_csv, path)
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert got[1].endswith("at data row 5, column 1")
+        assert [child.returncode for child in split_reads] == [-signal.SIGKILL]
+
+    def test_quote_in_the_childs_part_is_read_by_the_exact_reader(self, tmp_path, split_reads):
+        rows = self.rows(40)
+        rows[-3] = rows[-3].replace(".25,", '.25,"4"')
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        got = ingest_outcome(ingest_csv, path)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert [child.returncode for child in split_reads] == [1]
+
+    def test_byte_order_mark(self, tmp_path, split_reads):
+        """The parts start after the mark: the marked file reads as the plain one."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        text = "t,x,y,z\r\n" + lines(self.rows(40), end="\r\n")
+        plain.write_text(text, newline="")
+        marked.write_text("\ufeff" + text, newline="")
+        assert ingest_outcome(ingest_csv, marked) == ingest_outcome(ingest_csv_reference, plain)
+        assert [child.returncode for child in split_reads] == [0]
+
+    @pytest.mark.parametrize(
+        "code",
+        ["import sys; sys.stdout.buffer.write((40).to_bytes(8, 'little') + bytes(100))", ""],
+        ids=["stops-mid-output", "cannot-start"],
+    )
+    def test_failed_child_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch, code):
+        children = []
+
+        def failing_start(main, *args):
+            if not code:
+                raise FileNotFoundError(sys.executable)
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", code],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
+            )
+            return children[-1]
+
+        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setattr(data_module, "_start_child", failing_start)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.rows(40)))
+        read_whole = data_module._read_whole
+        reads = []
+        monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
+        assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
+        assert reads == [path]
+        assert all(child.returncode is not None for child in children)
+
+    @pytest.mark.parametrize("threads, split_bytes", [("1", 0), ("2", 1 << 20)], ids=["one-thread", "small-file"])
+    def test_no_child_starts(self, tmp_path, monkeypatch, split_reads, threads, split_bytes):
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", threads)
+        monkeypatch.setattr(data_module, "_SPLIT_BYTES", split_bytes)
+        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.rows(40)))
+        assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
+        assert split_reads == []
+
+    @pytest.mark.parametrize("body", [0, 1], ids=["no-line", "one-line"])
+    def test_body_shorter_than_two_lines_starts_no_child(self, tmp_path, monkeypatch, split_reads, body):
+        """The head's two data rows are read by the csv module; a cut needs
+        a line start after them and before the file's end."""
+        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        path = tmp_path / "speed.csv"
+        path.write_text("t,x,y,z\n" + lines(self.rows(2 + body)))
+        assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
+        assert split_reads == []
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_here_alone(self, tmp_path, split_reads):
+        """A pipe cannot be read again in parts, so no child starts."""
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(self.rows(40)))
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(path.read_bytes())
+        try:
+            got = ingest_outcome(ingest_csv, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert split_reads == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\r\n1,2\r\n3,4\r\n5,6\r\n\r\n7,8\r\n9,10\r\n",
+            "a,b\r1,2\r3,4\r\r5,6\n7,8\r9,10\r\n11,12",
+            "\ufeff1,2\n\n3,4\n\n\n5,6\n\r\n\n7,8\n \n9,10\n\n",
+        ],
+        ids=["crlf", "mixed-line-ends", "blank-lines-and-mark"],
+    )
+    def test_every_cut_parts_the_lines_of_the_whole(self, tmp_path, monkeypatch, text):
+        """At any share, the cut falls at a line start after the head rows,
+        and the two parts hold the lines that the whole file holds after
+        them, as a file opened with newline="" splits them."""
+        path = tmp_path / "speed.csv"
+        path.write_bytes(text.encode())
+        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            whole = list(fh)
+        seen = whole[:3]  # three lines of the head, one of them blank
+        body = list(filter(None, (line.rstrip("\r\n") for line in whole[3:])))
+        data = path.read_bytes()
+        cuts = set()
+        for share in np.linspace(0, 1, 41):
+            monkeypatch.setattr(data_module, "_CALLER_SHARE", share)
+            with open(path) as fh:
+                start, cut, size = data_module._cuts(path, fh, seen) or (None, None, None)
+            if cut is None:  # no line start past the share
+                assert share > 0.5
+                continue
+            cuts.add(cut)
+            assert data[:start].decode("utf-8-sig") == "".join(seen)
+            assert start <= cut < size == len(data)
+            assert cut == start or data[cut - 1 : cut] == b"\n"
+            parts = [list(data_module._part_lines(path, *span)) for span in ((start, cut), (cut, size))]
+            assert parts[0] + parts[1] == body
+        assert len(cuts) >= 2
 
 
 class TestInjectMissing:
