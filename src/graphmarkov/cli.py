@@ -17,6 +17,12 @@ run's inputs from any working directory and checks them against the
 recorded digests. Seeds are explicit flags, so identical invocations give
 byte-identical checkpoints and histories.
 
+`train` also saves the series it parsed, with the digest of the CSV bytes
+it came from, as series.npz next to its checkpoint. `eval` reads that file
+instead of parsing the CSV again when the speed file is inherited from the
+manifest, matches its sha256_speed and the file records that same digest;
+otherwise it parses the CSV.
+
 Flags may also be supplied through `--config FILE` (key=value lines, `#`
 comments); explicit command-line flags win over config values.
 """
@@ -25,6 +31,7 @@ import argparse
 import hashlib
 import os
 import sys
+import zipfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,7 +39,14 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_params, save_params
-from .data import SplitSpec, _thread_count, ingest_csv, prepare_datasets, write_speed_csv
+from .data import (
+    SplitSpec,
+    StateSeries,
+    _thread_count,
+    ingest_csv,
+    prepare_datasets,
+    write_speed_csv,
+)
 from .evaluation import (
     evaluate,
     format_influence,
@@ -51,6 +65,8 @@ from .simulate import random_transition, simulate_gmp
 from .training import TrainConfig, train, write_history_csv
 
 MANIFEST_NAME = "manifest.txt"
+# The series a train run parsed, saved next to its checkpoint for eval.
+SERIES_NAME = "series.npz"
 
 
 def _positive_int(text: str) -> int:
@@ -307,14 +323,47 @@ def cmd_simulate(args) -> dict:
     }
 
 
-def _load_datasets(speed, graph, n: int, missing_rate: float, seed: int, split: SplitSpec):
-    """The speed file's windowed parts, once its sensors match the graph's."""
+def _ingest(speed, graph) -> StateSeries:
+    """The speed file's series, once its sensors match the graph's."""
     series = ingest_csv(speed)
     if series.size != graph.size:
         raise ValueError(
             f"speed file has {series.size} sensor columns but adjacency is {graph.size}x{graph.size}"
         )
-    return prepare_datasets(series, n=n, missing_rate=missing_rate, seed=seed, spec=split)
+    return series
+
+
+def _save_series(path: Path, series: StateSeries, sha256_speed: str) -> None:
+    """Write the series, with the sha256 of the speed CSV bytes it was parsed
+    from, as one uncompressed .npz file. It is written under a temporary name
+    in the same directory and then renamed over path, so an interrupted run
+    never leaves a partial file there."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            np.savez(fh, values=series.values, mask=series.mask, timestamps=series.timestamps,
+                     sha256_speed=np.array(sha256_speed))
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _saved_series(path: Path, sha256_speed: str, graph) -> StateSeries | None:
+    """The series `train` saved at path, if the file is there, reads whole,
+    records sha256_speed as its CSV's digest and holds the graph's sensors;
+    else None, and the caller parses the CSV."""
+    try:
+        # np.load would leave a file it opened itself open on a broken zip.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as saved:
+            if str(saved["sha256_speed"]) != sha256_speed:
+                return None
+            arrays = [saved[key] for key in ("values", "mask", "timestamps")]
+        for a in arrays:
+            a.setflags(write=False)  # so that StateSeries shares them instead of copying
+        series = StateSeries(*arrays)
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return series if series.size == graph.size else None
 
 
 def cmd_train(args) -> dict:
@@ -322,7 +371,13 @@ def cmd_train(args) -> dict:
     out = _ensure_out(args.out)
 
     graph = build_graph(read_adjacency_csv(args.adjacency))
-    bundle = _load_datasets(args.speed, graph, args.n, args.missing_rate, args.seed, args.split)
+    # Hashed before it is parsed, so the digest describes the bytes read.
+    sha256_speed = _sha256(args.speed)
+    series = _ingest(args.speed, graph)
+    _save_series(out / SERIES_NAME, series, sha256_speed)
+    bundle = prepare_datasets(series, n=args.n, missing_rate=args.missing_rate, seed=args.seed,
+                              spec=args.split)
+    del series  # only the windows are used from here on
     params = init_params(args.model, graph, args.n, args.gamma)
     trained, history = train(params, bundle.train, bundle.val, cfg, log=print)
 
@@ -346,7 +401,7 @@ def cmd_train(args) -> dict:
         "split": _format_split(args.split),
         "speed": _relative_to(args.speed, out),
         "adjacency": _relative_to(args.adjacency, out),
-        "sha256_speed": _sha256(args.speed),
+        "sha256_speed": sha256_speed,
         "sha256_adjacency": _sha256(args.adjacency),
         "out_checkpoint": checkpoint_path,
         "out_history": history_path,
@@ -393,7 +448,14 @@ def cmd_eval(args) -> dict:
     if args.n is not None and args.n != params.n:
         raise ValueError(f"--n {args.n} does not match the checkpoint's history depth {params.n}")
 
-    bundle = _load_datasets(speed, graph, params.n, missing_rate, seed, split)
+    # An inherited speed file has been checked against the manifest's sha256_speed.
+    saved = checkpoint_path.parent / SERIES_NAME
+    series = None if args.speed is not None else _saved_series(saved, inherited["sha256_speed"], graph)
+    print(f"speed series read from {speed if series is None else saved}")
+    if series is None:
+        series = _ingest(speed, graph)
+    bundle = prepare_datasets(series, n=params.n, missing_rate=missing_rate, seed=seed, spec=split)
+    del series  # only the windows are used from here on
 
     reports = {
         "model": evaluate(params, bundle.test, bundle.stats),

@@ -48,8 +48,9 @@ def _check_history(n: int) -> None:
 class _DampedHopSum:
     """The sum over lags i of gamma^(i+1) times hop i+1's map of the lag-i
     input. A kind supplies the coordinates its maps act in (`_coords`), one
-    hop's map (`_hop`), its slice of theta and gradient (`_hop_grad`), and
-    the checkpoint block of an identity hop map (`_identity_block`)."""
+    hop's map (`_hop`), its slice of theta and gradient (`_hop_grad`), the
+    entries of that slice a set of input sensors reaches (`_hop_active`),
+    and the checkpoint block of an identity hop map (`_identity_block`)."""
 
     @classmethod
     def warm_start(cls, graph: Graph, n: int, gamma: float):
@@ -81,6 +82,17 @@ class _DampedHopSum:
             entries, hop_grad = self._hop_grad(i, grad_out, c)
             np.multiply(self.gamma ** (i + 1), hop_grad, out=grad[entries])
         return sq, observed, grad
+
+    def active_entries(self, data: LastObservations) -> np.ndarray:
+        """The sorted theta indices whose gradient can be nonzero on rows of
+        data. Hop k's map takes input only from the sensors with a reading at
+        lag k-1 in some window, so every other entry's gradient is zero on
+        every batch of data's rows."""
+        active = np.zeros(self.theta.size, dtype=bool)
+        for i in range(self.n):
+            entries, reached = self._hop_active(i, (data.lag == i).any(axis=0))
+            active[entries] = reached
+        return np.flatnonzero(active)
 
     def _forward(self, data: LastObservations) -> tuple:
         """(lag, input coordinates) of each lag that holds a reading, and
@@ -182,6 +194,11 @@ class GmnParams(_DampedHopSum):
         entries, flat = self.masks.hop_entries[i]
         return entries, (grad_out.T @ z).reshape(-1)[flat]
 
+    def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
+        """Hop i+1's support entries in the columns of the given sensors."""
+        entries, flat = self.masks.hop_entries[i]
+        return entries, sensors[flat % self.size]
+
 
 @dataclass(frozen=True)
 class SgmnParams(_DampedHopSum):
@@ -257,6 +274,10 @@ class SgmnParams(_DampedHopSum):
     def _hop_grad(self, i: int, grad_out: np.ndarray, c: np.ndarray) -> tuple:
         """The map is diagonal in the eigenbasis: one batch sum per frequency."""
         return slice(i * self.size, (i + 1) * self.size), (grad_out * c).sum(axis=0)
+
+    def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
+        """Every frequency of hop i+1 mixes every sensor's input."""
+        return slice(i * self.size, (i + 1) * self.size), sensors.any()
 
 
 # Params classes by the kind name that checkpoints and the CLI use.

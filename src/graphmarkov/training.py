@@ -104,18 +104,21 @@ def write_history_csv(path, history: TrainHistory) -> None:
             fh.write(f"{rec.epoch},{_fmt(rec.train_loss)},{_fmt(rec.val_loss)},{_fmt(rec.lr)}\n")
 
 
-def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float):
-    """The step-th (from 1) bias-corrected Adam update of the first
-    len(grad) entries of the packed parameter vector; the rest are copied,
-    which is exact while their gradients and moments are zero. Updates the
-    moment estimates `first` and `second` in place and returns the new params.
+def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float,
+              active=slice(None)):
+    """The step-th (from 1) bias-corrected Adam update of the entries
+    `active` (an index into the packed parameter vector, all of it by
+    default), whose moment estimates `first` and `second` are updated in
+    place; the other entries are copied, which is exact while their
+    gradients are zero. Returns the new params.
 
     Raises:
-        ValueError: non-finite gradient entries; the moments are left as
-            they were.
+        ValueError: non-finite gradient entries, inside `active` or not;
+            the moments are left as they were.
     """
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient; aborting the update")
+    grad = grad[active]
 
     scale1 = 1.0 - ADAM_BETA1**step
     scale2 = 1.0 - ADAM_BETA2**step
@@ -132,11 +135,11 @@ def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, s
     np.divide(second, scale2, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS
-    theta = params.theta.copy()
-    update = np.divide(first, scale1, out=theta[: grad.size])
+    update = np.divide(first, scale1)
     update *= lr
     update /= scratch
-    np.subtract(params.theta[: grad.size], update, out=update)
+    theta = params.theta.copy()
+    theta[active] = np.subtract(params.theta[active], update, out=update)
     theta.setflags(write=False)
     return replace(params, theta=theta)
 
@@ -166,8 +169,8 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         FloatingPointError: non-finite training or validation loss.
     """
     rng = np.random.default_rng(config.seed)
-    first, second = np.zeros_like(params.theta), np.zeros_like(params.theta)
-    end = 0  # past theta[:end] no gradient entry has been nonzero (or NaN) yet
+    active = params.active_entries(train_data)
+    first, second = np.zeros(active.size), np.zeros(active.size)
     step = 0
     lr = config.lr_init
 
@@ -190,10 +193,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             epoch_sq += sq
             epoch_obs += observed
             step += 1
-            touched = np.flatnonzero(grad[end:])
-            if touched.size:
-                end += int(touched[-1]) + 1
-            params = adam_step(params, grad[:end], first[:end], second[:end], step, lr)
+            params = adam_step(params, grad, first, second, step, lr, active)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data)

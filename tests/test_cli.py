@@ -10,6 +10,7 @@ import pytest
 
 from graphmarkov import cli
 from graphmarkov.cli import main, read_manifest_records
+from graphmarkov.data import ingest_csv
 
 
 def run(argv):
@@ -250,6 +251,115 @@ class TestEvalInputPaths:
         err = capsys.readouterr().err
         assert "speed.csv" in err and "sha256" in err
 
+
+def resave(path, edit):
+    """Write the .npz file at path again with its arrays passed through edit."""
+    with np.load(path) as saved:
+        arrays = {key: saved[key] for key in saved.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **edit(arrays))
+
+
+# Ways a saved series can fail to match the run; eval then parses the CSV.
+STALE_SERIES = {
+    "deleted": lambda path: path.unlink(),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "empty": lambda path: path.write_bytes(b""),
+    "not an npz": lambda path: path.write_bytes(b"series\n"),
+    "another digest": lambda path: resave(path, lambda a: {**a, "sha256_speed": np.array("0" * 64)}),
+    "no digest": lambda path: resave(path, lambda a: {k: v for k, v in a.items() if k != "sha256_speed"}),
+    "wrong sensor count": lambda path: resave(
+        path, lambda a: {**a, "values": a["values"][:, 1:], "mask": a["mask"][:, 1:]}
+    ),
+}
+
+
+class TestSavedSeries:
+    """train saves the series it parsed, with its CSV's digest, as
+    series.npz next to the checkpoint. eval reads that file instead of the
+    speed CSV only when the CSV is inherited from the training manifest and
+    the file records the manifest's digest; the outputs are the same."""
+
+    OUTPUTS = ("metrics.csv", "residuals_hour.csv")
+
+    @pytest.fixture
+    def ingests(self, monkeypatch):
+        """The paths cli.ingest_csv is called with."""
+        calls = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda path: calls.append(path) or ingest_csv(path))
+        return calls
+
+    def trained(self, tmp_path):
+        simulate_small(tmp_path / "sim", steps=400)
+        return train_small(tmp_path / "sim", tmp_path / "run")
+
+    def evaluate(self, ckpt, out, *flags):
+        assert run(["eval", "--checkpoint", str(ckpt), "--residuals", "hour",
+                    "--out", str(out), *flags]) == 0
+        return [(out / name).read_bytes() for name in self.OUTPUTS]
+
+    def test_train_saves_the_series_it_parsed(self, tmp_path, ingests):
+        ckpt = self.trained(tmp_path)
+        series = ingest_csv(tmp_path / "sim" / "speed.csv")
+        record = read_manifest_records(tmp_path / "run" / "manifest.txt")[-1]
+        with np.load(ckpt.parent / "series.npz", allow_pickle=False) as saved:
+            assert str(saved["sha256_speed"]) == record["sha256_speed"]
+            for key in ("values", "mask", "timestamps"):
+                assert saved[key].dtype == getattr(series, key).dtype
+                np.testing.assert_array_equal(saved[key], getattr(series, key))
+        assert ingests == [str(tmp_path / "sim" / "speed.csv")]
+        assert sorted(p.name for p in ckpt.parent.iterdir()) == \
+            ["history.csv", "manifest.txt", "model.ckpt", "series.npz"]
+
+    def test_eval_reads_a_matching_file_instead_of_the_csv(self, tmp_path, ingests, capsys):
+        ckpt = self.trained(tmp_path)
+        speed = tmp_path / "sim" / "speed.csv"
+        ingests.clear()
+        capsys.readouterr()
+        cached = self.evaluate(ckpt, tmp_path / "cached")
+        assert ingests == []
+        assert f"speed series read from {ckpt.parent / 'series.npz'}" in capsys.readouterr().out
+        # An explicit --speed parses the CSV even when the file matches it.
+        assert self.evaluate(ckpt, tmp_path / "flag", "--speed", str(speed)) == cached
+        assert ingests == [str(speed)]
+        assert f"speed series read from {speed}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stale", list(STALE_SERIES))
+    def test_eval_parses_the_csv_without_a_matching_file(self, tmp_path, ingests, stale):
+        ckpt = self.trained(tmp_path)
+        cached = self.evaluate(ckpt, tmp_path / "cached")
+        STALE_SERIES[stale](ckpt.parent / "series.npz")
+        ingests.clear()
+        assert self.evaluate(ckpt, tmp_path / "parsed") == cached
+        assert len(ingests) == 1
+
+    def test_eval_writes_no_series_file(self, tmp_path):
+        ckpt = self.trained(tmp_path)
+        (ckpt.parent / "series.npz").unlink()
+        self.evaluate(ckpt, ckpt.parent)
+        self.evaluate(ckpt, tmp_path / "eval")
+        assert not (ckpt.parent / "series.npz").exists()
+        assert not (tmp_path / "eval" / "series.npz").exists()
+
+    def test_manifest_records_the_digest_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys):
+        """A speed file replaced while the model trains is recorded with the
+        digest of the file that was read, so eval refuses the new one."""
+        speed, _ = simulate_small(tmp_path / "sim", steps=400)
+        original = cli._sha256(speed)
+        simulate_small(tmp_path / "other", seed=9, steps=400)
+        real_train = cli.train
+
+        def train_while_replacing(*args, **kwargs):
+            speed.write_bytes((tmp_path / "other" / "speed.csv").read_bytes())
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", train_while_replacing)
+        ckpt = train_small(tmp_path / "sim", tmp_path / "run")
+        assert cli._sha256(speed) != original
+        assert read_manifest_records(tmp_path / "run" / "manifest.txt")[-1]["sha256_speed"] == original
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]) == 1
+        assert "does not match the training manifest" in capsys.readouterr().err
 
 class TestInfluence:
     def test_writes_ranked_csv(self, tmp_path, capsys):

@@ -398,7 +398,30 @@ class TestPresentLags:
         params = self.random_params(kind, seed=1)
         np.testing.assert_array_equal(params.predict(data), 0.0)
         np.testing.assert_array_equal(self.check_against_dense(params, data), 0.0)
+        assert params.active_entries(data).size == 0
 
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_active_entries_hold_every_nonzero_gradient(self, kind):
+        """gmn's active entries are hop k's support in the columns of the
+        sensors with a reading at lag k-1, sgmn's the whole hops of present
+        lags; every gradient entry outside them is zero, on the whole data
+        and on any of its rows."""
+        data = self.batch([[0, 1, 3, 0, 5, 1], [3, 0, 0, 5, 1, 0], [1, 1, 0, 3, 0, 5]])
+        params = self.random_params(kind)
+        active = params.active_entries(data)
+        if kind == "gmn":
+            seen = [(data.lag == i).any(axis=0) for i in range(5)]
+            reached = [params.masks.mask(k) & seen[k - 1] for k in range(1, 6)]
+            expected = np.flatnonzero(GmnParams.from_weights(reached, params.masks, 0.8).theta)
+            assert 0 < active.size < params.theta.size
+        else:
+            expected = np.concatenate([np.arange(i * 6, (i + 1) * 6) for i in (0, 1, 3)])
+        np.testing.assert_array_equal(active, expected)
+        idle = np.ones(params.theta.size, dtype=bool)
+        idle[active] = False
+        for rows in (slice(None), [0], [1], [2], [0, 2]):
+            assert not params.loss_and_grad(data[rows])[2][idle].any()
 
 class TestInitParams:
     def test_gmn_support_holds_at_init(self):

@@ -192,27 +192,40 @@ class TestAdamStep:
             w = params.weights[k - 1]
             np.testing.assert_array_equal(w * (1 - params.masks.mask(k)), 0.0)
 
-    def test_prefix_update_matches_full_update(self):
-        """While the gradient and both moments are zero past `end`, a call
-        on the first `end` entries gives the full call's theta and moments
-        and copies the rest of theta bit for bit, negative zeros included."""
+    def test_active_update_matches_full_update(self):
+        """While the gradient is zero outside `active`, a call on the active
+        entries with moments of that size gives the full call's theta and
+        moments, and copies the other entries bit for bit, negative zeros
+        included."""
         params, _ = self.make()
         rng = np.random.default_rng(5)
         theta = rng.standard_normal(params.theta.shape)
-        end = theta.size // 2
-        theta[end::3] = -0.0
+        active = np.flatnonzero(rng.random(theta.size) < 0.5)
+        idle = np.setdiff1d(np.arange(theta.size), active)
+        theta[idle[::3]] = -0.0
         params = replace(params, theta=theta)
-        full, prefix = self.fresh(params), self.fresh(params)
+        full = self.fresh(params)
+        moments = np.zeros(active.size), np.zeros(active.size)
         a = b = params
         for step in range(1, 6):
-            grad = rng.standard_normal(theta.shape)
-            grad[end:] = 0.0
+            grad = np.zeros(theta.shape)
+            grad[active] = rng.standard_normal(active.size)
             a = adam_step(a, grad, *full, step, lr=1e-2)
-            b = adam_step(b, grad[:end], prefix[0][:end], prefix[1][:end], step, lr=1e-2)
+            b = adam_step(b, grad, *moments, step, lr=1e-2, active=active)
         assert a.theta.tobytes() == b.theta.tobytes()
-        assert b.theta[end:].tobytes() == theta[end:].tobytes()
-        for x, y in zip(full, prefix):
-            assert x.tobytes() == y.tobytes()
+        assert b.theta[idle].tobytes() == theta[idle].tobytes()
+        for x, y in zip(full, moments):
+            assert x[active].tobytes() == y.tobytes()
+
+    def test_rejects_nonfinite_grads_outside_the_active_set(self):
+        params, grad = self.make()
+        active = np.arange(4)
+        first, second = np.zeros(active.size), np.zeros(active.size)
+        grad[-1] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient; aborting the update"):
+            adam_step(params, grad, first, second, 1, lr=1e-3, active=active)
+        np.testing.assert_array_equal(first, 0.0)
+        np.testing.assert_array_equal(second, 0.0)
 
     def test_rejects_nonfinite_grads(self):
         params, grad = self.make()

@@ -16,6 +16,11 @@ with 2 threads. The script prints that setting first.
                                                           (METR-shaped set)
     simulate --nodes 207 --steps 34272 --seed 7
 
+The train-shaped evals read the series their train run saved (series.npz).
+After the set, the script deletes gmn/series.npz and runs the gmn eval
+again into gmn-csv/, which parses the speed CSV; its metrics.csv and
+residuals_hour.csv must match the listed gmn/ digests too.
+
 The inputs come from perfbench/inputs.py and are cached under .seed7/ at
 the repository root, apart from the benchmark's own cache, whose eviction
 would otherwise drop them. A run takes about 20 s on two cores, input
@@ -67,6 +72,8 @@ OUTPUTS = [
     for model in ("gmn", "sgmn")
     for name in ("model.ckpt", "history.csv", "metrics.csv", "residuals_hour.csv", "influence.csv")
 ] + ["metr/metrics.csv", "metr/residuals_hour.csv", "simulate/speed.csv", "simulate/adjacency.csv"]
+# The gmn eval outputs that the run which parses the speed CSV must repeat.
+CSV_OUTPUTS = ("metrics.csv", "residuals_hour.csv")
 
 
 def sha256(path: Path) -> str:
@@ -94,10 +101,17 @@ def main() -> int:
     # The setting under which seed7_digests.txt was recorded.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "GRAPHMARKOV_THREADS": "2"}
     print(f"GRAPHMARKOV_THREADS={env['GRAPHMARKOV_THREADS']}", flush=True)
-    for argv in commands(train, metr, runs):
+
+    def graphmarkov(argv):
         print("graphmarkov", " ".join(argv), flush=True)
         subprocess.run([sys.executable, "-m", "graphmarkov", *argv], env=env, check=True,
                        stdout=subprocess.DEVNULL)
+
+    for argv in commands(train, metr, runs):
+        graphmarkov(argv)
+    (runs / "gmn" / "series.npz").unlink()
+    graphmarkov(["eval", "--checkpoint", str(runs / "gmn" / "model.ckpt"), "--residuals", "hour",
+                 "--out", str(runs / "gmn-csv")])
 
     expected = read_digests()
     actual = {name: sha256(runs / name) for name in OUTPUTS}
@@ -105,7 +119,10 @@ def main() -> int:
     for name in wrong:
         print(f"{actual[name]}  {name}")
     print(f"{len(OUTPUTS) - len(wrong)} of {len(OUTPUTS)} digests match")
-    return 1 if wrong else 0
+    parsed = [name for name in CSV_OUTPUTS if sha256(runs / "gmn-csv" / name) != expected[f"gmn/{name}"]]
+    for name in parsed:
+        print(f"gmn-csv/{name} differs from the listed gmn/{name}")
+    return 1 if wrong or parsed else 0
 
 
 if __name__ == "__main__":
