@@ -37,7 +37,7 @@ def save_params(path, params) -> None:
     for k, block in enumerate(params.blocks, start=1):
         lines.append(f"[{params.block_label} {k}]")
         for row in block:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(_fmt, row.tolist())))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -307,7 +307,7 @@ def cmd_simulate(args) -> dict:
     adjacency_path = out / "adjacency.csv"
     speed_path = out / "speed.csv"
     write_adjacency_csv(adjacency_path, graph.adjacency)
-    write_speed_csv(speed_path, series)
+    write_speed_csv(speed_path, series, decimals=4)
     print(f"wrote {speed_path} ({series.steps} steps x {series.size} sensors) and {adjacency_path}")
 
     return {

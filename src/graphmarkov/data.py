@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
-from operator import itemgetter, mul
+from operator import index, itemgetter, mul
 
 import numpy as np
 
@@ -159,8 +159,10 @@ def ingest_csv(path) -> StateSeries:
 
 # Rows per block of the speed CSV reader and writer: large enough that the
 # per-block overhead vanishes, small enough that a block's cells as Python
-# strings (about 25 MB at 207 sensors) stay well below the series itself.
-_CSV_BLOCK_ROWS = 2048
+# strings (about 6 MB at 207 sensors), or its scratch arrays in the rounding
+# writer (_rounded_text, about 1 MB each), stay well below the series itself.
+# At 2,048 rows the rounding writer raised simulate's peak RSS by 13 MB.
+_CSV_BLOCK_ROWS = 512
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
 
@@ -472,52 +474,42 @@ def _floats(cells) -> np.ndarray:
     return np.fromiter(map(float, map(_EMPTY_AS_ZERO.get, cells, cells)), np.float64, len(cells))
 
 
-def write_speed_csv(path, series: StateSeries, sensor_ids: list[str] | None = None) -> None:
+def write_speed_csv(
+    path, series: StateSeries, sensor_ids: list[str] | None = None, decimals: int | None = None
+) -> None:
     """Write a StateSeries as a speed CSV with a header row and an ISO-8601
     timestamp column; missing entries become empty cells. Values are written
     as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows.
 
-    A series of at least _SPLIT_CELLS cells and more than one block is
-    formatted by 2 processes when 2 threads are allowed (_thread_count):
-    this one formats the even blocks and a child process the odd ones, and
-    this one writes every block in row order (_write_split). A child that
-    cannot start or fails makes this process write the whole body itself,
-    so a file that cannot seek back, such as a pipe, is written here alone.
-    The bytes do not depend on the number of processes. Each block's rows
-    become Python floats one row at a time, which keeps a block's memory
-    to about its text.
+    Without decimals each value is written as it is (_block_text). With
+    decimals, an int from 0 to 15, each value is first rounded as a sensor
+    export is (_rounded_text): to np.round(v, decimals), but a nonzero value
+    that would round to zero becomes +-10**-decimals, so that no reading
+    reads back as missing, and a value of magnitude 2**52 or more stays as
+    it is, so that scaling it cannot overflow. The bytes are still each
+    rounded value's repr: numpy builds them where that is exact (for
+    decimals=4, |v| < 1e9; the argument is _rounded_text's), and
+    _block_text writes any block with a value outside that range.
 
     Raises:
-        ValueError: sensor_ids of another length than the series' sensors;
-            nothing is written and no process is started.
+        ValueError: sensor_ids of another length than the series' sensors,
+            or decimals outside 0..15; nothing is written.
+        TypeError: decimals that is no integer.
     """
     if sensor_ids is None:
         sensor_ids = [f"sensor_{s}" for s in range(series.size)]
     if len(sensor_ids) != series.size:
         raise ValueError(f"{len(sensor_ids)} sensor IDs given for {series.size} sensors")
-    split = (
-        series.steps > _CSV_BLOCK_ROWS
-        and series.values.size >= _SPLIT_CELLS
-        and _thread_count() >= 2
-    )
+    if decimals is not None and index(decimals) not in range(16):
+        raise ValueError(f"decimals must be an int from 0 to 15, got {decimals!r}")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
         fh.flush()  # the rows go to the file's bytes
         out = fh.buffer
-        # A file that cannot seek, such as a pipe, could not be cut back to
-        # the rows' start if the child failed.
-        if split and out.seekable() and _write_split(out, series):
-            return
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
-            out.write(_block_text(*_block(series, lo)))
-
-
-# A series with this many cells is written by 2 processes. A child's
-# start-up takes about 0.2 s, mostly importing numpy, and this process waits
-# for it. On 2 cores with 207-sensor rows, 2 processes broke even with one
-# near 700,000 cells (3,400 rows) and were about 28% faster at 848,000.
-_SPLIT_CELLS = 800_000
-_COPY_BYTES = 1 << 20  # a child's text is copied to the file this much at a time
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            block = series.timestamps[rows], series.values[rows], series.mask[rows]
+            out.write(_block_text(*block) if decimals is None else _rounded_text(*block, decimals))
 
 
 def _thread_count() -> int:
@@ -530,12 +522,6 @@ def _thread_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _block(series, lo) -> tuple:
-    """Timestamps, values and mask of the block of rows that starts at row lo."""
-    rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-    return series.timestamps[rows], series.values[rows], series.mask[rows]
 
 
 def _block_text(stamps, values, mask) -> bytearray:
@@ -551,50 +537,87 @@ def _block_text(stamps, values, mask) -> bytearray:
     return text
 
 
-def _write_split(out, series) -> bool:
-    """Write the series' rows to out, a binary file, this process formatting
-    the even blocks and a child process (_writer_main) the odd ones. Each
-    odd block is sent to the child before the even block ahead of it is
-    formatted here, and its text is read back after that block is written,
-    so the two processes alternate strictly. True when every row is written;
-    False, with out back at where the rows start, when the child cannot
-    start or stops early. An error of this process is raised. No child
-    outlives the call."""
-    start = out.tell()
-    try:
-        child = _start_child(_writer_main, series.size)
-    except OSError:
-        return False
-    try:
-        for lo in range(0, series.steps, 2 * _CSV_BLOCK_ROWS):
-            odd = lo + _CSV_BLOCK_ROWS
-            if odd < series.steps and not _send_block(child.stdin, _block(series, odd)):
-                return _rewind(out, start)
-            text = _block_text(*_block(series, lo))
-            out.write(text)
-            del text  # freed before the child's text is read
-            if odd < series.steps and not _copy_text(child.stdout, out):
-                return _rewind(out, start)
-        child.stdin.close()
-        child.wait()
-        return True
-    finally:
-        _stop(child)
+# A value of this magnitude or more is written unrounded: scaled by
+# 10**decimals it could overflow.
+_UNROUNDED = 2.0**52
+# numpy formats a block whose scaled values all lie below this (_rounded_text).
+_EXACT_SCALED = 1e13
+# Epoch seconds of 1000-01-01 and 10000-01-01 UTC: between them strftime's
+# %Y and numpy both write a year as 4 digits.
+_STAMP_RANGE = (-30610224000.0, 253402300800.0)
 
 
-def _rewind(out, start) -> bool:
-    """Cut out back to start; False, for _write_split's caller to write the rows itself."""
-    out.seek(start)
-    out.truncate()
-    return False
+def _rounded_text(stamps, values, mask, decimals):
+    """The CSV lines of a block of rows as _block_text writes them once each
+    value v is rounded (write_speed_csv), built by numpy.
+
+    Each rounded value r is the double nearest n / 10**decimals, where the
+    integer n is rint(v * 10**decimals), or +-1 for a floored v. While |n|
+    stays below 10**13, n and 10**decimals are exact doubles, so the decimal
+    n / 10**decimals, written with its integer digits (divmod), its fraction
+    digits up to the last nonzero one (at least one) and the sign of n,
+    rounds to r. r's spacing is then below 10**-(decimals + 2), while every
+    other decimal with as few digits lies at least 10**-decimals from that
+    one, so none of them rounds to r: the decimal is repr(r), the shortest
+    round trip, which repr writes without an exponent for 1e-4 <= |r| <
+    1e16. For decimals=4 that holds for |v| < 1e9. A block with a value
+    outside that range, or with a timestamp that is no whole second between
+    the years 1000 and 9999, goes through _block_text instead. Empty cells
+    are cut out with a keep-mask.
+    """
+    scale = 10**decimals
+    rounds = np.abs(values) < _UNROUNDED
+    scaled = np.where(rounds, values, np.inf)
+    scaled *= scale
+    np.rint(scaled, out=scaled)
+    np.copyto(scaled, np.copysign(1.0, values), where=(scaled == 0.0) & (values != 0.0))
+    size = np.abs(scaled)
+    lo, hi = _STAMP_RANGE
+    if (
+        np.max(size, initial=0.0) >= _EXACT_SCALED
+        or ((size > 0.0) & (size < 10.0 ** (decimals - 4))).any()
+        or not ((stamps >= lo) & (stamps < hi) & (stamps == np.floor(stamps))).all()
+    ):
+        return _block_text(stamps, np.where(rounds, scaled / scale, values), mask)
+    ints, fracs = np.divmod(size.astype(np.int64), scale)
+    int_digits = len(str(np.max(ints, initial=0)))
+    frac_digits = max(decimals, 1)
+    width = int_digits + frac_digits + 3  # comma, sign and point
+    rows, sensors = values.shape
+    line = np.empty((rows, 19 + sensors * width + 2), np.uint8)
+    keep = np.ones(line.shape, np.bool_)
+    stamp_text = np.datetime_as_string(stamps.astype(np.int64).astype("datetime64[s]"))
+    line[:, :19] = stamp_text.astype("S19").view(np.uint8).reshape(rows, 19)
+    line[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    # Views of the cells of each row, so that writing them fills line and keep.
+    cells = line[:, 19:-2].reshape(rows, sensors, width)
+    kept = keep[:, 19:-2].reshape(rows, sensors, width)
+    cells[:, :, 0] = ord(",")
+    cells[:, :, 1] = ord("-")
+    kept[:, :, 1] = mask & np.signbit(scaled)
+    for j in range(int_digits):
+        power = 10 ** (int_digits - 1 - j)
+        cells[:, :, 2 + j] = ints // power % 10 + ord("0")
+        # A leading zero is dropped, but not the units digit.
+        kept[:, :, 2 + j] = mask & (ints >= power) if power > 1 else mask
+    cells[:, :, 2 + int_digits] = ord(".")
+    kept[:, :, 2 + int_digits] = mask
+    for j in range(frac_digits):
+        power = 10 ** (frac_digits - 1 - j)
+        column = 3 + int_digits + j
+        cells[:, :, column] = fracs // power % 10 + ord("0")
+        # A trailing zero is dropped, but not the first fraction digit.
+        kept[:, :, column] = mask & (fracs % (10 * power) != 0) if j else mask
+    return line[keep]
 
 
 def _start_child(main, *args):
     """A child process (subprocess.Popen) that runs main, a function of
-    this module, on args as strings, with pipes for its stdin and stdout.
-    It imports only this package, on this process's sys.path, so a caller's
-    __main__ is never run again; its BLAS pool has one thread."""
-    import subprocess  # only a split read or write needs it; the module's importers never load it
+    this module, on args as strings, with pipes for its stdin and stdout:
+    the reader's second part (_part_main). It imports only this package, on
+    this process's sys.path, so a caller's __main__ is never run again; its
+    BLAS pool has one thread."""
+    import subprocess  # only a split read needs it; the module's importers never load it
 
     from . import _BLAS_THREAD_VARS
 
@@ -620,54 +643,6 @@ def _stop(child) -> None:
         child.stdin.close()
     except BrokenPipeError:  # the data a dead child never read
         pass
-
-
-def _send_block(pipe, block) -> bool:
-    """Write a block to a writer child: its row count as int64, then its
-    timestamps, values and mask as raw bytes, sent from the series' own
-    memory. False when the child has closed its input."""
-    try:
-        pipe.write(len(block[0]).to_bytes(8, "little"))
-        for a in block:
-            pipe.write(memoryview(np.ascontiguousarray(a)).cast("B"))
-        pipe.flush()
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _copy_text(pipe, out) -> bool:
-    """Copy a writer child's next block of text from pipe to the end of out,
-    _COPY_BYTES at a time. False when the child's output ends early."""
-    head = pipe.read(8)
-    if len(head) != 8:
-        return False
-    left = int.from_bytes(head, "little")
-    while left:
-        piece = pipe.read(min(left, _COPY_BYTES))
-        if not piece:
-            return False
-        out.write(piece)
-        left -= len(piece)
-    return True
-
-
-def _writer_main(size) -> None:
-    """A writer child's loop over the blocks on stdin (_send_block): each
-    block's text (_block_text) goes to stdout, its byte length as int64
-    first. Ends at the end of stdin."""
-    size = int(size)
-    pipe_in, pipe_out = sys.stdin.buffer, sys.stdout.buffer
-    while len(head := pipe_in.read(8)) == 8:
-        rows = int.from_bytes(head, "little")
-        block = (np.empty(rows), np.empty((rows, size)), np.empty((rows, size), np.bool_))
-        for a in block:
-            if pipe_in.readinto(memoryview(a).cast("B")) != a.nbytes:
-                return
-        text = _block_text(*block)
-        pipe_out.write(len(text).to_bytes(8, "little"))
-        pipe_out.write(text)
-        pipe_out.flush()
 
 
 def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:

@@ -57,6 +57,22 @@ class TestSimulate:
         assert a1.read_bytes() == a2.read_bytes()
         assert s1.read_bytes() != s3.read_bytes()
 
+    def test_file_reads_back_as_rounded_rollout(self, tmp_path):
+        """Readings are written to 4 decimals, but none becomes a missing
+        cell: the file's missing cells are the rollout's zeros, every value
+        lies within 5e-5 of the rollout, and a reading below that, floored
+        to 1e-4, within 1e-4."""
+        speed, _ = simulate_small(tmp_path / "sim", steps=600)
+        graph = cli.random_network(6, 3)
+        spec = cli.random_transition(graph, 3, gamma=0.9, noise_std=0.01)
+        rollout = cli.simulate_gmp(graph, spec, steps=600, seed=4).values
+        back = ingest_csv(speed)
+        np.testing.assert_array_equal(back.mask, rollout != 0.0)
+        floored = (rollout > 0.0) & (rollout < 5e-5)
+        assert floored.any()
+        np.testing.assert_array_equal(back.values[floored], 1e-4)
+        assert np.abs(back.values - rollout)[~floored].max() <= 5e-5
+
     def test_rejects_out_of_range_gamma(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["simulate", "--gamma", "1.5", "--out", str(tmp_path)])

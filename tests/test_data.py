@@ -1,6 +1,7 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+import math
 import os
 import signal
 import subprocess
@@ -208,6 +209,13 @@ class TestIngestCsv:
             write_speed_csv(path, series, sensor_ids=ids)
         assert not path.exists()
 
+    @pytest.mark.parametrize("decimals, error", [(-1, ValueError), (16, ValueError), (4.0, TypeError)])
+    def test_writer_rejects_decimals(self, tmp_path, decimals, error):
+        path = tmp_path / "speed.csv"
+        with pytest.raises(error):
+            write_speed_csv(path, make_series(np.ones((3, 4))), decimals=decimals)
+        assert not path.exists()
+
     @pytest.mark.parametrize("corner", ["", " "], ids=["empty", "space"])
     def test_pandas_export_header(self, tmp_path, corner):
         """DataFrame.to_csv() heads its index column with an empty cell, and
@@ -293,6 +301,28 @@ def block_rows(request, monkeypatch):
     return data_module._CSV_BLOCK_ROWS
 
 
+def tiled_series(cells, steps, missing):
+    """steps rows of the cells repeated in row-major order, a seeded share
+    of them missing."""
+    values = np.resize(np.array(cells), (steps, len(cells)))
+    mask = (np.random.default_rng(37).random(values.shape) >= missing).astype(float)
+    return StateSeries(values=values * mask, mask=mask, timestamps=synthesize_timestamps(steps))
+
+
+def rounded_readings(values, decimals):
+    """Each value as np.round rounds it, but a nonzero value that would
+    round to zero as +-10**-decimals, and one of magnitude 2**52 or more
+    unchanged, computed one Python float at a time."""
+    out = []
+    for v in values.ravel().tolist():
+        if abs(v) >= 2.0**52:
+            out.append(v)
+            continue
+        r = float(np.round(v, decimals))
+        out.append(math.copysign(10.0**-decimals, v) if r == 0.0 and v != 0.0 else r)
+    return np.array(out).reshape(values.shape)
+
+
 def record_children(monkeypatch):
     """The child processes the module starts from now on, in order, with 2
     threads allowed."""
@@ -309,25 +339,15 @@ def record_children(monkeypatch):
 
 
 @pytest.fixture
-def split_writes(monkeypatch):
-    """The writer made to split any series of more than one block on 2
-    threads, and to fail where a child's failure would make this process
-    write the rows itself; the child processes it starts, in order."""
-
-    def no_rewind(fh, start):
-        raise AssertionError("the child failed and the rows were written again here")
-
-    monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
-    monkeypatch.setattr(data_module, "_rewind", no_rewind)
-    return record_children(monkeypatch)
-
-
-@pytest.fixture
 def split_reads(monkeypatch):
     """The reader made to read any file in 2 parts on 2 threads; the child
     processes it starts, in order."""
     monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
     return record_children(monkeypatch)
+
+
+def no_block_text(*block):
+    raise AssertionError("a block was formatted by _block_text")
 
 
 def no_exact_reader(path):
@@ -500,20 +520,40 @@ class TestCsvAgainstReference:
     @pytest.mark.parametrize(
         "missing", [0.0, 0.3, 1.0], ids=["observed", "some-missing", "all-missing"]
     )
-    def test_writes_as_reference(self, tmp_path, block_rows, split_writes, cells, missing):
-        """Three blocks: this process writes two and a child one."""
-        steps = 2 * block_rows + 1
-        rng = np.random.default_rng(37)
-        values = np.resize(np.array(cells), (steps, len(cells)))
-        mask = (rng.random(values.shape) >= missing).astype(float)
-        series = StateSeries(
-            values=values * mask, mask=mask, timestamps=synthesize_timestamps(steps)
-        )
+    def test_writes_as_reference(self, tmp_path, block_rows, cells, missing):
+        """Three blocks."""
+        series = tiled_series(cells, 2 * block_rows + 1, missing)
         write_speed_csv(tmp_path / "got.csv", series)
         write_speed_csv_reference(tmp_path / "ref.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        # The child ran to the end of its input and was reaped.
-        assert [child.returncode for child in split_writes] == [0]
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [1e-05, 5e-324, -0.0, -3e-05, 123456.78915, 1e300],
+            [1e-05, 5e-324, -0.0, -3e-05, 123456.78915, 0.99995, 1 / 3, 64.375],
+            [64.375, -1.5e10 - 1 / 3, 2.0**51 + 0.5],
+        ],
+        ids=["with-huge", "below-1e9", "above-1e9"],
+    )
+    @pytest.mark.parametrize(
+        "missing", [0.0, 0.3, 1.0], ids=["observed", "some-missing", "all-missing"]
+    )
+    def test_writes_rounded_as_reference(self, tmp_path, monkeypatch, block_rows, cells, missing):
+        """With decimals=4 the file is the reference's for the rounded
+        series. numpy formats every block below 1e9; a block holding a
+        value above goes through _block_text."""
+        if max(map(abs, cells)) < 1e9:
+            monkeypatch.setattr(data_module, "_block_text", no_block_text)
+        series = tiled_series(cells, 2 * block_rows + 1, missing)
+        write_speed_csv(tmp_path / "got.csv", series, decimals=4)
+        rounded = StateSeries(
+            values=rounded_readings(series.values, 4),
+            mask=series.mask,
+            timestamps=series.timestamps,
+        )
+        write_speed_csv_reference(tmp_path / "ref.csv", rounded)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "faults, message",
@@ -551,8 +591,8 @@ class TestCsvAgainstReference:
             ingest_csv(path)
         assert str(err.value) == message.format(path=path, row=block_rows)
 
-    def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows, split_writes):
-        """Five rows: one block (no child), two blocks at 3 rows, three at 2."""
+    def test_writes_custom_sensor_ids_as_reference(self, tmp_path, block_rows):
+        """Five rows: one block, two blocks at 3 rows, three at 2."""
         ids = ["a,b", 'say "hi"', "plain", "line\nbreak"]
         mask = np.array([[1.0, 0.0, 1.0, 1.0]] * 5)
         series = StateSeries(
@@ -563,85 +603,11 @@ class TestCsvAgainstReference:
         write_speed_csv(tmp_path / "got.csv", series, sensor_ids=ids)
         write_speed_csv_reference(tmp_path / "ref.csv", series, sensor_ids=ids)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        blocks = -(-series.steps // block_rows)
-        assert [child.returncode for child in split_writes] == [0] * (blocks > 1)
-
-
-class TestSplitWriter:
-    """The child process of a split write: never left running, and a child
-    that fails or cannot start makes this process write the whole file."""
-
-    @pytest.fixture
-    def series(self, monkeypatch):
-        """Three blocks of 2 rows but the last, some entries missing."""
-        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", 2)
-        mask = np.random.default_rng(41).random((5, 3)) >= 0.3
-        return StateSeries(
-            values=np.arange(1.0, 16.0).reshape(5, 3) / 7 * mask,
-            mask=mask,
-            timestamps=synthesize_timestamps(5),
-        )
-
-    def assert_writes_as_reference(self, tmp_path, series):
-        write_speed_csv(tmp_path / "got.csv", series)
-        write_speed_csv_reference(tmp_path / "ref.csv", series)
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
-    @pytest.mark.parametrize(
-        "code",
-        [
-            "",
-            "import sys; sys.stdout.buffer.write((999).to_bytes(8, 'little') + b'2024-')",
-        ],
-        ids=["exits-at-once", "stops-mid-text"],
-    )
-    def test_failed_child_leaves_the_write_to_this_process(
-        self, tmp_path, monkeypatch, series, code
-    ):
-        children = []
-
-        def failing_start(main, *args):
-            children.append(
-                subprocess.Popen(
-                    [sys.executable, "-c", code],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                )
-            )
-            return children[-1]
-
-        monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
-        monkeypatch.setattr(data_module, "_start_child", failing_start)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
-        self.assert_writes_as_reference(tmp_path, series)
-        assert len(children) == 1 and children[0].returncode is not None
-
-    def test_child_that_cannot_start_leaves_the_write_to_this_process(
-        self, tmp_path, monkeypatch, series
-    ):
-        monkeypatch.setattr(data_module, "_SPLIT_CELLS", 0)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
-        monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
-        self.assert_writes_as_reference(tmp_path, series)
-
-    def test_failure_here_kills_and_reaps_the_child(self, tmp_path, monkeypatch, series, split_writes):
-        def failing_text(*block):
-            raise RuntimeError("disk gone")
-
-        monkeypatch.setattr(data_module, "_block_text", failing_text)
-        with pytest.raises(RuntimeError, match="disk gone"):
-            write_speed_csv(tmp_path / "got.csv", series)
-        assert [child.returncode for child in split_writes] == [-signal.SIGKILL]
-
-    def test_one_thread_starts_no_child(self, tmp_path, monkeypatch, series, split_writes):
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "1")
-        self.assert_writes_as_reference(tmp_path, series)
-        assert split_writes == []
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    def test_file_that_cannot_seek_starts_no_child(self, tmp_path, series, split_writes):
-        """A pipe could not be cut back if a child failed, so no child starts."""
+    def test_writes_to_a_pipe_as_reference(self, tmp_path):
+        """A file that cannot seek is written like any other."""
+        series = tiled_series([1 / 7, 2.5, 1e-05], 5, 0.3)
         read_end, write_end = os.pipe()
         with os.fdopen(read_end, "rb") as pipe:
             try:
@@ -651,13 +617,6 @@ class TestSplitWriter:
             got = pipe.read()
         write_speed_csv_reference(tmp_path / "ref.csv", series)
         assert got == (tmp_path / "ref.csv").read_bytes()
-        assert split_writes == []
-
-    def test_sensor_id_count_is_checked_before_a_child_starts(self, tmp_path, series, split_writes):
-        path = tmp_path / "speed.csv"
-        with pytest.raises(ValueError, match="2 sensor IDs given for 3 sensors"):
-            write_speed_csv(path, series, sensor_ids=["a", "b"])
-        assert not path.exists() and split_writes == []
 
 
 class TestFastCsvPath:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphmarkov import simulate as simulate_module
 from graphmarkov.graph import build_graph
 from graphmarkov.simulate import TransitionSpec, random_transition, simulate_gmp
 
@@ -12,6 +13,18 @@ def ring_graph(size):
     for i in range(size):
         a[i, (i + 1) % size] = a[(i + 1) % size, i] = 1.0
     return build_graph(a)
+
+
+def per_step_rollout(spec, steps, seed):
+    """The rollout one step and one noise draw at a time."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros((steps, spec.size))
+    values[0] = spec.initial_state
+    for t in range(steps - 1):
+        drift = spec.gamma * (spec.matrix @ values[t])
+        noise = rng.normal(0.0, spec.noise_std, size=spec.size) if spec.noise_std > 0 else 0.0
+        values[t + 1] = np.clip(drift + noise, 0.0, 1.0)
+    return values
 
 
 class TestTransitionSpec:
@@ -166,6 +179,17 @@ class TestSimulateGmp:
         changed = np.flatnonzero(np.abs(step_bumped - step_base) > 1e-15)
         neighborhood = np.flatnonzero(g.self_adjacency[:, 0])
         assert set(changed) <= set(neighborhood)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-less-1", "block", "block-plus-1"])
+    def test_equals_per_step_rollout(self, noise, offset):
+        """Noise drawn a block of steps at a time, for one step fewer than a
+        block, a block and one step more, gives the per-step bytes."""
+        g = ring_graph(6)
+        spec = random_transition(g, seed=11, noise_std=noise)
+        steps = simulate_module._NOISE_BLOCK_STEPS + 1 + offset
+        got = simulate_gmp(g, spec, steps=steps, seed=12).values
+        assert got.tobytes() == per_step_rollout(spec, steps, seed=12).tobytes()
 
     def test_seed_determinism(self):
         g = ring_graph(5)

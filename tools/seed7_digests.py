@@ -16,6 +16,10 @@ with 2 threads. The script prints that setting first.
                                                           (METR-shaped set)
     simulate --nodes 207 --steps 34272 --seed 7
 
+The simulate speed.csv is listed as written with its readings rounded to
+4 decimals (`write_speed_csv(..., decimals=4)`), a nonzero reading that
+would round to zero as 0.0001, not as the 17-digit repr of each double.
+
 The train-shaped evals read the series their train run saved (series.npz).
 After the set, the script deletes gmn/series.npz and runs the gmn eval
 again into gmn-csv/, which parses the speed CSV; its metrics.csv and
