@@ -307,7 +307,7 @@ def cmd_simulate(args) -> dict:
     adjacency_path = out / "adjacency.csv"
     speed_path = out / "speed.csv"
     write_adjacency_csv(adjacency_path, graph.adjacency)
-    write_speed_csv(speed_path, series, decimals=4)
+    sha256_speed = write_speed_csv(speed_path, series, decimals=4)
     print(f"wrote {speed_path} ({series.steps} steps x {series.size} sensors) and {adjacency_path}")
 
     return {
@@ -318,7 +318,7 @@ def cmd_simulate(args) -> dict:
         "seed": args.seed,
         "out_speed": speed_path,
         "out_adjacency": adjacency_path,
-        "sha256_speed": _sha256(speed_path),
+        "sha256_speed": sha256_speed,
         "sha256_adjacency": _sha256(adjacency_path),
     }
 

@@ -8,15 +8,16 @@ always holds. Operations never mutate a series; they return new ones.
 
 import codecs
 import csv
+import hashlib
+import io
 import os
-import stat
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
 from operator import index, itemgetter, mul
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_STEP_SECONDS = 300.0
 
@@ -127,17 +128,11 @@ def ingest_csv(path) -> StateSeries:
     are synthesized at 5-minute spacing from epoch 0. A UTF-8 byte-order mark
     is stripped.
 
-    The file is read by numpy's C reader where it can be (_read_fast): the
-    csv module reads the header and the first two data rows, which _sniff
-    types, and np.loadtxt parses those data rows and every later line. A
-    file of at least _SPLIT_BYTES is read in 2 parts when 2 threads are
-    allowed (_thread_count): this process parses the lines up to a cut at a
-    line start, and a child process the lines after it. A file that numpy
-    could read otherwise than the csv module and float() do, such as one
-    with a quote past the head, and any faulty file, is read again whole in
-    this process by the exact reader (_read_whole) in blocks of
-    _CSV_BLOCK_ROWS rows, which raises the error below. Either way memory
-    is set by the series and not by the text of the file.
+    The csv module reads the header and the first two data rows, and numpy
+    parses the rest in pieces on _thread_count() threads into the values
+    float() gives (_read_fast). A file with a quote past the head, and any
+    faulty file, is read again by the exact reader (_read_whole), which
+    raises the error below. Memory is set by the series, not by the text.
 
     Raises:
         ValueError: ragged rows, unparseable or non-finite values, or
@@ -166,19 +161,17 @@ _CSV_BLOCK_ROWS = 512
 _EMPTY_AS_ZERO = {"": "0"}
 _after_first = itemgetter(slice(1, None))
 
-# A speed file this large is read in 2 parts. A child's start-up takes about
-# 0.25 s, mostly importing numpy. On 2 cores, over prefixes of the 121 MB
-# METR-shaped file and 7 alternating reads each, 2 parts took 0.33 s against
-# 0.25 s in one at 8 MiB, broke even near 16-20 MiB, and were faster in 4
-# and 6 of 7 reads at 24 MiB, 7 of 7 at 28 MiB and 7 of 7 at 32 MiB (0.60
-# against 0.79 s).
-_SPLIT_BYTES = 24 << 20
-# This process's share of the bytes after the head. The child starts to
-# parse later, so this process takes a little more. Medians of 7
-# alternating reads of the METR-shaped file on 2 cores: 2.05 s at 0.45,
-# 2.09 and 2.19 s at 0.5, 2.10 and 2.17 s at 0.55, 2.28 s at 0.6.
-_CALLER_SHARE = 0.55
-_PART_READ_BYTES = 1 << 20  # bytes of a part decoded at a time
+# Bytes of a speed file read at a time by _read_fast, and parsed by one thread.
+_PIECE_BYTES = 1 << 20
+# The longest value cell _decimals parses, so at most 27 digits after the
+# point; of its digits, the last 19 spell an integer below 10**19 < 2**64.
+_DECIMAL_BYTES = 28
+# 10**f for f < _DECIMAL_BYTES, by products exact up to 10**22 as doubles
+# (5**22 < 2**53; _decimals uses no larger one) and as long doubles (5**27 < 2**64).
+_POW10_DOUBLE = np.cumprod([1.0] + [10.0] * (_DECIMAL_BYTES - 1))
+_POW10_LONG = np.cumprod(np.array([1] + [10] * (_DECIMAL_BYTES - 1), dtype=np.longdouble))
+# Whether a long double holds every integer below 2**64 (x86's 80-bit one).
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
 def _sniff(path, rows):
@@ -238,171 +231,206 @@ def _read_whole(path) -> tuple:
 
 
 def _read_fast(path) -> tuple | None:
-    """Values and timestamps (None without a time column) of the file, read
-    by np.loadtxt after _sniff: the head's data rows joined back into lines,
-    then every later non-blank line, those up to the cut (_cuts) here and
-    those after it in a child process (_part_main). None when the file is
-    faulty or may read otherwise than in _read_whole: a line holds a quote,
-    a line break or more characters than the csv field limit, numpy rejects
-    a line (as it does a cell that is a form feed alone), skips one or
-    reads a non-finite value, a timestamp does not parse, or the child
-    cannot start or fails. No child outlives the call."""
-    child = None
+    """Values and timestamps (None without a time column) of the file: the
+    csv module reads the head (_head_lines, _sniff, _read_block), _read_body
+    the rest. None if the file is faulty or _read_whole may read otherwise."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            # The lines the head rows come from; the rest of the file starts
-            # where their bytes end.
-            seen = []
-            lines = (seen.append(line) or line for line in fh)
-            first, width, rows = _sniff(path, filter(None, _csv_rows(path, lines)))
-            # A comma inside a cell of a head row of the right width adds a
-            # cell, which the shape check finds.
+        with open(path, "rb") as fh:
+            pieces, taken = _pieces(fh), []
+            first, width, rows = _sniff(path, filter(None, _csv_rows(path, _head_lines(pieces, taken))))
             head = list(islice(rows, 2))
             _check_widths(path, width, head)
-            cuts = _cuts(path, fh, seen)
-            if cuts is None:
-                body = filter(None, (line.rstrip("\r\n") for line in fh))
-            else:
-                start, cut, size = cuts
-                child = _start_child(_part_main, os.fsdecode(path), cut, size, first, width)
-                body = _part_lines(path, start, cut)
-            part = _read_part(chain(map(",".join, head), body), first, width)
-        return part if child is None else _join_part(child, *part)
+            values, times = _read_block(path, head, first, 0)
+            piece, end = taken
+            return _read_body(filter(None, chain([piece[end:]], pieces)), values.copy(), times, first, width)
     except (ValueError, OSError):
         return None
-    finally:
-        if child is not None:
-            _stop(child)
 
 
-def _cuts(path, fh, seen) -> tuple | None:
-    """Byte offsets (start, cut, size) of the file open as fh: start where
-    the lines seen (after a UTF-8 byte-order mark) end, cut at the first
-    line start at or after _CALLER_SHARE of the bytes from start to size,
-    the file's end. None when fh is read in this process alone: it is no
-    regular file (a pipe cannot be read again), it is smaller than
-    _SPLIT_BYTES, fewer than 2 threads are allowed (_thread_count), or no
-    line starts at or after that share."""
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode) or info.st_size < _SPLIT_BYTES or _thread_count() < 2:
-        return None
-    with open(path, "rb") as raw:
-        start = sum(len(line.encode()) for line in seen)
-        start += len(codecs.BOM_UTF8) * (raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8)
-        raw.seek(start + int((info.st_size - start) * _CALLER_SHARE) - 1)
-        raw.readline()  # to the end of the line holding that byte
-        cut = raw.tell()
-    return (start, cut, info.st_size) if cut < info.st_size else None
-
-
-def _part_lines(path, start, stop):
-    """The non-blank lines, without their line ends, of bytes start..stop
-    of the file; stop is a line start or the file's end. The bytes are
-    decoded _PART_READ_BYTES at a time, each piece cut after a newline, and
-    split into lines where a file opened with newline="" splits them: at
-    each \\r\\n, \\r and \\n.
-
-    Raises:
-        ValueError: the bytes are no UTF-8.
-    """
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        while start < stop:
-            chunk = fh.read(min(_PART_READ_BYTES, stop - start))
-            if not chunk.endswith(b"\n"):
-                chunk += fh.readline()
-            if not chunk:
-                return
-            start += len(chunk)
-            text = chunk.decode().replace("\r\n", "\n").replace("\r", "\n")
-            yield from filter(None, text.split("\n"))
-
-
-def _read_part(lines, first, width) -> tuple:
-    """Values and float64 timestamps (None without a time column) of data
-    lines of width cells, parsed by one np.loadtxt (_numeric_lines).
-
-    Raises:
-        ValueError: a line that _numeric_lines or numpy turns down, a shape
-            other than (lines, width - first), a non-finite value or a
-            timestamp that does not parse.
-    """
-    stamps = []
-    lines = _numeric_lines(lines, first, stamps)
-    line = next(lines, None)  # none in a part of blank lines, on which loadtxt warns
-    if line is None:
-        values = np.empty((0, width - first))
-    else:
-        values = np.loadtxt(chain([line], lines), delimiter=",", comments=None, ndmin=2)
-    if values.shape != (len(stamps), width - first) or not np.isfinite(values).all():
-        raise ValueError
-    values[values == 0.0] = 0.0
-    if not first:
-        return values, None
-    times = list(map(_parse_iso, stamps))
-    if None in times:
-        raise ValueError
-    return values, np.array(times)
-
-
-def _numeric_lines(lines, first, stamps):
-    """The lines without their time cell, each empty cell, and each cell of
-    spaces and tabs alone, written as 0. Each line appends its time cell to
-    stamps, or None without a time column.
-
-    Raises:
-        ValueError: a line holds a quote, a line break or more characters
-            than the csv field limit, or no comma after its time cell.
-    """
-    limit = csv.field_size_limit()
-    for line in lines:
-        if '"' in line or "\n" in line or "\r" in line or len(line) > limit:
-            raise ValueError
-        stamp = None
-        if first:
-            stamp, comma, line = line.partition(",")
-            if not comma:
-                raise ValueError
-        stamps.append(stamp)
-        if " " in line or "\t" in line:
-            # float() strips these, so such a cell is empty to the exact reader.
-            yield ",".join([cell if cell.strip(" \t") else "0" for cell in line.split(",")])
+def _pieces(fh):
+    """fh's bytes, read _PIECE_BYTES at a time and cut after the last \\n or
+    \\r of each read (a \\r\\n cut in two adds a blank line, which is
+    skipped); a \\n ends the last piece."""
+    rest = b""
+    for chunk in iter(lambda: fh.read(_PIECE_BYTES), b""):
+        end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if end:
+            yield b"".join((rest, memoryview(chunk)[:end]))
+            rest = chunk[end:]
         else:
-            yield f",{line},".replace(",,", ",0,").replace(",,", ",0,")[1:-1]
+            rest += chunk
+    if rest:
+        yield rest + b"\n"
 
 
-def _join_part(child, values, times) -> tuple | None:
-    """values and times with the rows of a reader child (_part_main) after
-    them; None when the child fails or its output ends early."""
-    head = child.stdout.read(8)
-    if len(head) != 8:
-        return None
-    rows, steps = int.from_bytes(head, "little"), len(values)
-    # Grown in place where the allocator can, so that this part is not copied.
-    values.resize((steps + rows, values.shape[1]), refcheck=False)
-    parts = [values[steps:]]
-    if times is not None:
-        times = np.concatenate([times, np.empty(rows)])
-        parts.append(times[steps:])
-    for part in parts:
-        if child.stdout.readinto(part) != part.nbytes:
-            return None
-    return (values, times) if child.wait() == 0 else None
+def _head_lines(pieces, taken):
+    """The lines of pieces as open(..., newline="", encoding="utf-8-sig")
+    reads them; taken holds the last line's piece and the offset after it."""
+    for piece in pieces:  # the first is taken from the file's start, mark and all
+        taken[:] = [piece if taken else piece.removeprefix(codecs.BOM_UTF8), 0]
+        for line in taken[0].splitlines(keepends=True):
+            taken[1] += len(line)
+            yield line.decode()
 
 
-def _part_main(path, start, stop, first, width) -> None:
-    """A reader child's part of a speed file, bytes start..stop
-    (_part_lines, _read_part): writes its row count as int64 to stdout,
-    then its values and, with a time column, its timestamps as raw float64.
-    A part that fails raises before anything is written."""
-    first, width = int(first), int(width)
-    values, times = _read_part(_part_lines(path, int(start), int(stop)), first, width)
-    out = sys.stdout.buffer
-    out.write(len(values).to_bytes(8, "little"))
-    out.write(values)
-    if times is not None:
-        out.write(times)
-    out.flush()
+def _read_body(pieces, values, times, first, width) -> tuple:
+    """values and times grown in place by each piece's rows (_read_piece),
+    _thread_count() pieces at a time: workers parse all but the last, which
+    this thread parses (a worker's malloc arena keeps what it frees)."""
+    from concurrent.futures import ThreadPoolExecutor  # imported only by a reader
+    threads = _thread_count()
+    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+        for group in iter(lambda: list(islice(pieces, threads)), []):
+            parsed = [pool.submit(_read_piece, piece, first, width) for piece in group[:-1]]
+            last = _read_piece(group[-1], first, width)
+            for part in [future.result() for future in parsed] + [last]:
+                for a, more in zip((values, times), part):
+                    if a is not None:
+                        a.resize((len(a) + len(more),) + a.shape[1:], refcheck=False)
+                        a[len(a) - len(more) :] = more
+    return values, times
+
+
+def _read_piece(piece, first, width) -> tuple:
+    """Values and timestamps (None without a time column) of a piece's
+    lines, ended by \\n, \\r or \\r\\n (blank ones skipped); byte compares
+    find the cells. Raises ValueError for a quote, a ragged row, a cell over
+    the csv field limit, or a cell or timestamp _read_whole may read
+    otherwise."""
+    if b'"' in piece:
+        raise ValueError("a quote")
+    text = np.frombuffer(piece, np.uint8)
+    low = np.flatnonzero(text < ord("-"))  # few bytes of a number but the separators
+    byte = text[low]
+    line = (byte == ord("\n")) | (byte == ord("\r"))
+    is_end = line | (byte == ord(","))
+    ends, line_end = low[is_end], line[is_end]
+    del low, byte, line, is_end  # freed before the cell arrays: a lower peak per piece
+    sizes = np.diff(ends, prepend=-1)
+    sizes -= 1
+    blank = line_end & (sizes == 0)  # an empty cell that a line end ends...
+    blank[1:] &= line_end[:-1]  # ...right after a line end
+    if blank.any():
+        keep = ~blank
+        ends, sizes, line_end = ends[keep], sizes[keep], line_end[keep]
+    rows = np.count_nonzero(line_end)
+    if len(ends) != rows * width or not line_end[width - 1 :: width].all():
+        raise ValueError("ragged rows")
+    if sizes.max(initial=0) > csv.field_size_limit():
+        raise ValueError("a cell over the csv field limit")
+    if not rows:  # blank lines alone
+        return np.empty((0, width - first)), np.empty(0) if first else None
+    ends, sizes = ends.reshape(rows, width), sizes.reshape(rows, width)
+    times = _stamp_values(piece, text, ends[:, 0] - sizes[:, 0], sizes[:, 0]) if first else None
+    ends, sizes = ends[:, first:].ravel(), sizes[:, first:].ravel()
+    return _cell_values(piece, text, ends, sizes).reshape(rows, width - first), times
+
+
+def _cell_values(piece, text, ends, sizes) -> np.ndarray:
+    """float() of each cell of piece, an empty or whitespace-only one (and
+    -0) as 0: _decimals parses the cells of each size up to _DECIMAL_BYTES
+    as one matrix, and float() the cells it leaves and longer ones. Raises
+    ValueError where float() does or the value is not finite."""
+    values = np.zeros(len(ends))
+    slow = [np.flatnonzero(sizes > _DECIMAL_BYTES)]
+    for size in np.flatnonzero(np.bincount(sizes, minlength=_DECIMAL_BYTES + 1)[1 : _DECIMAL_BYTES + 1]) + 1:
+        cells = np.flatnonzero(sizes == size)
+        part, parsed = _decimals(sliding_window_view(text, size)[ends[cells] - size])
+        values[cells] = part
+        slow.append(cells[~parsed])
+    slow = np.concatenate(slow)
+    for k, end, size in zip(slow.tolist(), ends[slow].tolist(), sizes[slow].tolist()):
+        cell = piece[end - size : end].decode()
+        values[k] = float(cell) if cell.strip() else 0.0
+    if not np.isfinite(values[slow]).all():
+        raise ValueError("a non-finite value")
+    values += 0.0  # -0.0 + 0.0 is 0.0
+    return values
+
+
+def _decimals(cells) -> tuple:
+    """The values of cells, a matrix of the bytes of cells of one size, and
+    which of them are parsed; float() reads the others.
+
+    A parsed cell is an optional "-" and digits with at most one "." among
+    them, only 0s before its last 19 bytes. Its digits spell an integer
+    m < 10**19, f of them after the point, and m / 10**f rounded once is
+    float() of it (Clinger, PLDI 1990). For m < 2**53 and f <= 22, m and
+    10.0**f are exact doubles and one division rounds. Else, where a long
+    double has 64 bits, m and 10**f (f <= 27) are exact long doubles: their
+    quotient q rounds once, and the double nearest q is the one nearest
+    m / 10**f unless q is the midpoint between it and the double above or
+    below (below a power of two that gap is half as wide). Those cells, and
+    all such cells without that long double, go to float().
+    """
+    count, size = cells.shape
+    cells -= ord("0")  # each digit's value; "." is 254 and "-" 253
+    point = cells == (ord(".") - ord("0")) % 256
+    cells += point
+    cells += point  # the point becomes a 0 digit
+    points = np.count_nonzero(point)
+    column = point[0].argmax()
+    if points == count and np.count_nonzero(point[:, column]) == count:
+        # A point in each cell, in one column, as fixed decimals are written.
+        frac, dotted, scale = size - 1 - int(column), True, None
+    else:
+        at = point.argmax(1)
+        dotted = point[:, 0] | (at > 0)
+        frac = (size - 1 - at) * dotted
+        scale = 10 - 9 * point.view(np.uint8)  # 1 where the point is, which adds no digit
+    parsed = np.full(count, True) & (size - dotted >= 1)  # a digit at least
+    if scale is not None and points != np.count_nonzero(dotted):
+        parsed &= point.sum(1) <= 1
+    del point
+    negative = False
+    if cells.max() >= 10:
+        minus = cells == (ord("-") - ord("0")) % 256
+        negative = minus[:, 0].copy()
+        cells += 3 * minus.view(np.uint8)  # the minus becomes a 0 digit
+        parsed &= (minus.sum(1) == negative) & (cells < 10).all(1) & (size - dotted - negative >= 1)
+    lead = max(size - 19, 0)  # columns that must hold 0 digits, so m < 10**19
+    if lead:
+        parsed &= ~cells[:, :lead].any(1)
+    m = np.zeros(count, np.uint64)
+    for j in range(lead, size):
+        if scale is not None:
+            m *= scale[:, j]
+        elif j != column:
+            m *= np.uint64(10)
+        m += cells[:, j]
+    values = m.astype(np.float64)
+    values /= _POW10_DOUBLE[frac]
+    wide = np.flatnonzero((m >= np.uint64(2**53)) | (frac > 22))
+    if wide.size and _EXTENDED:
+        q = m[wide].astype(np.longdouble) / np.broadcast_to(_POW10_LONG[frac], m.shape)[wide]
+        values[wide] = near = q.astype(np.float64)
+        # Two adjacent doubles sum and halve exactly in a long double.
+        above = (near.astype(np.longdouble) + np.nextafter(near, np.inf)) / 2
+        below = (near.astype(np.longdouble) + np.nextafter(near, -np.inf)) / 2
+        parsed[wide[(q == above) | (q == below)]] = False
+    elif wide.size:
+        parsed[wide] = False
+    np.negative(values, out=values, where=negative)
+    return values, parsed
+
+
+def _stamp_values(piece, text, starts, sizes) -> np.ndarray:
+    """_parse_iso of each time cell of piece; ValueError if one does not
+    parse. Cells of 19 bytes each are parsed by numpy at once if written back
+    they give the same bytes (YYYY-MM-DDTHH:MM:SS, each field in range) and
+    no year is below 1, which datetime cannot hold."""
+    if len(starts) and (sizes == 19).all():
+        cells = sliding_window_view(text, 19)[starts].view("S19").ravel()
+        try:
+            stamps = cells.astype("datetime64[s]")
+            if (cells >= b"0001").all() and (np.datetime_as_string(stamps).astype("S19") == cells).all():
+                return stamps.astype(np.int64).astype(np.float64)
+        except ValueError:  # numpy cannot read a cell; _parse_iso decides
+            pass
+    stamps = [_parse_iso(piece[a : a + n].decode()) for a, n in zip(starts.tolist(), sizes.tolist())]
+    if None in stamps:
+        raise ValueError("a timestamp that does not parse")
+    return np.array(stamps, dtype=np.float64)
 
 
 def _csv_rows(path, fh):
@@ -476,10 +504,11 @@ def _floats(cells) -> np.ndarray:
 
 def write_speed_csv(
     path, series: StateSeries, sensor_ids: list[str] | None = None, decimals: int | None = None
-) -> None:
+) -> str:
     """Write a StateSeries as a speed CSV with a header row and an ISO-8601
     timestamp column; missing entries become empty cells. Values are written
     as their shortest round-trip repr, in blocks of _CSV_BLOCK_ROWS rows.
+    Returns the sha256 hex digest of the bytes written, header included.
 
     Without decimals each value is written as it is (_block_text). With
     decimals, an int from 0 to 15, each value is first rounded as a sensor
@@ -502,14 +531,19 @@ def write_speed_csv(
         raise ValueError(f"{len(sensor_ids)} sensor IDs given for {series.size} sensors")
     if decimals is not None and index(decimals) not in range(16):
         raise ValueError(f"decimals must be an int from 0 to 15, got {decimals!r}")
+    header = io.StringIO()
+    csv.writer(header).writerow(["timestamp"] + list(sensor_ids))
+    digest = hashlib.sha256()
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["timestamp"] + list(sensor_ids))
-        fh.flush()  # the rows go to the file's bytes
-        out = fh.buffer
+        def write(text) -> None:
+            fh.buffer.write(text)
+            digest.update(text)
+        write(header.getvalue().encode(fh.encoding))
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
             rows = slice(lo, lo + _CSV_BLOCK_ROWS)
             block = series.timestamps[rows], series.values[rows], series.mask[rows]
-            out.write(_block_text(*block) if decimals is None else _rounded_text(*block, decimals))
+            write(_block_text(*block) if decimals is None else _rounded_text(*block, decimals))
+    return digest.hexdigest()
 
 
 def _thread_count() -> int:
@@ -609,40 +643,6 @@ def _rounded_text(stamps, values, mask, decimals):
         # A trailing zero is dropped, but not the first fraction digit.
         kept[:, :, column] = mask & (fracs % (10 * power) != 0) if j else mask
     return line[keep]
-
-
-def _start_child(main, *args):
-    """A child process (subprocess.Popen) that runs main, a function of
-    this module, on args as strings, with pipes for its stdin and stdout:
-    the reader's second part (_part_main). It imports only this package, on
-    this process's sys.path, so a caller's __main__ is never run again; its
-    BLAS pool has one thread."""
-    import subprocess  # only a split read needs it; the module's importers never load it
-
-    from . import _BLAS_THREAD_VARS
-
-    code = (
-        f"import sys; sys.path[:] = {sys.path!r}\n"
-        f"from graphmarkov.data import {main.__name__} as main; main(*sys.argv[1:])"
-    )
-    return subprocess.Popen(
-        [sys.executable, "-I", "-c", code, *map(str, args)],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=dict(os.environ, GRAPHMARKOV_THREADS="1", **dict.fromkeys(_BLAS_THREAD_VARS, "1")),
-    )
-
-
-def _stop(child) -> None:
-    """Kill child unless it has ended, reap it and close its pipes."""
-    child.kill()
-    child.wait()
-    child.stdout.close()
-    try:
-        child.stdin.close()
-    except BrokenPipeError:  # the data a dead child never read
-        pass
 
 
 def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:

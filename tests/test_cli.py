@@ -49,6 +49,15 @@ class TestSimulate:
         assert records[0]["seed"] == "3"
         assert "sha256_speed" in records[0]
 
+    def test_speed_digest_is_the_written_bytes_without_a_read_back(self, tmp_path, monkeypatch):
+        sha256 = cli._sha256
+        hashed = []
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(Path(path).name) or sha256(path))
+        speed, _ = simulate_small(tmp_path / "sim")
+        assert hashed == ["adjacency.csv"]
+        record = read_manifest_records(tmp_path / "sim" / "manifest.txt")[0]
+        assert record["sha256_speed"] == sha256(speed)
+
     def test_deterministic_per_seed(self, tmp_path):
         s1, a1 = simulate_small(tmp_path / "a", seed=11)
         s2, a2 = simulate_small(tmp_path / "b", seed=11)
@@ -499,7 +508,7 @@ class TestManifest:
     @pytest.mark.parametrize("threads", ["3", None], ids=["set", "unset"])
     def test_records_what_produced_the_run(self, tmp_path, monkeypatch, threads):
         """Package, numpy and BLAS versions, and the thread count that sets
-        the speed writer's processes: GRAPHMARKOV_THREADS, else the usable CPUs."""
+        the speed reader's threads: GRAPHMARKOV_THREADS, else the usable CPUs."""
         if threads is None:
             monkeypatch.delenv("GRAPHMARKOV_THREADS", raising=False)
         else:

@@ -1,13 +1,16 @@
 """Tests for series validation, CSV ingestion, missing-value injection,
 normalization, splitting, and last-observation windowing."""
 
+import hashlib
 import math
 import os
-import signal
+import random
+import re
 import subprocess
-import sys
+import threading
 import weakref
 from datetime import datetime, timedelta
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -216,6 +219,25 @@ class TestIngestCsv:
             write_speed_csv(path, make_series(np.ones((3, 4))), decimals=decimals)
         assert not path.exists()
 
+    @pytest.mark.parametrize("decimals", [None, 4], ids=["repr", "4-decimals"])
+    @pytest.mark.parametrize("ids", [None, ["a,b", 'say "hi"', "plain"]], ids=["default-ids", "quoted-ids"])
+    def test_writer_returns_the_digest_of_its_bytes(self, tmp_path, ids, decimals):
+        """Three blocks of rows after the header."""
+        series = tiled_series([1 / 7, 64.375, 1e-05], 2 * data_module._CSV_BLOCK_ROWS + 1, 0.3)
+        path = tmp_path / "speed.csv"
+        digest = write_speed_csv(path, series, sensor_ids=ids, decimals=decimals)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_writer_returns_the_digest_of_what_a_pipe_got(self):
+        read_end, write_end = os.pipe()
+        with os.fdopen(read_end, "rb") as pipe:
+            try:
+                digest = write_speed_csv(f"/dev/fd/{write_end}", tiled_series([2.5, 1e-05], 5, 0.3))
+            finally:
+                os.close(write_end)
+            assert digest == hashlib.sha256(pipe.read()).hexdigest()
+
     @pytest.mark.parametrize("corner", ["", " "], ids=["empty", "space"])
     def test_pandas_export_header(self, tmp_path, corner):
         """DataFrame.to_csv() heads its index column with an empty cell, and
@@ -323,29 +345,6 @@ def rounded_readings(values, decimals):
     return np.array(out).reshape(values.shape)
 
 
-def record_children(monkeypatch):
-    """The child processes the module starts from now on, in order, with 2
-    threads allowed."""
-    children = []
-    start_child = data_module._start_child
-
-    def recording_start(main, *args):
-        children.append(start_child(main, *args))
-        return children[-1]
-
-    monkeypatch.setattr(data_module, "_start_child", recording_start)
-    monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
-    return children
-
-
-@pytest.fixture
-def split_reads(monkeypatch):
-    """The reader made to read any file in 2 parts on 2 threads; the child
-    processes it starts, in order."""
-    monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-    return record_children(monkeypatch)
-
-
 def no_block_text(*block):
     raise AssertionError("a block was formatted by _block_text")
 
@@ -418,15 +417,9 @@ def good_files(block):
     }
 
 
-# The good files with a cell that numpy's reader turns down, which the exact
-# reader then reads: a digit that is not ASCII, an underscore between digits,
-# a line break, or a quote past the head rows.
-EXACT_READER_ONLY = {
-    "quoted-line-break-cell",
-    "underscore-digits",
-    "non-ascii-digit",
-    "quoted-cell-late",
-}
+# The good files that the piece reader turns down, which the exact reader
+# then reads: a quote past the head rows.
+EXACT_READER_ONLY = {"quoted-cell-late"}
 
 
 def bad_files(block):
@@ -646,38 +639,106 @@ class TestFastCsvPath:
             ingest_csv(path)
 
 
-# The good files at 3-row blocks with no line start past the cut, which
-# _CALLER_SHARE sets, or no newline at all: no child starts.
-UNCUT_GOOD_FILES = {
-    "cr-line-ends",
-    "crlf",
-    "crlf-time",
-    "hash-in-header",
-    "header-no-time",
-    "header-time",
-    "no-final-newline",
-    "quoted-header-comma",
-    "quoted-newline",
-    "single-row",
-    "time-no-header",
-    "trailing-empty-column",
-    "zero-spellings",
-}
+def decimal_cells(seed=19):
+    """About 200k seeded cells that float() reads, for the piece reader's
+    cell parser: plain decimals of 1 to 19 digits with a point anywhere or
+    none and a sign or none; 17 to 19 digit cuts of the midpoints between
+    adjacent doubles, near powers of two among them; integers on and next to
+    those midpoints up to 2**64; 2**53 and its neighbours; 22, 23, 27 and 28
+    fraction digits; leading zeros past 19 digits; and a few spellings only
+    float() reads."""
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(120_000):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 19)))
+        at = rng.randint(0, len(digits))
+        if rng.random() < 0.8:
+            digits = digits[:at] + "." + digits[at:]
+        cells.append(rng.choice(["", "", "-", "+"]) + digits)
+    doubles = [rng.uniform(0, 1) * 10.0 ** rng.randint(-6, 19) for _ in range(10_000)]
+    doubles += [math.ldexp(1.0, k) for k in range(-30, 64)]
+    for d in doubles:
+        for above in (math.nextafter(d, math.inf), math.nextafter(d, -math.inf)):
+            mid = (Decimal(d) + Decimal(above)) / 2
+            text = format(mid, "f")
+            digits = len(text.replace(".", "").lstrip("0"))
+            for keep in (17, 18, 19):
+                cut = text[: len(text) - max(digits - keep, 0)] if "." in text else text
+                cells.append(cut.rstrip(".") or "0")
+    for k in range(53, 64):
+        for j in range(200):
+            step = 2 ** (k - 52)
+            mid = 2**k + rng.randrange(2**52) * step + step // 2
+            cells += [str(mid + delta) for delta in (-1, 0, 1) if mid + delta < 2**64]
+            cells.append(f"{mid // 10}.{mid % 10}")
+    cells += [str(2**53 + delta) for delta in (-1, 0, 1)] + ["-9007199254740993", "9007199254740993.0"]
+    for frac in (22, 23, 27, 28):
+        cells += ["0." + "0" * (frac - 1) + "1", "1." + "5" * frac, "-." + "9" * frac]
+    cells += ["0" * 20 + "12.5", "-0000000000000000000001", "-0", ".5", "5.", "-.5", "1_0", " 7 ", "1e5", "+1", "\u0663"]
+    return cells
+
+
+class TestDecimalCells:
+    """The piece reader's cells against float(), bit for bit, with the
+    long double branch and without it."""
+
+    @pytest.mark.parametrize("extended", [True, False], ids=["long-double", "double-only"])
+    def test_cells_read_as_float(self, monkeypatch, extended):
+        if extended and not data_module._EXTENDED:
+            pytest.skip("long double has no 64-bit significand here")
+        monkeypatch.setattr(data_module, "_EXTENDED", extended)
+        cells = decimal_cells()
+        calls = []
+        monkeypatch.setattr(data_module, "float", lambda text: calls.append(text) or float(text), raising=False)
+        # The first line is a cell as long as a parsed one can be, so that no
+        # cell ends too near the piece's start for its row of the matrix.
+        piece = "\n".join(["0" * data_module._DECIMAL_BYTES] + cells).encode() + b"\n"
+        values, times = data_module._read_piece(piece, 0, 1)
+        expected = np.array([0.0] + [float(cell) for cell in cells]) + 0.0  # -0.0 reads as 0.0
+        assert times is None
+        assert values.ravel().tobytes() == expected.tobytes()
+        # A minus or none, digits and at most one point, in 19 bytes at most.
+        plain = {
+            cell: int(cell.lstrip("-").replace(".", "") or 0)
+            for cell in cells
+            if re.fullmatch(r"-?[0-9]*\.?[0-9]*", cell) and len(cell) <= 19 and cell.strip("-.")
+        }
+        calls = set(calls)
+        assert not {cell for cell, m in plain.items() if m < 2**53} & calls
+        wide = {cell for cell, m in plain.items() if m >= 2**53}
+        if extended:  # but for the midpoints, such as odd integers from 2**53 to 2**54
+            assert len(wide & calls) < 0.25 * len(wide)
+        else:
+            assert wide <= calls
+
+    @pytest.mark.parametrize("cell", [".", "-", "-.", "1.2.3", "--1", "1-", "1.-2", "0x1", "1,5"[1:] + "\x00"])
+    def test_cells_float_turns_down_fail_the_piece(self, cell):
+        with pytest.raises(ValueError):
+            float(cell)
+        with pytest.raises(ValueError):
+            data_module._read_piece(f"1\n{cell}\n2.5\n".encode(), 0, 1)
+
+
+def no_process(*args, **kwargs):
+    raise AssertionError("a process was started")
 
 
 class TestSplitReader:
-    """ingest_csv in 2 parts, this process and a child, against the exact
-    reference. Every good and bad file of TestCsvAgainstReference is read
-    at 3-row blocks only, as each child start takes about 0.1 s."""
+    """ingest_csv with the file split into pieces of a few bytes, parsed on
+    2 threads, against the exact reference. Every good and bad file of
+    TestCsvAgainstReference is read at 3-row blocks."""
 
     @pytest.fixture(autouse=True)
-    def three_row_blocks(self, monkeypatch):
+    def small_pieces(self, monkeypatch):
         monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", 3)
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 7)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        monkeypatch.setattr(subprocess, "Popen", no_process)
 
     @pytest.mark.parametrize("name", sorted(good_files(3)))
-    def test_reads_as_reference(self, tmp_path, monkeypatch, split_reads, name):
+    def test_reads_as_reference(self, tmp_path, monkeypatch, name):
         """Every good file but those of EXACT_READER_ONLY reads without the
-        exact reader, and in 2 parts unless its body is too short to cut."""
+        exact reader."""
         path = tmp_path / "speed.csv"
         path.write_bytes(good_files(3)[name].encode())
         if name not in EXACT_READER_ONLY:
@@ -685,77 +746,63 @@ class TestSplitReader:
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
-        codes = [child.returncode for child in split_reads]
-        if name in EXACT_READER_ONLY:
-            assert None not in codes and len(codes) <= 1
-        else:
-            assert codes == [0] * (name not in UNCUT_GOOD_FILES)
 
     @pytest.mark.parametrize("name", sorted(bad_files(3)))
-    def test_rejects_as_reference(self, tmp_path, split_reads, name):
+    def test_rejects_as_reference(self, tmp_path, name):
         path = tmp_path / "speed.csv"
         path.write_bytes(bad_files(3)[name].encode())
         got = ingest_outcome(ingest_csv, path)
         assert isinstance(got[0], type) and issubclass(got[0], ValueError), got
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert None not in [child.returncode for child in split_reads]
 
     def rows(self, count, lo=0):
         return stamped((f"{t % 50 + 1}.25,,{t % 7}" for t in range(lo, lo + count)), lo=lo)
 
-    def test_error_here_kills_and_reaps_the_child(self, tmp_path, split_reads):
-        rows = self.rows(20_000)
-        rows[5] = rows[5].replace(".25,", ".25,oops")
+    def test_error_leaves_no_thread_behind(self, tmp_path):
+        rows = self.rows(2_000)
+        rows[1_500] = rows[1_500].replace(".25,", ".25,oops")
         path = tmp_path / "speed.csv"
         path.write_text(lines(rows))
+        threads = threading.active_count()
         got = ingest_outcome(ingest_csv, path)
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert got[1].endswith("at data row 5, column 1")
-        assert [child.returncode for child in split_reads] == [-signal.SIGKILL]
+        assert got[1].endswith("at data row 1500, column 1")
+        assert threading.active_count() == threads
 
-    def test_quote_in_the_childs_part_is_read_by_the_exact_reader(self, tmp_path, split_reads):
+    def test_quote_in_a_later_piece_is_read_by_the_exact_reader(self, tmp_path, monkeypatch):
         rows = self.rows(40)
         rows[-3] = rows[-3].replace(".25,", '.25,"4"')
         path = tmp_path / "speed.csv"
         path.write_text(lines(rows))
+        read_whole = data_module._read_whole
+        reads = []
+        monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert [child.returncode for child in split_reads] == [1]
+        assert reads == [path]
 
-    def test_byte_order_mark(self, tmp_path, split_reads):
-        """The parts start after the mark: the marked file reads as the plain one."""
+    def test_byte_order_mark(self, tmp_path, monkeypatch):
+        """The mark is dropped before the head: the marked file reads as the plain one."""
+        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         text = "t,x,y,z\r\n" + lines(self.rows(40), end="\r\n")
         plain.write_text(text, newline="")
         marked.write_text("\ufeff" + text, newline="")
         assert ingest_outcome(ingest_csv, marked) == ingest_outcome(ingest_csv_reference, plain)
-        assert [child.returncode for child in split_reads] == [0]
 
-    @pytest.mark.parametrize(
-        "code",
-        ["import sys; sys.stdout.buffer.write((40).to_bytes(8, 'little') + bytes(100))", ""],
-        ids=["stops-mid-output", "cannot-start"],
-    )
-    def test_failed_child_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch, code):
-        children = []
+    def test_failed_worker_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch):
+        read_piece = data_module._read_piece
+        calls = []
 
-        def failing_start(main, *args):
-            if not code:
-                raise FileNotFoundError(sys.executable)
-            children.append(
-                subprocess.Popen(
-                    [sys.executable, "-c", code],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                )
-            )
-            return children[-1]
+        def failing_read_piece(*args):
+            if threading.current_thread() is not threading.main_thread():
+                calls.append(args[0])
+                if len(calls) == 2:
+                    raise ValueError("a worker failed")
+            return read_piece(*args)
 
-        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-        monkeypatch.setattr(data_module, "_start_child", failing_start)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        monkeypatch.setattr(data_module, "_read_piece", failing_read_piece)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
         read_whole = data_module._read_whole
@@ -763,31 +810,44 @@ class TestSplitReader:
         monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
         assert reads == [path]
-        assert all(child.returncode is not None for child in children)
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("threads, split_bytes", [("1", 0), ("2", 1 << 20)], ids=["one-thread", "small-file"])
-    def test_no_child_starts(self, tmp_path, monkeypatch, split_reads, threads, split_bytes):
+    @pytest.mark.parametrize("threads, piece_bytes", [("1", 7), ("2", 1 << 20)], ids=["one-thread", "small-file"])
+    def test_no_child_starts(self, tmp_path, monkeypatch, threads, piece_bytes):
+        """No process starts, and no thread outlives the read, with one
+        thread or with a file of one piece."""
         monkeypatch.setenv("GRAPHMARKOV_THREADS", threads)
-        monkeypatch.setattr(data_module, "_SPLIT_BYTES", split_bytes)
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", piece_bytes)
         monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
+        before = threading.active_count()
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
-        assert split_reads == []
+        assert threading.active_count() == before
+
+    def test_one_thread_reads_as_two(self, tmp_path, monkeypatch):
+        path = tmp_path / "speed.csv"
+        path.write_text("t,x,y,z\r\n" + lines(self.rows(300), end="\r\n"))
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 1000)
+        got = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GRAPHMARKOV_THREADS", threads)
+            got[threads] = ingest_outcome(ingest_csv, path)
+        assert got["1"] == got["2"] == ingest_outcome(ingest_csv_reference, path)
 
     @pytest.mark.parametrize("body", [0, 1], ids=["no-line", "one-line"])
-    def test_body_shorter_than_two_lines_starts_no_child(self, tmp_path, monkeypatch, split_reads, body):
-        """The head's two data rows are read by the csv module; a cut needs
-        a line start after them and before the file's end."""
+    def test_body_shorter_than_two_lines_starts_no_child(self, tmp_path, monkeypatch, body):
+        """The head's two data rows are read by the csv module; the pieces
+        after them hold no line or one."""
         monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         path = tmp_path / "speed.csv"
         path.write_text("t,x,y,z\n" + lines(self.rows(2 + body)))
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
-        assert split_reads == []
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
-    def test_pipe_is_read_here_alone(self, tmp_path, split_reads):
-        """A pipe cannot be read again in parts, so no child starts."""
+    def test_pipe_is_read_here_alone(self, tmp_path, monkeypatch):
+        """A file that cannot seek reads in pieces like any other."""
+        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
         read_end, write_end = os.pipe()
@@ -798,7 +858,6 @@ class TestSplitReader:
         finally:
             os.close(read_end)
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert split_reads == []
 
     @pytest.mark.parametrize(
         "text",
@@ -810,33 +869,54 @@ class TestSplitReader:
         ids=["crlf", "mixed-line-ends", "blank-lines-and-mark"],
     )
     def test_every_cut_parts_the_lines_of_the_whole(self, tmp_path, monkeypatch, text):
-        """At any share, the cut falls at a line start after the head rows,
-        and the two parts hold the lines that the whole file holds after
-        them, as a file opened with newline="" splits them."""
+        """At every piece size, each piece ends after a line end (the last
+        one gets a \\n), the pieces hold the file's bytes in order, and the
+        file reads as the reference (the last, with a line of a space, is
+        ragged)."""
         path = tmp_path / "speed.csv"
         path.write_bytes(text.encode())
-        monkeypatch.setattr(data_module, "_SPLIT_BYTES", 0)
-        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            whole = list(fh)
-        seen = whole[:3]  # three lines of the head, one of them blank
-        body = list(filter(None, (line.rstrip("\r\n") for line in whole[3:])))
         data = path.read_bytes()
-        cuts = set()
-        for share in np.linspace(0, 1, 41):
-            monkeypatch.setattr(data_module, "_CALLER_SHARE", share)
-            with open(path) as fh:
-                start, cut, size = data_module._cuts(path, fh, seen) or (None, None, None)
-            if cut is None:  # no line start past the share
-                assert share > 0.5
-                continue
-            cuts.add(cut)
-            assert data[:start].decode("utf-8-sig") == "".join(seen)
-            assert start <= cut < size == len(data)
-            assert cut == start or data[cut - 1 : cut] == b"\n"
-            parts = [list(data_module._part_lines(path, *span)) for span in ((start, cut), (cut, size))]
-            assert parts[0] + parts[1] == body
-        assert len(cuts) >= 2
+        expected = ingest_outcome(ingest_csv_reference, path)
+        for size in range(1, len(data) + 2):
+            monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
+            with open(path, "rb") as fh:
+                pieces = list(data_module._pieces(fh))
+            assert all(piece.endswith((b"\n", b"\r")) for piece in pieces)
+            assert b"".join(pieces) in (data, data + b"\n")
+            assert ingest_outcome(ingest_csv, path) == expected
+
+    @pytest.mark.parametrize("name", sorted(good_files(3)))
+    def test_every_piece_size_reads_as_reference(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "speed.csv"
+        path.write_bytes(good_files(3)[name].encode())
+        expected = ingest_outcome(ingest_csv_reference, path)
+        for size in range(1, 65):
+            monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
+            assert ingest_outcome(ingest_csv, path) == expected, size
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2012-03-01 00:05:00",
+            "2012-03-01t00:05:00",
+            "0000-03-01T00:05:00",
+            "-012-03-01T00:05:00",
+            "2012-02-30T00:05:00",
+            "2012-03-01T24:00:00",
+            "2012-03-01T00:04:60",
+            "2012-03-01T00:05:00Z",
+            " 2012-03-01T00:05",
+        ],
+    )
+    def test_timestamp_numpy_reads_otherwise(self, tmp_path, stamp):
+        """A time cell in a later piece that numpy would parse otherwise than
+        datetime, or not at all, reads as the reference reads it."""
+        rows = self.rows(6)
+        rows[1] = stamp + "," + rows[1].split(",", 1)[1]
+        rows[4] = stamp.replace("00:05", "00:20").replace("03-01", "03-01", 1) + "," + rows[4].split(",", 1)[1]
+        path = tmp_path / "speed.csv"
+        path.write_text("t,x,y,z\n" + lines(rows[:1] * 2 + rows[1:]))
+        assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
 
 
 class TestInjectMissing:
