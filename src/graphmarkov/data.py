@@ -276,12 +276,16 @@ def _head_lines(pieces, taken):
 def _read_body(pieces, values, times, first, width) -> tuple:
     """values and times grown in place by each piece's rows (_read_piece),
     _thread_count() pieces at a time: workers parse all but the last, which
-    this thread parses (a worker's malloc arena keeps what it frees)."""
+    this thread parses (a worker's malloc arena keeps what it frees).
+    Raises OSError if a worker cannot start."""
     from concurrent.futures import ThreadPoolExecutor  # imported only by a reader
     threads = _thread_count()
     with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         for group in iter(lambda: list(islice(pieces, threads)), []):
-            parsed = [pool.submit(_read_piece, piece, first, width) for piece in group[:-1]]
+            try:
+                parsed = [pool.submit(_read_piece, piece, first, width) for piece in group[:-1]]
+            except RuntimeError as error:  # "can't start new thread"
+                raise OSError("no worker thread could start") from error
             last = _read_piece(group[-1], first, width)
             for part in [future.result() for future in parsed] + [last]:
                 for a, more in zip((values, times), part):

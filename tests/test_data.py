@@ -791,7 +791,12 @@ class TestSplitReader:
         marked.write_text("\ufeff" + text, newline="")
         assert ingest_outcome(ingest_csv, marked) == ingest_outcome(ingest_csv_reference, plain)
 
-    def test_failed_worker_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("stop", ["mid-output", "start"], ids=["stops-mid-output", "cannot-start"])
+    def test_failed_child_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch, stop):
+        """A worker thread that raises on its second piece, or one that
+        cannot start, sends the file to the exact reader."""
+        from concurrent.futures import ThreadPoolExecutor
+
         read_piece = data_module._read_piece
         calls = []
 
@@ -802,6 +807,11 @@ class TestSplitReader:
                     raise ValueError("a worker failed")
             return read_piece(*args)
 
+        def failing_start(pool):
+            raise RuntimeError("can't start new thread")
+
+        if stop == "start":
+            monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", failing_start)
         monkeypatch.setattr(data_module, "_read_piece", failing_read_piece)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
@@ -810,7 +820,7 @@ class TestSplitReader:
         monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
         assert reads == [path]
-        assert len(calls) == 2
+        assert len(calls) == (2 if stop == "mid-output" else 0)
 
     @pytest.mark.parametrize("threads, piece_bytes", [("1", 7), ("2", 1 << 20)], ids=["one-thread", "small-file"])
     def test_no_child_starts(self, tmp_path, monkeypatch, threads, piece_bytes):
