@@ -10,11 +10,12 @@ import codecs
 import csv
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
-from operator import index, itemgetter, mul
+from operator import index, mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,18 +129,23 @@ def ingest_csv(path) -> StateSeries:
     are synthesized at 5-minute spacing from epoch 0. A UTF-8 byte-order mark
     is stripped.
 
-    The csv module reads the header and the first two data rows, and numpy
-    parses the rest in pieces on _thread_count() threads into the values
-    float() gives (_read_fast). A file with a quote past the head, and any
-    faulty file, is read again by the exact reader (_read_whole), which
-    raises the error below. Memory is set by the series, not by the text.
+    The file is opened once. The csv module reads the header and the first
+    two data rows, and numpy parses the rest in pieces on _thread_count()
+    threads into the values float() gives (_read_fast). A file with a quote
+    past the head, and any faulty file, is read again from its start by the
+    exact reader (_read_whole), which raises the error below. Memory is set
+    by the series, not by the text, except for an input that cannot seek (a
+    pipe), which is held in memory so that the exact reader can read it again.
 
     Raises:
-        ValueError: ragged rows, unparseable or non-finite values, or
-            non-monotonic timestamps. Row and column numbers count data rows
-            and sensor columns from 0.
+        ValueError: ragged rows, unparseable or non-finite values, bytes
+            that are not UTF-8, or non-monotonic timestamps. Row and column
+            numbers count data rows and sensor columns from 0.
     """
-    values, times = _read_fast(path) or _read_whole(path)
+    with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        values, times = _read_fast(fh, path) or _read_whole(fh, path)
     mask = values != 0.0
     steps = values.shape[0]
     if times is not None:
@@ -152,14 +158,11 @@ def ingest_csv(path) -> StateSeries:
     return StateSeries(values=values, mask=mask, timestamps=times)
 
 
-# Rows per block of the speed CSV reader and writer: large enough that the
-# per-block overhead vanishes, small enough that a block's cells as Python
-# strings (about 6 MB at 207 sensors), or its scratch arrays in the rounding
-# writer (_rounded_text, about 1 MB each), stay well below the series itself.
+# Rows per block of the speed CSV writer: large enough that the per-block
+# overhead vanishes, small enough that its scratch arrays in the rounding
+# writer (_rounded_text, about 1 MB each) stay well below the series itself.
 # At 2,048 rows the rounding writer raised simulate's peak RSS by 13 MB.
 _CSV_BLOCK_ROWS = 512
-_EMPTY_AS_ZERO = {"": "0"}
-_after_first = itemgetter(slice(1, None))
 
 # Bytes of a speed file read at a time by _read_fast, and parsed by one thread.
 _PIECE_BYTES = 1 << 20
@@ -201,48 +204,48 @@ def _sniff(path, rows):
     return first, width, data
 
 
-def _read_whole(path) -> tuple:
-    """Values and timestamps (None without a time column) of the file, read
-    _CSV_BLOCK_ROWS rows at a time by the csv module and float().
+def _read_whole(fh, path) -> tuple:
+    """Values and timestamps (None without a time column) of the binary file
+    fh, read from its start by the csv module and float(), one row at a time
+    (_read_row); path names it in errors.
 
     Raises:
         ValueError: a ragged row anywhere in the file before any bad cell;
-            else the first block's bad cell or timestamp (_read_block).
+            else the first row's bad timestamp or cell (_read_row).
     """
-    value_blocks, time_blocks = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        first, width, rows = _sniff(path, filter(None, _csv_rows(path, fh)))
-        for block in iter(lambda: list(islice(rows, _CSV_BLOCK_ROWS)), []):
+    fh.seek(0)
+    value_rows, stamps = [], []
+    with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+        first, width, rows = _sniff(path, filter(None, _csv_rows(path, text)))
+        for t, row in enumerate(rows):
+            if len(row) != width:
+                _check_widths(path, width, chain([row], rows))
             try:
-                _check_widths(path, width, block)
-                t0 = len(value_blocks) * _CSV_BLOCK_ROWS
-                values, stamps = _read_block(path, block, first, t0)
+                values, stamp = _read_row(path, row, first, t)
             except ValueError:
-                _check_widths(path, width, chain(block, rows))
+                _check_widths(path, width, rows)
                 raise
-            value_blocks.append(values)
-            time_blocks.append(stamps)
-            # Freed before the next block is read, so that only one block of
-            # cell strings is alive at a time.
-            del block
-    values = np.concatenate(value_blocks)
-    del value_blocks
-    return values, np.concatenate(time_blocks) if first else None
+            value_rows.append(np.array(values))
+            stamps.append(stamp)
+    values = np.stack(value_rows)
+    values += 0.0  # -0.0 + 0.0 is 0.0
+    return values, np.array(stamps) if first else None
 
 
-def _read_fast(path) -> tuple | None:
-    """Values and timestamps (None without a time column) of the file: the
-    csv module reads the head (_head_lines, _sniff, _read_block), _read_body
-    the rest. None if the file is faulty or _read_whole may read otherwise."""
+def _read_fast(fh, path) -> tuple | None:
+    """Values and timestamps (None without a time column) of the binary file
+    fh: the csv module reads the head (_head_lines, _sniff, _read_row),
+    _read_body the rest. None if the file is faulty or _read_whole may read
+    otherwise."""
     try:
-        with open(path, "rb") as fh:
-            pieces, taken = _pieces(fh), []
-            first, width, rows = _sniff(path, filter(None, _csv_rows(path, _head_lines(pieces, taken))))
-            head = list(islice(rows, 2))
-            _check_widths(path, width, head)
-            values, times = _read_block(path, head, first, 0)
-            piece, end = taken
-            return _read_body(filter(None, chain([piece[end:]], pieces)), values.copy(), times, first, width)
+        pieces, taken = _pieces(fh), []
+        first, width, rows = _sniff(path, filter(None, _csv_rows(path, _head_lines(pieces, taken))))
+        head = list(islice(rows, 2))
+        _check_widths(path, width, head)
+        values, times = zip(*(_read_row(path, row, first, t) for t, row in enumerate(head)))
+        times = np.array(times) if first else None
+        piece, end = taken
+        return _read_body(filter(None, chain([piece[end:]], pieces)), np.array(values) + 0.0, times, first, width)
     except (ValueError, OSError):
         return None
 
@@ -439,10 +442,11 @@ def _stamp_values(piece, text, starts, sizes) -> np.ndarray:
 
 def _csv_rows(path, fh):
     """csv.reader's rows of fh; its csv.Error (a field over the size limit,
-    as an unbalanced quote makes) raised as a ValueError naming the file."""
+    as an unbalanced quote makes), and bytes that are not UTF-8, raised as a
+    ValueError naming the file."""
     try:
         yield from csv.reader(fh)
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -453,57 +457,23 @@ def _check_widths(path, width, rows) -> None:
         raise ValueError(f"speed file {path} has ragged rows (widths {sorted(widths)})")
 
 
-def _read_block(path, block, first, t0):
-    """Values and timestamps of a block of equal-width rows whose first row
-    is data row t0. Empty or whitespace-only cells read as 0 (missing), and
-    so does -0.
-
-    Raises:
-        ValueError: the block's first bad timestamp, unparseable cell or
-            non-finite cell in row-major order (a row's timestamp before its
-            cells), with its data row and sensor column.
-    """
-    cells = list(chain.from_iterable(map(_after_first, block) if first else block))
-    try:
-        values = _floats(cells)
-    except ValueError:
-        # float() skips surrounding whitespace, so a whitespace-only cell is
-        # the only valid cell that the first pass rejects.
-        stripped = list(map(str.strip, cells))
+def _read_row(path, row, first, t) -> tuple:
+    """The cell values (a list) and timestamp (None without a time column)
+    of data row t; an empty or whitespace-only cell reads as 0. Raises
+    ValueError for the row's bad timestamp, else its first unparseable or
+    non-finite cell, naming its data row and sensor column."""
+    stamp = _parse_iso(row[0]) if first else None
+    if first and stamp is None:
+        raise ValueError(f"unparseable timestamp {row[0]!r} at data row {t}")
+    values = []
+    for s, cell in enumerate(row[first:]):
         try:
-            values = _floats(stripped)
+            values.append(float(cell) if cell.strip() else 0.0)
         except ValueError:
-            # Only a bad block gets here: read up to its first unparseable cell.
-            end = next(k for k, text in enumerate(stripped) if text and not _is_float(text))
-            values = _floats(stripped[:end])
-    # Index of the first non-finite cell, else of the first unparseable one
-    # (where the parsed prefix ends), else len(cells).
-    non_finite = np.flatnonzero(~np.isfinite(values))
-    bad = int(non_finite[0]) if non_finite.size else len(values)
-    width = len(block[0]) - first
-    stamps = None
-    if first:
-        stamps = list(map(_parse_iso, map(itemgetter(0), block)))
-        if None in stamps:
-            i = stamps.index(None)
-            if i <= bad // width:
-                raise ValueError(f"unparseable timestamp {block[i][0]!r} at data row {t0 + i}")
-        stamps = np.array(stamps, dtype=np.float64)
-    if bad < len(cells):
-        i, s = divmod(bad, width)
-        if bad < len(values):
-            raise ValueError(
-                f"speed file {path} has a non-finite value {cells[bad]!r}"
-                f" at data row {t0 + i}, column {s}"
-            )
-        raise ValueError(f"unparseable value {cells[bad]!r} at data row {t0 + i}, column {s}")
-    values[values == 0.0] = 0.0
-    return values.reshape(len(block), -1), stamps
-
-
-def _floats(cells) -> np.ndarray:
-    """float() of each cell, an empty cell as 0."""
-    return np.fromiter(map(float, map(_EMPTY_AS_ZERO.get, cells, cells)), np.float64, len(cells))
+            raise ValueError(f"unparseable value {cell!r} at data row {t}, column {s}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"speed file {path} has a non-finite value {cell!r} at data row {t}, column {s}")
+    return values, stamp
 
 
 def write_speed_csv(
@@ -538,11 +508,11 @@ def write_speed_csv(
     header = io.StringIO()
     csv.writer(header).writerow(["timestamp"] + list(sensor_ids))
     digest = hashlib.sha256()
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         def write(text) -> None:
-            fh.buffer.write(text)
+            fh.write(text)
             digest.update(text)
-        write(header.getvalue().encode(fh.encoding))
+        write(header.getvalue().encode())
         for lo in range(0, series.steps, _CSV_BLOCK_ROWS):
             rows = slice(lo, lo + _CSV_BLOCK_ROWS)
             block = series.timestamps[rows], series.values[rows], series.mask[rows]

@@ -313,11 +313,42 @@ class TestIngestCsv:
         with pytest.raises(ValueError, match=r"quote\.csv: field larger than field limit"):
             ingest_csv(path)
 
+    def test_sensor_ids_are_utf8_whatever_the_locale(self, tmp_path, monkeypatch):
+        """With a latin-1 default for text files, the header is still written
+        as UTF-8, and the file reads back."""
+        def latin1_open(file, mode="r", **kwargs):
+            if "b" not in mode:
+                kwargs.setdefault("encoding", "latin-1")
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(data_module, "open", latin1_open, raising=False)
+        series = tiled_series([61.5, 2.25], 4, 0.3)
+        path = tmp_path / "speed.csv"
+        write_speed_csv(path, series, sensor_ids=["caf\u00e9", "\u65e5"])
+        assert path.read_bytes().startswith("timestamp,caf\u00e9,\u65e5\r\n".encode("utf-8"))
+        back = ingest_csv(path)
+        for name in ("values", "mask", "timestamps"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(series, name))
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"caf\xe9,b\n1,2\n3,4\n", b"a,b\n1,\xe9\n3,4\n", b"a,b\n1,2\n3,4\n5,6\n7,\xe9\n9,10\n"],
+        ids=["header", "head-row", "later-row"],
+    )
+    def test_bytes_that_are_not_utf8_are_a_value_error(self, tmp_path, text):
+        """The error names the file, as every other fault does."""
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=r"latin\.csv: 'utf-8' codec can't decode") as err:
+            ingest_csv(path)
+        assert not isinstance(err.value, UnicodeDecodeError)
+
 
 @pytest.fixture(params=[None, 2, 3], ids=["default-block", "block-2", "block-3"])
 def block_rows(request, monkeypatch):
-    """The reader's and writer's block size: the module default, or shrunk so
-    that tiny files span several blocks."""
+    """The writer's block size: the module default, or shrunk so that tiny
+    series span several blocks. good_files and bad_files place their faults
+    by it, so the readers see each file in three shapes."""
     if request.param is not None:
         monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", request.param)
     return data_module._CSV_BLOCK_ROWS
@@ -349,7 +380,7 @@ def no_block_text(*block):
     raise AssertionError("a block was formatted by _block_text")
 
 
-def no_exact_reader(path):
+def no_exact_reader(fh, path):
     raise AssertionError(f"{path} was read again by the exact reader")
 
 
@@ -482,8 +513,8 @@ def bad_files(block):
 
 
 class TestCsvAgainstReference:
-    """The block-streaming reader and writer against the whole-file,
-    cell-by-cell reference, at the default block size and at 2 and 3 rows."""
+    """The reader and the block-streaming writer against the whole-file,
+    cell-by-cell reference, at each block_rows shape."""
 
     @pytest.mark.parametrize("name", sorted(good_files(4)))
     def test_reads_as_reference(self, tmp_path, block_rows, name):
@@ -572,9 +603,8 @@ class TestCsvAgainstReference:
         ids=["non-finite-first", "unparseable-first", "padded-non-finite", "infinity", "overflow"],
     )
     def test_first_bad_cell_of_a_block(self, tmp_path, block_rows, faults, message):
-        """Within a block, unparseable and non-finite cells are reported in
-        row-major order, which the reference (blind to non-finite cells)
-        cannot check."""
+        """Unparseable and non-finite cells are reported in row-major order,
+        which the reference (blind to non-finite cells) cannot check."""
         rows = [f"{t + 1},{t + 2}" for t in range(block_rows + 3)]
         rows[block_rows] = ",".join(faults)
         rows[block_rows + 1] = ",".join(reversed(faults))
@@ -612,8 +642,19 @@ class TestCsvAgainstReference:
         assert got == (tmp_path / "ref.csv").read_bytes()
 
 
+class TestExactReader:
+    """The exact reader alone, with the piece reader turning every file down."""
+
+    @pytest.fixture(autouse=True)
+    def no_piece_reader(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_read_fast", lambda *args: None)
+
+    test_reads_as_reference = TestCsvAgainstReference.test_reads_as_reference
+    test_rejects_as_reference = TestCsvAgainstReference.test_rejects_as_reference
+
+
 class TestFastCsvPath:
-    """numpy's C reader in ingest_csv, which the exact reader backs."""
+    """The piece reader in ingest_csv, which the exact reader backs."""
 
     @pytest.mark.parametrize("name", sorted(good_files(4)))
     def test_reads_good_files_alone(self, tmp_path, block_rows, monkeypatch, name):
@@ -622,7 +663,8 @@ class TestFastCsvPath:
         path = tmp_path / "speed.csv"
         path.write_bytes(good_files(block_rows)[name].encode())
         if name in EXACT_READER_ONLY:
-            assert data_module._read_fast(path) is None
+            with open(path, "rb") as fh:
+                assert data_module._read_fast(fh, path) is None
             return
 
         monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
@@ -631,8 +673,9 @@ class TestFastCsvPath:
         assert got == ingest_outcome(ingest_csv_reference, path)
 
     def test_padded_cell_over_the_field_limit_is_a_value_error(self, tmp_path):
-        """numpy reads a cell of any length, the csv module none longer than
-        its field limit; a line past the head with such a cell still fails."""
+        """The piece reader turns down a cell over the csv module's field
+        limit, which the exact reader then rejects: a line past the head with
+        such a cell still fails."""
         path = tmp_path / "long.csv"
         path.write_text("a,b\n1,2\n3,4\n5," + " " * 139_999 + "6\n7,8\n")
         with pytest.raises(ValueError, match=r"long\.csv: field larger than field limit"):
@@ -726,11 +769,10 @@ def no_process(*args, **kwargs):
 class TestSplitReader:
     """ingest_csv with the file split into pieces of a few bytes, parsed on
     2 threads, against the exact reference. Every good and bad file of
-    TestCsvAgainstReference is read at 3-row blocks."""
+    TestCsvAgainstReference is read in its 3-row shape."""
 
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
-        monkeypatch.setattr(data_module, "_CSV_BLOCK_ROWS", 3)
         monkeypatch.setattr(data_module, "_PIECE_BYTES", 7)
         monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
         monkeypatch.setattr(subprocess, "Popen", no_process)
@@ -776,7 +818,7 @@ class TestSplitReader:
         path.write_text(lines(rows))
         read_whole = data_module._read_whole
         reads = []
-        monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
+        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
@@ -817,7 +859,7 @@ class TestSplitReader:
         path.write_text(lines(self.rows(40)))
         read_whole = data_module._read_whole
         reads = []
-        monkeypatch.setattr(data_module, "_read_whole", lambda path: reads.append(path) or read_whole(path))
+        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
         assert reads == [path]
         assert len(calls) == (2 if stop == "mid-output" else 0)
@@ -868,6 +910,26 @@ class TestSplitReader:
         finally:
             os.close(read_end)
         assert got == ingest_outcome(ingest_csv_reference, path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_the_piece_reader_turns_down_is_read_by_the_exact_reader(self, tmp_path, monkeypatch):
+        """The pipe is read once, and the exact reader reads what it held."""
+        path = tmp_path / "speed.csv"
+        path.write_text('a,b\n1,2\n3,4\n5,6\n"7",8\n9,10\n')
+        read_whole = data_module._read_whole
+        reads = []
+        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(path.read_bytes())
+        try:
+            got = ingest_outcome(ingest_csv, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert not isinstance(got[0], type), got
+        assert got[0] == (5, 2)
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert reads == [f"/dev/fd/{read_end}"]
 
     @pytest.mark.parametrize(
         "text",
