@@ -9,6 +9,14 @@ variant that learns per-frequency gains in the graph Laplacian eigenbasis.
 
 import os as _os
 
+
+def _threads_setting() -> int | None:
+    """GRAPHMARKOV_THREADS when it is a positive integer, else None: the one
+    rule for the BLAS pool below and the speed reader (data._thread_count)."""
+    text = _os.environ.get("GRAPHMARKOV_THREADS", "").strip()
+    return int(text) if text.isdecimal() and int(text) > 0 else None
+
+
 # GRAPHMARKOV_THREADS caps BLAS parallelism. The standard thread-count
 # variables are only read when the linear-algebra backend first loads, so
 # this translation has to happen before numpy is imported below. Variables
@@ -19,10 +27,10 @@ _BLAS_THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-_threads = _os.environ.get("GRAPHMARKOV_THREADS")
+_threads = _threads_setting()
 if _threads:
     for _var in _BLAS_THREAD_VARS:
-        _os.environ.setdefault(_var, _threads)
+        _os.environ.setdefault(_var, str(_threads))
 
 from .data import (
     DatasetBundle,

@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .data import _fmt
+from .data import _FLOAT_FORMAT, _fmt
 from .graph import Graph
 from .models import MODELS
 
@@ -34,10 +34,10 @@ def save_params(path, params) -> None:
         f"gamma={_fmt(params.gamma)}",
         f"producer=graphmarkov {__version__}",
     ]
+    row_format = ",".join([_FLOAT_FORMAT] * params.size)
     for k, block in enumerate(params.blocks, start=1):
         lines.append(f"[{params.block_label} {k}]")
-        for row in block:
-            lines.append(",".join(map(_fmt, row.tolist())))
+        lines.extend(row_format % tuple(row) for row in block.tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -68,8 +68,12 @@ class StateSeries:
             gaps = np.diff(timestamps)
             if np.any(gaps <= 0):
                 raise ValueError("timestamps must be strictly increasing")
-            if np.max(gaps) - np.min(gaps) > 1e-6:
-                raise ValueError("timestamps must have constant spacing")
+            wide, narrow = np.argmax(gaps), np.argmin(gaps)
+            if gaps[wide] - gaps[narrow] > 1e-6:
+                raise ValueError(
+                    f"timestamps must have constant spacing: step {wide + 1} follows a gap of "
+                    f"{float(gaps[wide])!r} s, step {narrow + 1} a gap of {float(gaps[narrow])!r} s"
+                )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "timestamps", timestamps)
@@ -129,13 +133,13 @@ def ingest_csv(path) -> StateSeries:
     are synthesized at 5-minute spacing from epoch 0. A UTF-8 byte-order mark
     is stripped.
 
-    The file is opened once. The csv module reads the header and the first
-    two data rows, and numpy parses the rest in pieces on _thread_count()
-    threads into the values float() gives (_read_fast). A file with a quote
-    past the head, and any faulty file, is read again from its start by the
-    exact reader (_read_whole), which raises the error below. Memory is set
-    by the series, not by the text, except for an input that cannot seek (a
-    pipe), which is held in memory so that the exact reader can read it again.
+    The file is read once, in pieces of _PIECE_BYTES. The csv module reads
+    the header and the first two data rows (_read_rows), and numpy parses
+    the rest on _thread_count() threads into the values float() gives
+    (_read_body). From the first group of pieces that numpy turns down (a
+    quote, or any fault) to the end of the file, the csv module carries on
+    row by row, and raises the error below. Memory is set by the series, not
+    by the text, for a file and a pipe alike.
 
     Raises:
         ValueError: ragged rows, unparseable or non-finite values, bytes
@@ -143,9 +147,12 @@ def ingest_csv(path) -> StateSeries:
             numbers count data rows and sensor columns from 0.
     """
     with open(path, "rb") as fh:
-        if not fh.seekable():
-            fh = io.BytesIO(fh.read())
-        values, times = _read_fast(fh, path) or _read_whole(fh, path)
+        pieces, taken = _pieces(fh), []
+        lines = _lines(chain([next(pieces, b"").removeprefix(codecs.BOM_UTF8)], pieces), taken)
+        first, width, rows = _sniff(path, filter(None, _csv_rows(path, lines)))
+        values, times = _read_rows(path, rows, first, width, 0, 2)
+        piece, end = taken
+        _read_body(path, chain([piece[end:]], pieces), values, times, first, width)
     mask = values != 0.0
     steps = values.shape[0]
     if times is not None:
@@ -164,7 +171,7 @@ def ingest_csv(path) -> StateSeries:
 # At 2,048 rows the rounding writer raised simulate's peak RSS by 13 MB.
 _CSV_BLOCK_ROWS = 512
 
-# Bytes of a speed file read at a time by _read_fast, and parsed by one thread.
+# Bytes of a speed file read at a time by ingest_csv, and parsed by one thread.
 _PIECE_BYTES = 1 << 20
 # The longest value cell _decimals parses, so at most 27 digits after the
 # point; of its digits, the last 19 spell an integer below 10**19 < 2**64.
@@ -204,56 +211,10 @@ def _sniff(path, rows):
     return first, width, data
 
 
-def _read_whole(fh, path) -> tuple:
-    """Values and timestamps (None without a time column) of the binary file
-    fh, read from its start by the csv module and float(), one row at a time
-    (_read_row); path names it in errors.
-
-    Raises:
-        ValueError: a ragged row anywhere in the file before any bad cell;
-            else the first row's bad timestamp or cell (_read_row).
-    """
-    fh.seek(0)
-    value_rows, stamps = [], []
-    with io.TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
-        first, width, rows = _sniff(path, filter(None, _csv_rows(path, text)))
-        for t, row in enumerate(rows):
-            if len(row) != width:
-                _check_widths(path, width, chain([row], rows))
-            try:
-                values, stamp = _read_row(path, row, first, t)
-            except ValueError:
-                _check_widths(path, width, rows)
-                raise
-            value_rows.append(np.array(values))
-            stamps.append(stamp)
-    values = np.stack(value_rows)
-    values += 0.0  # -0.0 + 0.0 is 0.0
-    return values, np.array(stamps) if first else None
-
-
-def _read_fast(fh, path) -> tuple | None:
-    """Values and timestamps (None without a time column) of the binary file
-    fh: the csv module reads the head (_head_lines, _sniff, _read_row),
-    _read_body the rest. None if the file is faulty or _read_whole may read
-    otherwise."""
-    try:
-        pieces, taken = _pieces(fh), []
-        first, width, rows = _sniff(path, filter(None, _csv_rows(path, _head_lines(pieces, taken))))
-        head = list(islice(rows, 2))
-        _check_widths(path, width, head)
-        values, times = zip(*(_read_row(path, row, first, t) for t, row in enumerate(head)))
-        times = np.array(times) if first else None
-        piece, end = taken
-        return _read_body(filter(None, chain([piece[end:]], pieces)), np.array(values) + 0.0, times, first, width)
-    except (ValueError, OSError):
-        return None
-
-
 def _pieces(fh):
     """fh's bytes, read _PIECE_BYTES at a time and cut after the last \\n or
     \\r of each read (a \\r\\n cut in two adds a blank line, which is
-    skipped); a \\n ends the last piece."""
+    skipped); only the last piece may end without a line end."""
     rest = b""
     for chunk in iter(lambda: fh.read(_PIECE_BYTES), b""):
         end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
@@ -263,49 +224,79 @@ def _pieces(fh):
         else:
             rest += chunk
     if rest:
-        yield rest + b"\n"
+        yield rest
 
 
-def _head_lines(pieces, taken):
-    """The lines of pieces as open(..., newline="", encoding="utf-8-sig")
-    reads them; taken holds the last line's piece and the offset after it."""
-    for piece in pieces:  # the first is taken from the file's start, mark and all
-        taken[:] = [piece if taken else piece.removeprefix(codecs.BOM_UTF8), 0]
-        for line in taken[0].splitlines(keepends=True):
+def _lines(pieces, taken):
+    """The lines of pieces as open(..., newline="", encoding="utf-8") reads
+    them; taken holds the last line's piece and the offset after it."""
+    for piece in pieces:
+        taken[:] = [piece, 0]
+        for line in piece.splitlines(keepends=True):
             taken[1] += len(line)
             yield line.decode()
 
 
-def _read_body(pieces, values, times, first, width) -> tuple:
-    """values and times grown in place by each piece's rows (_read_piece),
-    _thread_count() pieces at a time: workers parse all but the last, which
-    this thread parses (a worker's malloc arena keeps what it frees).
-    Raises OSError if a worker cannot start."""
+def _read_rows(path, rows, first, width, t, stop=None) -> tuple:
+    """Values and timestamps (None without a time column) of the csv rows
+    from data row t on, at most stop of them, read one at a time by float()
+    (_read_row): the exact reader.
+
+    Raises:
+        ValueError: a ragged row anywhere in rows before any bad cell; else
+            the first row's bad timestamp or cell (_read_row).
+    """
+    value_rows, stamps = [], []
+    for t, row in enumerate(islice(rows, stop), t):
+        if len(row) != width:
+            _check_widths(path, width, chain([row], rows))
+        try:
+            values, stamp = _read_row(path, row, first, t)
+        except ValueError:
+            _check_widths(path, width, rows)
+            raise
+        value_rows.append(np.array(values))  # an array a row: Python floats take 4 times the memory
+        stamps.append(stamp)
+    values = np.stack(value_rows) if value_rows else np.zeros((0, width - first))
+    values += 0.0  # -0.0 + 0.0 is 0.0
+    return values, np.array(stamps) if first else None
+
+
+def _read_body(path, pieces, values, times, first, width) -> None:
+    """values and times grown in place by the rows of pieces, parsed
+    _thread_count() pieces at a time (_read_piece): workers parse all but
+    the last, which this thread parses (a worker's malloc arena keeps what
+    it frees). From a group with a piece turned down, or a worker that
+    cannot start, the csv module reads the rest of the file (_read_rows)."""
     from concurrent.futures import ThreadPoolExecutor  # imported only by a reader
     threads = _thread_count()
+    pieces = filter(None, pieces)
     with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         for group in iter(lambda: list(islice(pieces, threads)), []):
             try:
                 parsed = [pool.submit(_read_piece, piece, first, width) for piece in group[:-1]]
-            except RuntimeError as error:  # "can't start new thread"
-                raise OSError("no worker thread could start") from error
-            last = _read_piece(group[-1], first, width)
-            for part in [future.result() for future in parsed] + [last]:
-                for a, more in zip((values, times), part):
+                parts = [_read_piece(group[-1], first, width)]
+                parts[:0] = [future.result() for future in parsed]
+            except (ValueError, RuntimeError):  # RuntimeError: "can't start new thread"
+                rows = filter(None, _csv_rows(path, _lines(chain(group, pieces), [])))
+                parts = [_read_rows(path, rows, first, width, len(values))]
+            while parts:  # each part freed once copied
+                for a, more in zip((values, times), parts.pop(0)):
                     if a is not None:
                         a.resize((len(a) + len(more),) + a.shape[1:], refcheck=False)
                         a[len(a) - len(more) :] = more
-    return values, times
 
 
 def _read_piece(piece, first, width) -> tuple:
     """Values and timestamps (None without a time column) of a piece's
-    lines, ended by \\n, \\r or \\r\\n (blank ones skipped); byte compares
-    find the cells. Raises ValueError for a quote, a ragged row, a cell over
-    the csv field limit, or a cell or timestamp _read_whole may read
-    otherwise."""
+    lines, ended by \\n, \\r or \\r\\n (blank ones skipped; the file's last
+    line may have no end); byte compares find the cells. Raises ValueError
+    for a quote, a ragged row, a cell over the csv field limit, or a cell or
+    timestamp the exact reader (_read_rows) may read otherwise."""
     if b'"' in piece:
         raise ValueError("a quote")
+    if not piece.endswith((b"\n", b"\r")):
+        piece += b"\n"
     text = np.frombuffer(piece, np.uint8)
     low = np.flatnonzero(text < ord("-"))  # few bytes of a number but the separators
     byte = text[low]
@@ -521,11 +512,12 @@ def write_speed_csv(
 
 
 def _thread_count() -> int:
-    """GRAPHMARKOV_THREADS when it is a positive integer, else the number of
-    CPUs this process may run on."""
-    text = os.environ.get("GRAPHMARKOV_THREADS", "").strip()
-    if text.isdigit() and int(text) > 0:
-        return int(text)
+    """GRAPHMARKOV_THREADS when it is a positive integer (the rule that caps
+    the BLAS pool), else the number of CPUs this process may run on."""
+    from . import _threads_setting  # the package reads it before numpy loads
+
+    if threads := _threads_setting():
+        return threads
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -855,10 +847,14 @@ def prepare_datasets(
     return DatasetBundle(train, val, test, stats, test_label_times=parts[2].timestamps[n:])
 
 
+# 17 significant digits, which round-trip an IEEE double: the one float format
+# of checkpoints, training histories and result CSVs.
+_FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(v: float) -> str:
-    """v with 17 significant digits, which round-trip an IEEE double: the one
-    float format of checkpoints, training histories and result CSVs."""
-    return "%.17g" % float(v)
+    """v in _FLOAT_FORMAT."""
+    return _FLOAT_FORMAT % float(v)
 
 
 def _is_float(text: str) -> bool:

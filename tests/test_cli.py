@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +522,25 @@ class TestManifest:
         assert record["numpy"] == np.__version__
         assert record["blas"] == f"{blas['name']} {blas['version']}"
         assert record["threads"] == (threads or str(len(os.sched_getaffinity(0))))
+
+    @pytest.mark.parametrize(
+        "setting, threads",
+        [("1.5", None), ("0", None), ("\u00b2", None), (" 02 ", 2)],
+        ids=["1.5", "0", "superscript-2", "padded-2"],
+    )
+    def test_blas_threads_follow_the_recorded_rule(self, setting, threads):
+        """In a fresh process, GRAPHMARKOV_THREADS reaches the BLAS variables
+        only when the thread count the manifest records takes it."""
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        env = {key: value for key, value in os.environ.items() if key not in blas}
+        env["GRAPHMARKOV_THREADS"] = setting
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        code = "import os; from graphmarkov import data; print([os.environ.get(k) for k in %r], data._thread_count())"
+        out = subprocess.run(
+            [sys.executable, "-c", code % (blas,)], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        expected = [None if threads is None else str(threads)] * len(blas)
+        assert out == f"{expected} {threads or len(os.sched_getaffinity(0))}\n"
 
     def test_input_paths_are_relative_to_the_manifest(self, tmp_path, monkeypatch):
         """Commands run from another directory with relative input paths

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import threading
+import tracemalloc
 import weakref
 from datetime import datetime, timedelta
 from decimal import Decimal
@@ -99,7 +100,8 @@ class TestStateSeries:
             )
 
     def test_rejects_irregular_timestamps(self):
-        with pytest.raises(ValueError, match="spacing"):
+        message = "spacing: step 2 follows a gap of 600.0 s, step 1 a gap of 300.0 s"
+        with pytest.raises(ValueError, match=message):
             StateSeries(
                 values=np.ones((3, 1)),
                 mask=np.ones((3, 1)),
@@ -177,6 +179,23 @@ class TestIngestCsv:
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(ValueError, match="unparseable"):
             ingest_csv(path)
+
+    def test_dropped_row_names_the_irregular_steps(self, tmp_path):
+        """A row missing from a 5-minute export leaves one 10-minute gap; the
+        error names the step after it and the step after a 5-minute one."""
+        rows = stamped(["1,2", "3,4", "5,6", "7,8", "9,10"])
+        path = tmp_path / "speed.csv"
+        path.write_text("timestamp,s0,s1\n" + lines(rows[:3] + rows[4:]))
+        message = (
+            "timestamps must have constant spacing: "
+            "step 3 follows a gap of 600.0 s, step 1 a gap of 300.0 s"
+        )
+        with pytest.raises(ValueError) as err:
+            ingest_csv(path)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            ingest_csv_reference(path)
+        assert str(err.value) == message
 
     def test_rejects_backwards_timestamps(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -380,8 +399,29 @@ def no_block_text(*block):
     raise AssertionError("a block was formatted by _block_text")
 
 
-def no_exact_reader(fh, path):
-    raise AssertionError(f"{path} was read again by the exact reader")
+READ_ROWS = data_module._read_rows
+
+
+def no_csv_past_the_head(path, rows, first, width, t, stop=None):
+    """_read_rows for the head alone: the csv module reading on from a
+    later data row fails the test."""
+    if t:
+        raise AssertionError(f"{path} was read by the csv module from data row {t}")
+    return READ_ROWS(path, rows, first, width, t, stop)
+
+
+def csv_starts(monkeypatch):
+    """The list, filled as ingest_csv runs, of each data row past the head
+    from which the csv module reads on (_read_rows)."""
+    starts = []
+
+    def read_rows(path, rows, first, width, t, stop=None):
+        if t:
+            starts.append(t)
+        return READ_ROWS(path, rows, first, width, t, stop)
+
+    monkeypatch.setattr(data_module, "_read_rows", read_rows)
+    return starts
 
 
 def ingest_outcome(read, path):
@@ -448,8 +488,8 @@ def good_files(block):
     }
 
 
-# The good files that the piece reader turns down, which the exact reader
-# then reads: a quote past the head rows.
+# The good files of which the piece reader turns down a piece, from whose
+# group the csv module reads on: a quote past the head rows.
 EXACT_READER_ONLY = {"quoted-cell-late"}
 
 
@@ -507,6 +547,8 @@ def bad_files(block):
         "fortran-exponent": late("1,1d3"),
         "quoted-comma-in-head": 'a,b,c\n1,2,3\n"4,5",6,7\n8,9,10\n',
         "unbalanced-quote-at-end": 'a,b,c\n1,2,3\n4,"5,6',
+        "open-quote-ends-the-file": lines(rows) + '5,"x',
+        "open-quote-ends-the-head": 'a,b\n1,2\n3,"x',
         "quoted-commas-in-head-ragged": 'a,b\n"1,2",3\n"4,5",6\n7,8,9\n',
         "timestamp-without-cells": lines(one_sensor),
     }
@@ -642,39 +684,46 @@ class TestCsvAgainstReference:
         assert got == (tmp_path / "ref.csv").read_bytes()
 
 
+def turn_down(*args):
+    raise ValueError("turned down")
+
+
 class TestExactReader:
-    """The exact reader alone, with the piece reader turning every file down."""
+    """The csv module's row loop alone, with the piece reader turning every
+    piece after the head down."""
 
     @pytest.fixture(autouse=True)
     def no_piece_reader(self, monkeypatch):
-        monkeypatch.setattr(data_module, "_read_fast", lambda *args: None)
+        monkeypatch.setattr(data_module, "_read_piece", turn_down)
 
     test_reads_as_reference = TestCsvAgainstReference.test_reads_as_reference
     test_rejects_as_reference = TestCsvAgainstReference.test_rejects_as_reference
 
 
 class TestFastCsvPath:
-    """The piece reader in ingest_csv, which the exact reader backs."""
+    """The piece reader in ingest_csv, from whose first turned-down group the
+    csv module reads on."""
 
     @pytest.mark.parametrize("name", sorted(good_files(4)))
     def test_reads_good_files_alone(self, tmp_path, block_rows, monkeypatch, name):
         """Every good file but those of EXACT_READER_ONLY reads as the
-        reference does without the exact reader; those are turned down."""
+        reference does with the csv module reading the head alone; for those
+        the csv module reads on from one data row past the head."""
         path = tmp_path / "speed.csv"
         path.write_bytes(good_files(block_rows)[name].encode())
         if name in EXACT_READER_ONLY:
-            with open(path, "rb") as fh:
-                assert data_module._read_fast(fh, path) is None
-            return
-
-        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+            starts = csv_starts(monkeypatch)
+        else:
+            monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
+        if name in EXACT_READER_ONLY:
+            assert len(starts) == 1
 
     def test_padded_cell_over_the_field_limit_is_a_value_error(self, tmp_path):
         """The piece reader turns down a cell over the csv module's field
-        limit, which the exact reader then rejects: a line past the head with
+        limit, which the csv module then rejects: a line past the head with
         such a cell still fails."""
         path = tmp_path / "long.csv"
         path.write_text("a,b\n1,2\n3,4\n5," + " " * 139_999 + "6\n7,8\n")
@@ -779,12 +828,12 @@ class TestSplitReader:
 
     @pytest.mark.parametrize("name", sorted(good_files(3)))
     def test_reads_as_reference(self, tmp_path, monkeypatch, name):
-        """Every good file but those of EXACT_READER_ONLY reads without the
-        exact reader."""
+        """Every good file but those of EXACT_READER_ONLY reads with the csv
+        module reading the head alone."""
         path = tmp_path / "speed.csv"
         path.write_bytes(good_files(3)[name].encode())
         if name not in EXACT_READER_ONLY:
-            monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+            monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
@@ -812,21 +861,21 @@ class TestSplitReader:
         assert threading.active_count() == threads
 
     def test_quote_in_a_later_piece_is_read_by_the_exact_reader(self, tmp_path, monkeypatch):
+        """The csv module reads on from the quoted row's group, past rows
+        the pieces gave."""
         rows = self.rows(40)
         rows[-3] = rows[-3].replace(".25,", '.25,"4"')
         path = tmp_path / "speed.csv"
         path.write_text(lines(rows))
-        read_whole = data_module._read_whole
-        reads = []
-        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
+        starts = csv_starts(monkeypatch)
         got = ingest_outcome(ingest_csv, path)
         assert not isinstance(got[0], type), got
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert reads == [path]
+        assert len(starts) == 1 and 2 < starts[0] <= 37
 
     def test_byte_order_mark(self, tmp_path, monkeypatch):
         """The mark is dropped before the head: the marked file reads as the plain one."""
-        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         text = "t,x,y,z\r\n" + lines(self.rows(40), end="\r\n")
         plain.write_text(text, newline="")
@@ -836,7 +885,7 @@ class TestSplitReader:
     @pytest.mark.parametrize("stop", ["mid-output", "start"], ids=["stops-mid-output", "cannot-start"])
     def test_failed_child_leaves_the_file_to_the_exact_reader(self, tmp_path, monkeypatch, stop):
         """A worker thread that raises on its second piece, or one that
-        cannot start, sends the file to the exact reader."""
+        cannot start, has the csv module read on from its group."""
         from concurrent.futures import ThreadPoolExecutor
 
         read_piece = data_module._read_piece
@@ -857,12 +906,29 @@ class TestSplitReader:
         monkeypatch.setattr(data_module, "_read_piece", failing_read_piece)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
-        read_whole = data_module._read_whole
-        reads = []
-        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
+        starts = csv_starts(monkeypatch)
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
-        assert reads == [path]
+        assert len(starts) == 1
+        assert starts[0] > 2 if stop == "mid-output" else starts == [2]
         assert len(calls) == (2 if stop == "mid-output" else 0)
+
+    def test_worker_that_cannot_start_on_blank_lines(self, tmp_path, monkeypatch):
+        """The csv module reads on from a group of blank lines alone, which
+        adds no row."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        def failing_start(pool):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "_adjust_thread_count", failing_start)
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 1)
+        path = tmp_path / "speed.csv"
+        path.write_text("t,x,y,z\n" + lines(self.rows(2)) + "\n\n\n")
+        starts = csv_starts(monkeypatch)
+        got = ingest_outcome(ingest_csv, path)
+        assert got[0] == (2, 3)
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert starts == [2]
 
     @pytest.mark.parametrize("threads, piece_bytes", [("1", 7), ("2", 1 << 20)], ids=["one-thread", "small-file"])
     def test_no_child_starts(self, tmp_path, monkeypatch, threads, piece_bytes):
@@ -870,7 +936,7 @@ class TestSplitReader:
         thread or with a file of one piece."""
         monkeypatch.setenv("GRAPHMARKOV_THREADS", threads)
         monkeypatch.setattr(data_module, "_PIECE_BYTES", piece_bytes)
-        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
         before = threading.active_count()
@@ -891,7 +957,7 @@ class TestSplitReader:
     def test_body_shorter_than_two_lines_starts_no_child(self, tmp_path, monkeypatch, body):
         """The head's two data rows are read by the csv module; the pieces
         after them hold no line or one."""
-        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         path = tmp_path / "speed.csv"
         path.write_text("t,x,y,z\n" + lines(self.rows(2 + body)))
         assert ingest_outcome(ingest_csv, path) == ingest_outcome(ingest_csv_reference, path)
@@ -899,7 +965,7 @@ class TestSplitReader:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_is_read_here_alone(self, tmp_path, monkeypatch):
         """A file that cannot seek reads in pieces like any other."""
-        monkeypatch.setattr(data_module, "_read_whole", no_exact_reader)
+        monkeypatch.setattr(data_module, "_read_rows", no_csv_past_the_head)
         path = tmp_path / "speed.csv"
         path.write_text(lines(self.rows(40)))
         read_end, write_end = os.pipe()
@@ -913,12 +979,11 @@ class TestSplitReader:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_the_piece_reader_turns_down_is_read_by_the_exact_reader(self, tmp_path, monkeypatch):
-        """The pipe is read once, and the exact reader reads what it held."""
+        """The csv module reads on in the pipe from the group the piece
+        reader turns down, the first after the head."""
         path = tmp_path / "speed.csv"
         path.write_text('a,b\n1,2\n3,4\n5,6\n"7",8\n9,10\n')
-        read_whole = data_module._read_whole
-        reads = []
-        monkeypatch.setattr(data_module, "_read_whole", lambda fh, path: reads.append(path) or read_whole(fh, path))
+        starts = csv_starts(monkeypatch)
         read_end, write_end = os.pipe()
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(path.read_bytes())
@@ -929,7 +994,89 @@ class TestSplitReader:
         assert not isinstance(got[0], type), got
         assert got[0] == (5, 2)
         assert got == ingest_outcome(ingest_csv_reference, path)
-        assert reads == [f"/dev/fd/{read_end}"]
+        assert starts == [2]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_with_a_late_quote_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        """Each read asks for one piece, the reads add up to the file once,
+        and the csv module reads on from the quoted row's group."""
+        rows = self.rows(40)
+        rows[-3] = rows[-3].replace(".25,", '.25,"4"')
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        reads = []
+
+        def logged_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            read = fh.read
+
+            def logged_read(size=-1):
+                chunk = read(size)
+                reads.append((size, len(chunk)))
+                return chunk
+
+            fh.read = logged_read
+            return fh
+
+        monkeypatch.setattr(data_module, "open", logged_open, raising=False)
+        starts = csv_starts(monkeypatch)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(path.read_bytes())
+        try:
+            got = ingest_outcome(ingest_csv, f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert not isinstance(got[0], type), got
+        assert got == ingest_outcome(ingest_csv_reference, path)
+        assert {size for size, _ in reads} == {data_module._PIECE_BYTES}
+        assert sum(n for _, n in reads) == path.stat().st_size
+        assert len(starts) == 1 and 2 < starts[0] <= 37
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("quote", [False, True], ids=["no-quote", "late-quote"])
+    def test_pipe_peaks_as_the_file_does(self, tmp_path, monkeypatch, quote):
+        """The traced peak of reading a 1.7 MB file through a pipe is at most
+        two pieces above that of reading the file, with or without a late
+        quote that has the csv module read the last group. One thread, so
+        that neither peak hangs on how two threads' pieces overlap."""
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 1 << 16)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "1")
+        rows = self.rows(60_000)
+        if quote:
+            rows[-3] = rows[-3].replace(".25,", '.25,"4"')
+        path = tmp_path / "speed.csv"
+        path.write_text(lines(rows))
+        text = path.read_bytes()
+
+        def write(fd):
+            view = memoryview(text)
+            while view:
+                view = view[os.write(fd, view) :]
+            os.close(fd)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def through_pipe():
+            read_end, write_end = os.pipe()
+            writer = threading.Thread(target=write, args=(write_end,))
+            writer.start()
+            try:
+                ingest_csv(f"/dev/fd/{read_end}")
+            finally:
+                os.close(read_end)
+                writer.join()
+
+        expected = ingest_outcome(ingest_csv_reference, path)
+        assert ingest_outcome(ingest_csv, path) == expected
+        from_file, from_pipe = peak(lambda: ingest_csv(path)), peak(through_pipe)
+        assert from_pipe <= from_file + 2 * data_module._PIECE_BYTES, (from_file, from_pipe)
 
     @pytest.mark.parametrize(
         "text",
@@ -941,10 +1088,9 @@ class TestSplitReader:
         ids=["crlf", "mixed-line-ends", "blank-lines-and-mark"],
     )
     def test_every_cut_parts_the_lines_of_the_whole(self, tmp_path, monkeypatch, text):
-        """At every piece size, each piece ends after a line end (the last
-        one gets a \\n), the pieces hold the file's bytes in order, and the
-        file reads as the reference (the last, with a line of a space, is
-        ragged)."""
+        """At every piece size, each piece but the last ends after a line
+        end, the pieces hold the file's bytes in order, and the file reads as
+        the reference (the last, with a line of a space, is ragged)."""
         path = tmp_path / "speed.csv"
         path.write_bytes(text.encode())
         data = path.read_bytes()
@@ -953,8 +1099,8 @@ class TestSplitReader:
             monkeypatch.setattr(data_module, "_PIECE_BYTES", size)
             with open(path, "rb") as fh:
                 pieces = list(data_module._pieces(fh))
-            assert all(piece.endswith((b"\n", b"\r")) for piece in pieces)
-            assert b"".join(pieces) in (data, data + b"\n")
+            assert all(piece.endswith((b"\n", b"\r")) for piece in pieces[:-1])
+            assert b"".join(pieces) == data
             assert ingest_outcome(ingest_csv, path) == expected
 
     @pytest.mark.parametrize("name", sorted(good_files(3)))

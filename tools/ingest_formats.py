@@ -13,11 +13,15 @@ Writes four 207 x 34,272 speed files into a temporary directory:
     mph3     the fixed16 speeds rounded to 3 decimals, as METR-LA exports
              read (64.375)
 
-For each file a fresh process runs the checkout's own package (src/): it
-times ingest_csv, reads its peak resident memory (VmHWM) right after, then
-times the exact reader (data._read_whole) on the file and checks that the
-values, mask and timestamps are the same bytes. Prints one line per format;
-exits 1 when any differs. GRAPHMARKOV_THREADS is passed on as set.
+Each file is read by two fresh processes that run the checkout's own
+package (src/), and each prints a line. The first times ingest_csv on the
+file and reads its peak resident memory (VmHWM) right after. It then times
+a read in which the piece parser turns every piece down, so that the csv
+module reads every body row (the exact reader), and checks that the values,
+mask and timestamps are the same bytes. The second process reads the file
+through a pipe that `cat` fills, and prints its time and VmHWM; it then
+checks its bytes against ingest_csv on the file. Exits 1 when any differs.
+GRAPHMARKOV_THREADS is passed on as set.
 """
 
 import argparse
@@ -60,30 +64,36 @@ def vm_hwm_mb() -> float:
     return int(line.split()[1]) / 1024
 
 
-def measure(path: str) -> int:
+def turn_down(*args):
+    raise ValueError("turned down")
+
+
+def through_pipe(path: str):
+    """ingest_csv of path's bytes, which `cat` writes into a pipe."""
+    with subprocess.Popen(["cat", path], stdout=subprocess.PIPE) as cat:
+        return data.ingest_csv(f"/dev/fd/{cat.stdout.fileno()}")
+
+
+def measure(path: str, pipe: bool) -> int:
     """One format, in this process: the line main prints."""
     start = time.perf_counter()
-    series = data.ingest_csv(path)
+    series = through_pipe(path) if pipe else data.ingest_csv(path)
     seconds = time.perf_counter() - start
     peak = vm_hwm_mb()
     start = time.perf_counter()
-    with open(path, "rb") as fh:
-        values, times = data._read_whole(fh, path)
-    exact_seconds = time.perf_counter() - start
-    exact = data.StateSeries(
-        values=values,
-        mask=values != 0.0,
-        timestamps=data.synthesize_timestamps(len(values)) if times is None else times,
-    )
+    if not pipe:
+        data._read_piece = turn_down  # the csv module reads every body row
+    other = data.ingest_csv(path)
+    other_seconds = time.perf_counter() - start
     same = all(
-        getattr(series, name).tobytes() == getattr(exact, name).tobytes()
+        getattr(series, name).tobytes() == getattr(other, name).tobytes()
         for name in ("values", "mask", "timestamps")
     )
     size = os.path.getsize(path) / 1e6
     print(
-        f"{Path(path).stem:8s} {size:6.1f} MB  ingest_csv {seconds:6.3f} s  VmHWM {peak:6.1f} MB  "
-        f"_read_whole {exact_seconds:6.3f} s  "
-        f"{'bit-identical to _read_whole' if same else 'DIFFERS from _read_whole'}",
+        f"{Path(path).stem:8s} {size:6.1f} MB  {'pipe' if pipe else 'file'} {seconds:6.3f} s  "
+        f"VmHWM {peak:6.1f} MB  {'the file' if pipe else 'the exact reader'} {other_seconds:6.3f} s  "
+        f"{'bit-identical' if same else 'DIFFERS'}",
         flush=True,
     )
     return 0 if same else 1
@@ -93,14 +103,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--measure", help=argparse.SUPPRESS)
+    parser.add_argument("--pipe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
-        return measure(args.measure)
+        return measure(args.measure, args.pipe)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_formats(Path(tmp), args.seed)
         codes = [
-            subprocess.run([sys.executable, __file__, "--measure", str(path)]).returncode
+            subprocess.run([sys.executable, __file__, "--measure", str(path), *pipe]).returncode
             for path in paths
+            for pipe in ([], ["--pipe"])
         ]
     return 1 if any(codes) else 0
 
