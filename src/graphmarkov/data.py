@@ -487,7 +487,9 @@ def write_speed_csv(
 
     Raises:
         ValueError: sensor_ids of another length than the series' sensors,
-            or decimals outside 0..15; nothing is written.
+            decimals outside 0..15, or a non-finite reading, which
+            ingest_csv would refuse (named by data row and sensor column,
+            from 0); nothing is written.
         TypeError: decimals that is no integer.
     """
     if sensor_ids is None:
@@ -496,6 +498,13 @@ def write_speed_csv(
         raise ValueError(f"{len(sensor_ids)} sensor IDs given for {series.size} sensors")
     if decimals is not None and index(decimals) not in range(16):
         raise ValueError(f"decimals must be an int from 0 to 15, got {decimals!r}")
+    values = series.values
+    # max and min both propagate NaN and allocate nothing.
+    if not (np.isfinite(values.max(initial=0.0)) and np.isfinite(values.min(initial=0.0))):
+        t, s = np.argwhere(~np.isfinite(values))[0]
+        raise ValueError(
+            f"cannot write the non-finite value {float(values[t, s])!r} at data row {t}, column {s}"
+        )
     header = io.StringIO()
     csv.writer(header).writerow(["timestamp"] + list(sensor_ids))
     digest = hashlib.sha256()

@@ -9,7 +9,6 @@ be shared freely across threads.
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,9 +36,9 @@ class Graph:
 
 @dataclass(frozen=True)
 class HopMaskSet:
-    """Reachability masks: masks[k-1] is True where vertex j reaches vertex i
-    within k hops under the self-connection adjacency (the support of its
-    k-th matrix power), as a read-only bool array."""
+    """Reachability masks, read-only bool arrays: masks[k-1] is True where
+    vertex j reaches vertex i within k hops under the self-connection
+    adjacency (the support of its k-th power). Models pack their own theta."""
 
     masks: tuple
 
@@ -52,14 +51,6 @@ class HopMaskSet:
         if not 1 <= k <= len(self.masks):
             raise ValueError(f"hop order {k} outside 1..{len(self.masks)}")
         return self.masks[k - 1]
-
-    @cached_property
-    def hop_entries(self) -> tuple:
-        """Per hop, the flat indices of its support entries within one S x S
-        mask and the slice they take in a hop-major packing of all hops."""
-        flats = [np.flatnonzero(mask) for mask in self.masks]
-        ends = np.cumsum([flat.size for flat in flats])
-        return tuple((slice(end - flat.size, end), flat) for flat, end in zip(flats, ends))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ their per-hop linear maps:
   graph's normalized Laplacian, giving S parameters per hop instead of up
   to S^2.
 
-Each params class packs its free parameters into one float64 vector, theta,
-which the optimizer updates through `dataclasses.replace`: every vector of
-the right length is a valid model. The `from_*` constructors check per-hop
-arrays that come from outside. Backward passes are analytic, not autodiff;
+Each params class packs its free parameters into one float64 vector, theta:
+every vector of the right length is a valid model. The `from_*` constructors
+check per-hop arrays that come from outside; `train` has Adam update one
+writable copy of theta in place. Backward passes are analytic, not autodiff;
 their correctness is pinned by finite-difference tests.
 """
 
@@ -113,9 +113,9 @@ class GmnParams(_DampedHopSum):
     """Dense per-hop weights confined to the graph's hop reachability.
 
     theta holds each hop's weights inside its support, hop by hop in the
-    slices of masks.hop_entries; weights outside have no entry, so they
-    are zero. weights[k-1] is the S x S matrix applied to the state k-1
-    steps back.
+    slices of hop_entries; weights outside have no entry, so they are zero.
+    weights[k-1] is the S x S matrix applied to the state k-1 steps back;
+    it is cached, so it goes stale on training's working object.
     """
 
     kind: ClassVar[str] = "gmn"
@@ -159,9 +159,18 @@ class GmnParams(_DampedHopSum):
         return self.masks.mask(1).shape[0]
 
     @cached_property
+    def hop_entries(self) -> tuple:
+        """Per hop, the slice it takes in theta and the flat indices of its
+        support entries within one S x S matrix."""
+        flats = [np.flatnonzero(mask) for mask in self.masks.masks]
+        ends = np.cumsum([flat.size for flat in flats])
+        return tuple((slice(end - flat.size, end), flat) for flat, end in zip(flats, ends))
+
+    @cached_property
     def weights(self) -> np.ndarray:
-        """n x S x S dense weights, scattered from theta."""
-        dense = np.stack([self._weight(i) for i in range(self.n)])
+        """n x S x S dense weights; the stacked masks' True cells, in order, hold theta."""
+        dense = np.zeros((self.n, self.size, self.size))
+        dense[np.stack(self.masks.masks)] = self.theta
         dense.setflags(write=False)
         return dense
 
@@ -176,7 +185,7 @@ class GmnParams(_DampedHopSum):
 
     def _weight(self, i: int) -> np.ndarray:
         """Hop i+1's S x S weights, scattered from its own slice of theta."""
-        entries, flat = self.masks.hop_entries[i]
+        entries, flat = self.hop_entries[i]
         w = np.zeros((self.size, self.size))
         w.reshape(-1)[flat] = self.theta[entries]
         return w
@@ -191,12 +200,12 @@ class GmnParams(_DampedHopSum):
 
     def _hop_grad(self, i: int, grad_out: np.ndarray, z: np.ndarray) -> tuple:
         """The batch-summed outer product, read on hop i+1's support."""
-        entries, flat = self.masks.hop_entries[i]
+        entries, flat = self.hop_entries[i]
         return entries, (grad_out.T @ z).reshape(-1)[flat]
 
     def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
         """Hop i+1's support entries in the columns of the given sensors."""
-        entries, flat = self.masks.hop_entries[i]
+        entries, flat = self.hop_entries[i]
         return entries, sensors[flat % self.size]
 
 

@@ -131,11 +131,9 @@ def simulate_gmp(graph: Graph, spec: TransitionSpec, steps: int, seed: int) -> S
     values[0] = spec.initial_state
     for lo in range(0, steps - 1, _NOISE_BLOCK_STEPS):
         rows = min(_NOISE_BLOCK_STEPS, steps - 1 - lo)
-        if spec.noise_std > 0:
-            # One draw per block gives the stream of one draw per step.
-            noise = rng.normal(0.0, spec.noise_std, size=(rows, s))
-        else:
-            noise = np.zeros((rows, s))
+        # One draw per block gives the stream of one draw per step. A zero
+        # level draws +0.0 in every cell; normal() refuses -0.0, hence + 0.0.
+        noise = rng.normal(0.0, spec.noise_std + 0.0, size=(rows, s))
         for t, eps in enumerate(noise, start=lo):
             state = values[t + 1]
             np.dot(spec.matrix, values[t], out=state)

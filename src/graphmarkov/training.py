@@ -104,17 +104,17 @@ def write_history_csv(path, history: TrainHistory) -> None:
             fh.write(f"{rec.epoch},{_fmt(rec.train_loss)},{_fmt(rec.val_loss)},{_fmt(rec.lr)}\n")
 
 
-def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int, lr: float,
-              active=slice(None)):
-    """The step-th (from 1) bias-corrected Adam update of the entries
-    `active` (an index into the packed parameter vector, all of it by
+def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int,
+              lr: float, active=slice(None)) -> None:
+    """The step-th (from 1) bias-corrected Adam update, in place, of the
+    entries `active` of the packed parameter vector theta (all of it by
     default), whose moment estimates `first` and `second` are updated in
-    place; the other entries are copied, which is exact while their
-    gradients are zero. Returns the new params.
+    place too. The other entries are left alone, which is exact while
+    their gradients are zero.
 
     Raises:
         ValueError: non-finite gradient entries, inside `active` or not;
-            the moments are left as they were.
+            theta and the moments are left as they were.
     """
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient; aborting the update")
@@ -138,10 +138,7 @@ def adam_step(params, grad: np.ndarray, first: np.ndarray, second: np.ndarray, s
     update = np.divide(first, scale1)
     update *= lr
     update /= scratch
-    theta = params.theta.copy()
-    theta[active] = np.subtract(params.theta[active], update, out=update)
-    theta.setflags(write=False)
-    return replace(params, theta=theta)
+    theta[active] -= update
 
 
 def _dataset_loss(params, data) -> float:
@@ -159,23 +156,25 @@ def _dataset_loss(params, data) -> float:
 def train(params, train_data, val_data, config: TrainConfig, log=None):
     """Run the full training loop; returns (best params, TrainHistory).
 
-    Each epoch shuffles the training windows with a seeded generator, walks
-    them in batches of config.batch_size (final short batch included),
-    updates via Adam, then scores the validation set. Batches without a
-    single observed label are skipped. `log`, if given, receives one line
-    per epoch.
+    Adam updates one working copy of params.theta in place; the caller's
+    params are never written. Each epoch shuffles the training windows with
+    a seeded generator, walks them in batches of config.batch_size (final
+    short batch included), updates via Adam, then scores the validation
+    set. Batches without a single observed label are skipped. The best
+    params are a read-only copy taken at the epoch of lowest validation
+    loss. `log`, if given, receives one line per epoch.
 
     Raises:
         FloatingPointError: non-finite training or validation loss.
     """
     rng = np.random.default_rng(config.seed)
+    params = replace(params, theta=params.theta.copy())
     active = params.active_entries(train_data)
     first, second = np.zeros(active.size), np.zeros(active.size)
     step = 0
     lr = config.lr_init
 
     best_val = np.inf
-    best_params = params
     plateau_lr = 0
     plateau_stop = 0
     records = []
@@ -193,7 +192,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             epoch_sq += sq
             epoch_obs += observed
             step += 1
-            params = adam_step(params, grad, first, second, step, lr, active)
+            adam_step(params.theta, grad, first, second, step, lr, active)
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data)
@@ -214,7 +213,8 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         improved = val_loss < best_val - config.min_delta
         if val_loss < best_val:
             best_val = val_loss
-            best_params = params
+            best_params = replace(params, theta=params.theta.copy())
+            best_params.theta.setflags(write=False)
 
         if improved:
             plateau_lr = 0

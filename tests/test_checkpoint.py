@@ -150,6 +150,60 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match=r"\[frequency_gains 2\] row 1 holds a non-finite"):
             load_params(path, g)
 
+    def test_rejects_unknown_model_kind(self, tmp_path):
+        g = random_graph(1)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_gmn(g, n=1, gamma=0.9))
+        path.write_text(path.read_text().replace("kind=gmn", "kind=lstm"))
+        with pytest.raises(ValueError) as err:
+            load_params(path, g)
+        assert str(err.value) == f"checkpoint {path} has unknown model kind 'lstm'"
+
+    def test_rejects_blocks_out_of_order(self, tmp_path):
+        g = random_graph(2)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_gmn(g, n=2, gamma=0.9))
+        text = path.read_text().replace("[hop_weights 1]", "[hop_weights 0]")
+        path.write_text(text.replace("[hop_weights 2]", "[hop_weights 1]").replace("[hop_weights 0]", "[hop_weights 2]"))
+        with pytest.raises(ValueError) as err:
+            load_params(path, g)
+        assert str(err.value) == f"checkpoint {path}: expected block [hop_weights 1]"
+
+    def test_model_error_names_the_file(self, tmp_path):
+        g = random_graph(3)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_sgmn(g, n=1, gamma=0.9))
+        lines = ["gamma=1.5" if line.startswith("gamma=") else line for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_params(path, g)
+        assert str(err.value) == f"checkpoint {path}: damping factor must lie in (0,1], got 1.5"
+
+    def test_blank_lines_inside_a_block_are_skipped(self, tmp_path):
+        g = random_graph(4)
+        rng = np.random.default_rng(5)
+        params = masked_params(
+            init_gmn(g, n=2, gamma=0.9), [awkward_values((5, 5), rng) for _ in range(2)]
+        )
+        path = tmp_path / "model.ckpt"
+        save_params(path, params)
+        lines = path.read_text().splitlines()
+        row = lines.index("[hop_weights 2]") + 2
+        path.write_text("\n".join(lines[:row] + ["", "   "] + lines[row:]) + "\n")
+        for got, want in zip(load_params(path, g).weights, params.weights):
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_data_outside_any_block(self, tmp_path):
+        """A marker with a trailing space is no marker, so the rows after
+        the header start outside any block."""
+        g = random_graph(6)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_gmn(g, n=1, gamma=0.9))
+        path.write_text(path.read_text().replace("[hop_weights 1]", "[hop_weights 1] "))
+        with pytest.raises(ValueError) as err:
+            load_params(path, g)
+        assert str(err.value) == f"checkpoint {path}: data outside any block"
+
 
 class TestRowParsing:
     """Rows are read by one np.loadtxt per block where numpy and float()

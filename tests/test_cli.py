@@ -167,6 +167,23 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ("a:b:c", "split parts must be numeric, got 'a:b:c'"),
+            ("0:0:0", "split weights must be positive"),
+            ("6:0:2", "split fractions must each lie in (0,1), got (0.75, 0.0, 0.25)"),
+        ],
+        ids=["non-numeric", "zero-total", "zero-part"],
+    )
+    def test_rejects_bad_split(self, tmp_path, capsys, split, message):
+        with pytest.raises(SystemExit) as exited:
+            run(["train", "--model", "gmn", "--split", split, "--speed", "s.csv",
+                 "--adjacency", "a.csv", "--out", str(tmp_path / "run")])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --split: {message}\n")
+        assert not (tmp_path / "run").exists()
+
 
 class TestEval:
     def test_inherits_train_settings_from_manifest(self, tmp_path, capsys):
@@ -232,6 +249,12 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {manifest}: key {key!r}:") and err.count("\n") == 1
+
+    def test_rejects_missing_checkpoint(self, tmp_path, capsys):
+        missing = tmp_path / "none" / "model.ckpt"
+        code = run(["eval", "--checkpoint", str(missing), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: checkpoint {missing} does not exist\n"
 
     def test_errors_without_manifest_or_flags(self, tmp_path, capsys):
         simulate_small(tmp_path / "sim")
@@ -455,6 +478,16 @@ class TestConfigFile:
         assert err.startswith("error:") and err.count("\n") == 1
         key = line.partition("=")[0].replace("-", "_")
         assert str(config) in err and repr(key) in err
+
+    def test_config_value_outside_the_choices_is_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("model=lstm\n")
+        code = run(["train", "--config", str(config), "--speed", "s.csv", "--adjacency", "a.csv",
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: config key 'model': 'lstm' not one of ['gmn', 'sgmn']\n"
+        )
 
     def test_malformed_config_line_is_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -239,6 +239,25 @@ class TestIngestCsv:
         assert not path.exists()
 
     @pytest.mark.parametrize("decimals", [None, 4], ids=["repr", "4-decimals"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_writer_rejects_non_finite_readings(self, tmp_path, bad, decimals):
+        """ingest_csv would refuse the cell, so nothing is written, and the
+        error names its data row and sensor column as the reader does."""
+        values = np.ones((3, 4))
+        values[2, 1] = 7.0
+        path = tmp_path / "speed.csv"
+        write_speed_csv(path, make_series(values))
+        path.write_text(path.read_text().replace("7.0", repr(bad)))
+        with pytest.raises(ValueError, match="at data row 2, column 1$"):
+            ingest_csv(path)
+        path.unlink()
+        values[2, 1] = bad
+        with pytest.raises(ValueError) as err:
+            write_speed_csv(path, make_series(values), decimals=decimals)
+        assert str(err.value) == f"cannot write the non-finite value {bad!r} at data row 2, column 1"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("decimals", [None, 4], ids=["repr", "4-decimals"])
     @pytest.mark.parametrize("ids", [None, ["a,b", 'say "hi"', "plain"]], ids=["default-ids", "quoted-ids"])
     def test_writer_returns_the_digest_of_its_bytes(self, tmp_path, ids, decimals):
         """Three blocks of rows after the header."""

@@ -1,5 +1,7 @@
 """Tests for the synthetic generator: transition drawing and rollout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,15 @@ class TestSimulateGmp:
         series = simulate_gmp(g, spec, steps=100, seed=7)
         norms = np.abs(series.values).max(axis=1)
         assert norms[-1] <= (0.9 ** 99) * norms[0] + 1e-12
+
+    def test_negative_zero_noise_is_noiseless(self):
+        """TransitionSpec accepts a -0.0 noise level, which numpy's normal
+        turns down; it rolls out as the 0.0 level does."""
+        g = ring_graph(4)
+        spec = random_transition(g, seed=4, gamma=0.7, noise_std=0.0)
+        series = simulate_gmp(g, spec, steps=50, seed=5)
+        negative = simulate_gmp(g, replace(spec, noise_std=-0.0), steps=50, seed=5)
+        assert negative.values.tobytes() == series.values.tobytes()
 
     def test_one_step_influence_confined_to_neighborhood(self):
         """Perturbing one vertex changes the next state only at that vertex

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graphmarkov import training
 from graphmarkov.data import LastObservations, prepare_datasets
 from graphmarkov.graph import build_graph
 from graphmarkov.models import init_gmn, init_params, init_sgmn
@@ -138,113 +139,115 @@ class TestMaskedMse:
 
 class TestAdamStep:
     def make(self, seed=0):
+        """Warm-start params, a writable copy of their theta and a gradient."""
         g = ring_graph(4)
         params = init_gmn(g, n=2, gamma=0.9)
         rng = np.random.default_rng(seed)
-        return params, rng.standard_normal(params.theta.shape)
+        return params, params.theta.copy(), rng.standard_normal(params.theta.shape)
 
-    def fresh(self, params):
+    def fresh(self, theta):
         """Zero first and second moments, as train starts them."""
-        return np.zeros_like(params.theta), np.zeros_like(params.theta)
+        return np.zeros_like(theta), np.zeros_like(theta)
 
     def test_zero_grads_leave_params_unchanged(self):
-        params, _ = self.make()
-        zeros = np.zeros_like(params.theta)
-        first, second = self.fresh(params)
-        updated = adam_step(params, zeros, first, second, 1, lr=1e-3)
-        np.testing.assert_array_equal(params.theta, updated.theta)
-        np.testing.assert_array_equal(params.weights, updated.weights)
+        params, theta, _ = self.make()
+        first, second = self.fresh(theta)
+        assert adam_step(theta, np.zeros_like(theta), first, second, 1, lr=1e-3) is None
+        assert theta.tobytes() == params.theta.tobytes()
+        np.testing.assert_array_equal(params.weights, replace(params, theta=theta).weights)
         np.testing.assert_array_equal(first, 0.0)
         np.testing.assert_array_equal(second, 0.0)
 
     def test_first_step_is_signlike(self):
         """With fresh moments the bias-corrected update is g/(|g|+eps), so
         each touched entry moves by almost exactly lr against the gradient."""
-        params, grad = self.make(seed=1)
-        updated = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
-        delta = updated.theta - params.theta
+        params, theta, grad = self.make(seed=1)
+        adam_step(theta, grad, *self.fresh(theta), 1, lr=1e-3)
+        delta = theta - params.theta
         moved = np.abs(grad) > 1e-3
         np.testing.assert_allclose(delta[moved], -1e-3 * np.sign(grad[moved]), rtol=1e-4)
 
     def test_deterministic(self):
-        params, grad = self.make(seed=2)
-        a = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
-        b = adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
-        np.testing.assert_array_equal(a.theta, b.theta)
+        _, a, grad = self.make(seed=2)
+        b = a.copy()
+        adam_step(a, grad, *self.fresh(a), 1, lr=1e-3)
+        adam_step(b, grad, *self.fresh(b), 1, lr=1e-3)
+        assert a.tobytes() == b.tobytes()
 
     def test_support_preserved_across_updates(self):
         """The flat update matches the per-tensor update with re-masking
         entry for entry, so off-support weights stay exactly zero."""
-        params, grad = self.make(seed=3)
-        moments = self.fresh(params)
+        params, theta, grad = self.make(seed=3)
+        moments = self.fresh(theta)
         tensors = per_hop_tensors(params)
         first = [np.zeros_like(t) for t in tensors]
         second = [np.zeros_like(t) for t in tensors]
         dense_grads = list(replace(params, theta=grad).weights)
         remask = lambda ts: [t * params.masks.mask(k) for k, t in enumerate(ts, start=1)]
         for step in range(1, 11):
-            params = adam_step(params, grad, *moments, step, lr=1e-2)
+            adam_step(theta, grad, *moments, step, lr=1e-2)
             tensors, first, second = adam_tensors(
                 tensors, dense_grads, first, second, step, 1e-2, remask
             )
-        np.testing.assert_array_equal(params.weights, tensors)
+        weights = replace(params, theta=theta).weights
+        np.testing.assert_array_equal(weights, tensors)
         for k in (1, 2):
-            w = params.weights[k - 1]
-            np.testing.assert_array_equal(w * (1 - params.masks.mask(k)), 0.0)
+            np.testing.assert_array_equal(weights[k - 1] * (1 - params.masks.mask(k)), 0.0)
 
     def test_active_update_matches_full_update(self):
         """While the gradient is zero outside `active`, a call on the active
         entries with moments of that size gives the full call's theta and
-        moments, and copies the other entries bit for bit, negative zeros
+        moments, and leaves the other entries bit for bit, negative zeros
         included."""
-        params, _ = self.make()
+        _, theta, _ = self.make()
         rng = np.random.default_rng(5)
-        theta = rng.standard_normal(params.theta.shape)
+        theta = rng.standard_normal(theta.shape)
         active = np.flatnonzero(rng.random(theta.size) < 0.5)
         idle = np.setdiff1d(np.arange(theta.size), active)
         theta[idle[::3]] = -0.0
-        params = replace(params, theta=theta)
-        full = self.fresh(params)
+        full = self.fresh(theta)
         moments = np.zeros(active.size), np.zeros(active.size)
-        a = b = params
+        a, b = theta.copy(), theta.copy()
         for step in range(1, 6):
             grad = np.zeros(theta.shape)
             grad[active] = rng.standard_normal(active.size)
-            a = adam_step(a, grad, *full, step, lr=1e-2)
-            b = adam_step(b, grad, *moments, step, lr=1e-2, active=active)
-        assert a.theta.tobytes() == b.theta.tobytes()
-        assert b.theta[idle].tobytes() == theta[idle].tobytes()
+            adam_step(a, grad, *full, step, lr=1e-2)
+            adam_step(b, grad, *moments, step, lr=1e-2, active=active)
+        assert a.tobytes() == b.tobytes()
+        assert b[idle].tobytes() == theta[idle].tobytes()
         for x, y in zip(full, moments):
             assert x[active].tobytes() == y.tobytes()
 
     def test_rejects_nonfinite_grads_outside_the_active_set(self):
-        params, grad = self.make()
+        params, theta, grad = self.make()
         active = np.arange(4)
         first, second = np.zeros(active.size), np.zeros(active.size)
         grad[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient; aborting the update"):
-            adam_step(params, grad, first, second, 1, lr=1e-3, active=active)
+            adam_step(theta, grad, first, second, 1, lr=1e-3, active=active)
+        assert theta.tobytes() == params.theta.tobytes()
         np.testing.assert_array_equal(first, 0.0)
         np.testing.assert_array_equal(second, 0.0)
 
     def test_rejects_nonfinite_grads(self):
-        params, grad = self.make()
+        params, theta, grad = self.make()
         grad[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, grad, *self.fresh(params), 1, lr=1e-3)
+            adam_step(theta, grad, *self.fresh(theta), 1, lr=1e-3)
+        assert theta.tobytes() == params.theta.tobytes()
 
     def test_aborted_update_leaves_moments_untouched(self):
         """A non-finite gradient entry, even the last one, is caught before
-        either moment array is written."""
-        params, grad = self.make(seed=4)
-        first, second = self.fresh(params)
-        params = adam_step(params, grad, first, second, 1, lr=1e-3)
-        before = first.copy(), second.copy()
+        theta or either moment array is written."""
+        _, theta, grad = self.make(seed=4)
+        first, second = self.fresh(theta)
+        adam_step(theta, grad, first, second, 1, lr=1e-3)
+        before = theta.copy(), first.copy(), second.copy()
         grad[-1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, grad, first, second, 2, lr=1e-3)
-        np.testing.assert_array_equal(first, before[0])
-        np.testing.assert_array_equal(second, before[1])
+            adam_step(theta, grad, first, second, 2, lr=1e-3)
+        for got, want in zip((theta, first, second), before):
+            assert got.tobytes() == want.tobytes()
 
     def test_small_step_decreases_quadratic_loss(self):
         g = ring_graph(5)
@@ -253,8 +256,9 @@ class TestAdamStep:
         batch = complete_dataset(rng.random((8, 1, 5)), labels=rng.random((8, 5)))
         before = mse_of(params, batch)
         _, _, grad = params.loss_and_grad(batch)
-        params = adam_step(params, grad, *self.fresh(params), 1, lr=1e-4)
-        assert mse_of(params, batch) < before
+        theta = params.theta.copy()
+        adam_step(theta, grad, *self.fresh(theta), 1, lr=1e-4)
+        assert mse_of(replace(params, theta=theta), batch) < before
 
 
 class TestTrainHistory:
@@ -368,6 +372,41 @@ class TestTrainLoop:
             [r.train_loss for r in h1.records], [r.train_loss for r in h2.records]
         )
 
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_works_on_its_own_copy_of_theta(self, kind, monkeypatch):
+        """Adam writes one vector per run, never the caller's theta, and the
+        returned params hold a read-only copy of it."""
+        g, bundle = simulated_bundle(seed=13, noise=0.01, n=2, missing=0.1)
+        params = init_params(kind, g, n=2, gamma=0.95)
+        before = params.theta.tobytes()
+        written = []
+
+        def recording_adam_step(theta, *args, **kwargs):
+            written.append(theta)
+            return adam_step(theta, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        config = TrainConfig(batch_size=8, seed=5, max_epochs=3)
+        trained, _ = train(params, bundle.train, bundle.val, config)
+        assert params.theta.tobytes() == before
+        assert len({id(theta) for theta in written}) == 1
+        assert not np.shares_memory(written[0], params.theta)
+        assert not np.shares_memory(written[0], trained.theta)
+        assert not trained.theta.flags.writeable
+        assert trained.theta.tobytes() != before
+
+    def test_overflowing_validation_loss_stops_training(self):
+        """Readings near 1e200 square past the largest double, so the first
+        epoch's validation loss is inf."""
+        g, bundle = simulated_bundle(seed=5, n=2)
+        val = bundle.val
+        huge = replace(val, value=val.value * 1e200, label=val.label * 1e200)
+        params = init_gmn(g, n=2, gamma=0.9)
+        with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=r"non-finite loss at epoch 1 \(train [0-9.e-]+, val inf\)"
+        ):
+            train(params, bundle.train, huge, TrainConfig(max_epochs=3))
+
     def test_rejects_empty_sets(self):
         """An empty set cannot reach train: selecting no rows raises."""
         g, bundle = simulated_bundle(seed=15)
@@ -420,7 +459,7 @@ class TestTrainOracle:
         assert history.epochs >= 2
         np.testing.assert_array_equal(np.stack(per_hop_tensors(trained)), np.stack(best))
         assert [(r.train_loss, r.val_loss, r.lr) for r in history.records] == records
-        tail = params.masks.hop_entries[-1][0] if kind == "gmn" else slice(-g.size, None)
+        tail = params.hop_entries[-1][0] if kind == "gmn" else slice(-g.size, None)
         assert trained.theta[tail].size > 0
         assert trained.theta[tail].tobytes() == params.theta[tail].tobytes()
         assert not np.array_equal(trained.theta, params.theta)
