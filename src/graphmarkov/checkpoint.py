@@ -60,6 +60,11 @@ def load_params(path, graph: Graph):
         if "=" in lines[cursor]:
             key, _, value = lines[cursor].partition("=")
             header[key] = value
+        elif lines[cursor].strip():
+            raise ValueError(
+                f"checkpoint {path}: line {cursor + 1} {lines[cursor]!r} is neither"
+                " key=value nor a block marker"
+            )
         cursor += 1
 
     try:
@@ -141,7 +146,7 @@ def _scan_blocks(lines, start, path, row):
     row(line) of each of its non-blank lines."""
     blocks = []
     current = None
-    for line in lines[start:]:
+    for number, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -152,6 +157,6 @@ def _scan_blocks(lines, start, path, row):
             blocks.append(current)
             continue
         if current is None:
-            raise ValueError(f"checkpoint {path}: data outside any block")
+            raise ValueError(f"checkpoint {path}: line {number} {line!r} is data outside any block")
         current[2].append(row(line))
     return blocks

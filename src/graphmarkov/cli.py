@@ -98,9 +98,9 @@ def _split_fractions(text: str) -> SplitSpec:
         weights = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"split parts must be numeric, got {text!r}") from None
+    if not all(w > 0 for w in weights):
+        raise argparse.ArgumentTypeError(f"split parts must each be positive, got {text!r}")
     total = sum(weights)
-    if total <= 0:
-        raise argparse.ArgumentTypeError("split weights must be positive")
     try:
         return SplitSpec(*(w / total for w in weights))
     except ValueError as exc:
@@ -377,9 +377,10 @@ def cmd_train(args) -> dict:
     _save_series(out / SERIES_NAME, series, sha256_speed)
     bundle = prepare_datasets(series, n=args.n, missing_rate=args.missing_rate, seed=args.seed,
                               spec=args.split)
-    del series  # only the windows are used from here on
+    train_data, val_data = bundle.train, bundle.val
+    del series, bundle  # only the windows are used from here on
     params = init_params(args.model, graph, args.n, args.gamma)
-    trained, history = train(params, bundle.train, bundle.val, cfg, log=print)
+    trained, history = train(params, train_data, val_data, cfg, log=print)
 
     checkpoint_path = out / "model.ckpt"
     history_path = out / "history.csv"
@@ -454,8 +455,8 @@ def cmd_eval(args) -> dict:
     print(f"speed series read from {speed if series is None else saved}")
     if series is None:
         series = _ingest(speed, graph)
+    # Only the test part is windowed: the bundle does so on first read.
     bundle = prepare_datasets(series, n=params.n, missing_rate=missing_rate, seed=seed, spec=split)
-    del series  # only the windows are used from here on
 
     reports = {
         "model": evaluate(params, bundle.test, bundle.stats),

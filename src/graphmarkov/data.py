@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import chain, islice
 from operator import index, mul
 
@@ -820,13 +821,36 @@ def last_observations(
 @dataclass(frozen=True)
 class DatasetBundle:
     """Train/val/test windows plus everything needed to interpret them: the
-    normalization stats and the label-step timestamps of the test part."""
+    normalization stats and the label-step timestamps of the test part.
 
-    train: LastObservations
-    val: LastObservations
-    test: LastObservations
+    Each part is normalized and windowed the first time it is read, so a
+    command pays only for the parts it uses. `parts` are the series' own
+    train, val and test parts and `gates` their injected observation masks.
+    """
+
+    parts: tuple
+    gates: tuple
     stats: NormStats
-    test_label_times: np.ndarray
+    n: int
+
+    def _windows(self, k: int) -> LastObservations:
+        return last_observations(normalize(self.parts[k], self.stats), self.n, self.gates[k])
+
+    @cached_property
+    def train(self) -> LastObservations:
+        return self._windows(0)
+
+    @cached_property
+    def val(self) -> LastObservations:
+        return self._windows(1)
+
+    @cached_property
+    def test(self) -> LastObservations:
+        return self._windows(2)
+
+    @property
+    def test_label_times(self) -> np.ndarray:
+        return self.parts[2].timestamps[self.n :]
 
 
 def prepare_datasets(
@@ -837,23 +861,21 @@ def prepare_datasets(
     spec: SplitSpec | None = None,
 ) -> DatasetBundle:
     """Full data pipeline: inject missingness, normalize with training-split
-    stats, split contiguously, and window each part.
+    stats, split contiguously, and window each part (on first read).
 
     Injection corrupts inputs only: each part is windowed behind the mask of
     the injected series, while labels and label masks stay the series' own,
     so injected entries still serve as labels while genuinely unknown ones
-    stay excluded from the loss. The training part of the injected series
-    gives the stats.
+    stay excluded from the loss. Injection runs over the whole series, so
+    the draws do not depend on the split; the training part of the injected
+    series gives the stats.
     """
     if spec is None:
         spec = SplitSpec()
     gates = split(inject_missing(series, missing_rate, seed), spec)
     stats = observed_stats(gates[0])
-    # Only the injected masks are read from here on; the values are freed.
-    gates = [g.mask for g in gates]
-    parts = split(normalize(series, stats), spec)
-    train, val, test = (last_observations(p, n, g) for p, g in zip(parts, gates))
-    return DatasetBundle(train, val, test, stats, test_label_times=parts[2].timestamps[n:])
+    # Only the injected masks are kept; the values are freed.
+    return DatasetBundle(split(series, spec), tuple(g.mask for g in gates), stats, n)
 
 
 # 17 significant digits, which round-trip an IEEE double: the one float format

@@ -20,9 +20,12 @@ their per-hop linear maps:
 
 Each params class packs its free parameters into one float64 vector, theta:
 every vector of the right length is a valid model. The `from_*` constructors
-check per-hop arrays that come from outside; `train` has Adam update one
-writable copy of theta in place. Backward passes are analytic, not autodiff;
-their correctness is pinned by finite-difference tests.
+check per-hop arrays that come from outside. The maps are applied from
+`blocks`, one array per hop (gmn's dense weight stack, sgmn's gain rows);
+`hop_entries` places each hop's slice of theta in its block. `train` keeps a
+writable copy of the blocks and Adam's state on the entries it can reach.
+Backward passes are analytic, not autodiff; their correctness is pinned by
+finite-difference tests.
 """
 
 from dataclasses import dataclass
@@ -47,10 +50,12 @@ def _check_history(n: int) -> None:
 
 class _DampedHopSum:
     """The sum over lags i of gamma^(i+1) times hop i+1's map of the lag-i
-    input. A kind supplies the coordinates its maps act in (`_coords`), one
-    hop's map (`_hop`), its slice of theta and gradient (`_hop_grad`), the
-    entries of that slice a set of input sensors reaches (`_hop_active`),
-    and the checkpoint block of an identity hop map (`_identity_block`)."""
+    input. A kind supplies its per-hop arrays (`blocks`), where theta's
+    entries sit in them (`hop_entries`), the coordinates its maps act in
+    (`_coords`), one hop's map of its block (`_hop`), the batch-summed
+    gradient over a block's entries (`_hop_grad`), the entries of a hop that
+    a set of input sensors reaches (`_hop_active`), and the checkpoint block
+    of an identity hop map (`_identity_block`)."""
 
     @classmethod
     def warm_start(cls, graph: Graph, n: int, gamma: float):
@@ -64,23 +69,12 @@ class _DampedHopSum:
         """Predict the next state for each window in the dataset. On a fully
         observed window every term past lag 0 is exactly zero, so the result
         reduces bit-for-bit to the single newest-step term."""
-        return self._forward(data)[1]
+        return self._forward(data, self.blocks)[1]
 
     def loss_and_grad(self, data: LastObservations) -> tuple:
         """Masked squared-error sum, observed label count, and the gradient
-        of their ratio with respect to theta. Each lag's input and the output
-        gradient are moved into the maps' coordinates once. Hop k's gradient
-        is gamma^k times its batch-summed gradient at the lag-(k-1) input, and
-        stays zero when that lag holds no reading."""
-        lags, pred = self._forward(data)
-        sq, observed, diff = data.squared_error(pred)
-        if observed == 0:
-            raise ValueError("the loss needs at least one observed label entry")
-        grad_out = self._coords(2.0 * diff / observed)
-        grad = np.zeros_like(self.theta)
-        for i, c in lags:
-            entries, hop_grad = self._hop_grad(i, grad_out, c)
-            np.multiply(self.gamma ** (i + 1), hop_grad, out=grad[entries])
+        of their ratio with respect to theta."""
+        sq, observed, _, grad = self._loss_and_grad(data, self.blocks, self.hop_entries)
         return sq, observed, grad
 
     def active_entries(self, data: LastObservations) -> np.ndarray:
@@ -94,9 +88,40 @@ class _DampedHopSum:
             active[entries] = reached
         return np.flatnonzero(active)
 
-    def _forward(self, data: LastObservations) -> tuple:
+    def active_hops(self, active: np.ndarray) -> tuple:
+        """hop_entries cut down to the sorted theta indices `active`: per hop,
+        the slice of `active` it takes and the flat indices of those entries
+        in its block."""
+        hops = []
+        for entries, flat in self.hop_entries:
+            lo, hi = np.searchsorted(active, (entries.start, entries.stop))
+            hops.append((slice(lo, hi), flat[active[lo:hi] - entries.start]))
+        return tuple(hops)
+
+    def _loss_and_grad(self, data: LastObservations, blocks: np.ndarray, hops: tuple) -> tuple:
+        """The loss, its observed label count, the output gradient in the
+        maps' coordinates, and the gradient at the entries hops names (as
+        hop_entries or active_hops give them), of the model whose per-hop
+        arrays are blocks. Each lag's input and the output gradient are moved
+        into the maps' coordinates once. Hop k's gradient is gamma^k times
+        its batch-summed gradient at the lag-(k-1) input, read at the named
+        entries, and stays zero when that lag holds no reading."""
+        lags, pred = self._forward(data, blocks)
+        sq, observed, diff = data.squared_error(pred)
+        if observed == 0:
+            raise ValueError("the loss needs at least one observed label entry")
+        grad_out = self._coords(2.0 * diff / observed)
+        grad = np.zeros(hops[-1][0].stop)
+        for i, c in lags:
+            part, flat = hops[i]
+            np.multiply(self.gamma ** (i + 1), self._hop_grad(grad_out, c).reshape(-1)[flat],
+                        out=grad[part])
+        return sq, observed, grad_out, grad
+
+    def _forward(self, data: LastObservations, blocks: np.ndarray) -> tuple:
         """(lag, input coordinates) of each lag that holds a reading, and
-        the prediction; empty lags add exact zeros, so they are skipped."""
+        the prediction of the model whose per-hop arrays are blocks; empty
+        lags add exact zeros, so they are skipped."""
         if data.n != self.n:
             raise ValueError(f"dataset history {data.n} != model history {self.n}")
         if data.size != self.size:
@@ -104,7 +129,7 @@ class _DampedHopSum:
         lags = [(i, self._coords(data.at_lag(i))) for i in data.present_lags()]
         out = np.zeros((len(data), self.size))
         for i, c in lags:
-            out += (self.gamma ** (i + 1)) * self._hop(i, c)
+            out += (self.gamma ** (i + 1)) * self._hop(blocks[i], c)
         return lags, out
 
 
@@ -115,7 +140,8 @@ class GmnParams(_DampedHopSum):
     theta holds each hop's weights inside its support, hop by hop in the
     slices of hop_entries; weights outside have no entry, so they are zero.
     weights[k-1] is the S x S matrix applied to the state k-1 steps back;
-    it is cached, so it goes stale on training's working object.
+    the n x S x S stack is built once per params object and is what the
+    maps read.
     """
 
     kind: ClassVar[str] = "gmn"
@@ -168,7 +194,8 @@ class GmnParams(_DampedHopSum):
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """n x S x S dense weights; the stacked masks' True cells, in order, hold theta."""
+        """n x S x S dense weights (n S^2 doubles); the stacked masks' True
+        cells, in order, hold theta."""
         dense = np.zeros((self.n, self.size, self.size))
         dense[np.stack(self.masks.masks)] = self.theta
         dense.setflags(write=False)
@@ -183,25 +210,19 @@ class GmnParams(_DampedHopSum):
         """The S x S linear map of hop k."""
         return self.weights[k - 1]
 
-    def _weight(self, i: int) -> np.ndarray:
-        """Hop i+1's S x S weights, scattered from its own slice of theta."""
-        entries, flat = self.hop_entries[i]
-        w = np.zeros((self.size, self.size))
-        w.reshape(-1)[flat] = self.theta[entries]
-        return w
-
     _identity_block = staticmethod(np.eye)
 
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def _hop(self, i: int, z: np.ndarray) -> np.ndarray:
-        return z @ self._weight(i).T
+    @staticmethod
+    def _hop(weight: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return z @ weight.T
 
-    def _hop_grad(self, i: int, grad_out: np.ndarray, z: np.ndarray) -> tuple:
-        """The batch-summed outer product, read on hop i+1's support."""
-        entries, flat = self.hop_entries[i]
-        return entries, (grad_out.T @ z).reshape(-1)[flat]
+    @staticmethod
+    def _hop_grad(grad_out: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The batch-summed outer product, one entry per weight."""
+        return grad_out.T @ z
 
     def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
         """Hop i+1's support entries in the columns of the given sensors."""
@@ -265,6 +286,13 @@ class SgmnParams(_DampedHopSum):
         """The per-hop arrays a checkpoint writes: each gain vector as a row."""
         return self.gains[:, None, :]
 
+    @cached_property
+    def hop_entries(self) -> tuple:
+        """Per hop, the slice it takes in theta and the flat indices of its
+        gains within its 1 x S block: all of them."""
+        every = np.arange(self.size)
+        return tuple((slice(i * self.size, (i + 1) * self.size), every) for i in range(self.n))
+
     def step_map(self, k: int) -> np.ndarray:
         """The S x S linear map of hop k, U diag(gains[k-1]) U^T."""
         u = self.basis.eigenvectors
@@ -277,12 +305,13 @@ class SgmnParams(_DampedHopSum):
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return x @ self.basis.eigenvectors
 
-    def _hop(self, i: int, c: np.ndarray) -> np.ndarray:
-        return (c * self.gains[i]) @ self.basis.eigenvectors.T
+    def _hop(self, gains: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return (c * gains) @ self.basis.eigenvectors.T
 
-    def _hop_grad(self, i: int, grad_out: np.ndarray, c: np.ndarray) -> tuple:
+    @staticmethod
+    def _hop_grad(grad_out: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The map is diagonal in the eigenbasis: one batch sum per frequency."""
-        return slice(i * self.size, (i + 1) * self.size), (grad_out * c).sum(axis=0)
+        return (grad_out * c).sum(axis=0)
 
     def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
         """Every frequency of hop i+1 mixes every sensor's input."""

@@ -141,11 +141,14 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray, second: np
     theta[active] -= update
 
 
-def _dataset_loss(params, data) -> float:
-    """Masked MSE over a whole dataset, evaluated in bounded chunks."""
+def _dataset_loss(params, data, blocks=None) -> float:
+    """Masked MSE over a whole dataset, evaluated in bounded chunks, of
+    params or, given blocks, of the same model with those per-hop arrays."""
+    if blocks is None:
+        blocks = params.blocks
     total_sq = total_obs = 0.0
     for chunk in data.chunks():
-        sq, observed, _ = chunk.squared_error(params.predict(chunk))
+        sq, observed, _ = chunk.squared_error(params._forward(chunk, blocks)[1])
         total_sq += sq
         total_obs += observed
     if total_obs == 0:
@@ -156,20 +159,30 @@ def _dataset_loss(params, data) -> float:
 def train(params, train_data, val_data, config: TrainConfig, log=None):
     """Run the full training loop; returns (best params, TrainHistory).
 
-    Adam updates one working copy of params.theta in place; the caller's
-    params are never written. Each epoch shuffles the training windows with
-    a seeded generator, walks them in batches of config.batch_size (final
-    short batch included), updates via Adam, then scores the validation
-    set. Batches without a single observed label are skipped. The best
-    params are a read-only copy taken at the epoch of lowest validation
-    loss. `log`, if given, receives one line per epoch.
+    The caller's params are never written. Adam works on the entries of
+    theta that training can reach (`active_entries`): their values, moments
+    and gradient are compact vectors, and a writable copy of the per-hop
+    blocks, which the maps read, takes each update. Each epoch shuffles the
+    training windows with a seeded generator, walks them in batches of
+    config.batch_size (final short batch included), updates via Adam, then
+    scores the validation set with the working blocks. Batches without a
+    single observed label are skipped. At an epoch that lowers the
+    validation loss, the values are written into a read-only copy of theta,
+    which becomes the best params. `log`, if given, receives one line per
+    epoch.
 
     Raises:
+        ValueError: a non-finite gradient, before the update it would spoil.
         FloatingPointError: non-finite training or validation loss.
     """
     rng = np.random.default_rng(config.seed)
-    params = replace(params, theta=params.theta.copy())
     active = params.active_entries(train_data)
+    hops = params.active_hops(active)
+    values = params.theta[active]
+    # Copied from a copy of params, so that the caller's params cache no stack.
+    blocks = replace(params).blocks.copy()
+    # Each active entry's place in the blocks, to copy the values there.
+    placed = np.concatenate([i * blocks[0].size + flat for i, (_, flat) in enumerate(hops)])
     first, second = np.zeros(active.size), np.zeros(active.size)
     step = 0
     lr = config.lr_init
@@ -188,14 +201,20 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             batch = train_data[order[lo : lo + config.batch_size]]
             if not batch.label_mask.any():
                 continue
-            sq, observed, grad = params.loss_and_grad(batch)
+            sq, observed, grad_out, grad = params._loss_and_grad(batch, blocks, hops)
+            # With grad_out finite every gradient entry outside the active
+            # set is exactly 0, so this and adam_step's check of grad are
+            # the check of the whole gradient.
+            if not np.all(np.isfinite(grad_out)):
+                raise ValueError("non-finite gradient; aborting the update")
             epoch_sq += sq
             epoch_obs += observed
             step += 1
-            adam_step(params.theta, grad, first, second, step, lr, active)
+            adam_step(values, grad, first, second, step, lr)
+            blocks.reshape(-1)[placed] = values
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
-        val_loss = _dataset_loss(params, val_data)
+        val_loss = _dataset_loss(params, val_data, blocks)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise FloatingPointError(
                 f"non-finite loss at epoch {epoch} (train {train_loss}, val {val_loss})"
@@ -213,8 +232,10 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         improved = val_loss < best_val - config.min_delta
         if val_loss < best_val:
             best_val = val_loss
-            best_params = replace(params, theta=params.theta.copy())
-            best_params.theta.setflags(write=False)
+            theta = params.theta.copy()
+            theta[active] = values
+            theta.setflags(write=False)
+            best_params = replace(params, theta=theta)
 
         if improved:
             plateau_lr = 0

@@ -202,7 +202,33 @@ class TestLoadErrors:
         path.write_text(path.read_text().replace("[hop_weights 1]", "[hop_weights 1] "))
         with pytest.raises(ValueError) as err:
             load_params(path, g)
-        assert str(err.value) == f"checkpoint {path}: data outside any block"
+        assert str(err.value) == (
+            f"checkpoint {path}: line 7 '[hop_weights 1] ' is data outside any block"
+        )
+
+    @pytest.mark.parametrize("row", ["7,7,7", "  7,7,7", "kind"])
+    def test_rejects_a_header_line_that_is_no_key_value(self, tmp_path, row):
+        """A line before the first block that is neither key=value nor a
+        marker is not skipped: its row would be lost."""
+        g = random_graph(6, size=3)
+        path = tmp_path / "model.ckpt"
+        save_params(path, init_gmn(g, n=1, gamma=0.9))
+        lines = path.read_text().splitlines()
+        lines.insert(lines.index("[hop_weights 1]"), row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_params(path, g)
+        assert str(err.value) == (
+            f"checkpoint {path}: line 7 {row!r} is neither key=value nor a block marker"
+        )
+
+    def test_blank_header_lines_are_skipped(self, tmp_path):
+        g = random_graph(6, size=3)
+        path = tmp_path / "model.ckpt"
+        params = init_gmn(g, n=1, gamma=0.9)
+        save_params(path, params)
+        path.write_text(path.read_text().replace("[hop_weights 1]", "\n  \n[hop_weights 1]"))
+        assert load_params(path, g).theta.tobytes() == params.theta.tobytes()
 
 
 class TestRowParsing:

@@ -171,10 +171,12 @@ class TestTrain:
         "split, message",
         [
             ("a:b:c", "split parts must be numeric, got 'a:b:c'"),
-            ("0:0:0", "split weights must be positive"),
-            ("6:0:2", "split fractions must each lie in (0,1), got (0.75, 0.0, 0.25)"),
+            ("0:0:0", "split parts must each be positive, got '0:0:0'"),
+            ("6:0:2", "split parts must each be positive, got '6:0:2'"),
+            ("6:-1:2", "split parts must each be positive, got '6:-1:2'"),
+            ("6:nan:2", "split parts must each be positive, got '6:nan:2'"),
         ],
-        ids=["non-numeric", "zero-total", "zero-part"],
+        ids=["non-numeric", "zero-total", "zero-part", "negative-part", "nan-part"],
     )
     def test_rejects_bad_split(self, tmp_path, capsys, split, message):
         with pytest.raises(SystemExit) as exited:

@@ -1485,8 +1485,45 @@ class TestPrepareDatasets:
         monkeypatch.setattr(data_module, "inject_missing", inject)
         monkeypatch.setattr(data_module, "last_observations", window)
         rng = np.random.default_rng(25)
-        prepare_datasets(make_series(rng.random((30, 3)) + 1.0), n=2, missing_rate=0.3, seed=4)
-        assert alive == [False, False, False]
+        bundle = prepare_datasets(make_series(rng.random((30, 3)) + 1.0), n=2, missing_rate=0.3, seed=4)
+        assert alive == []
+        assert bundle.test is bundle.test and bundle.train is bundle.train
+        assert alive == [False, False]
+
+    def test_each_part_is_windowed_on_first_read(self, monkeypatch):
+        """A part is normalized and windowed once, when it is first read;
+        the other parts are not touched."""
+        normalized = []
+
+        def normalize_part(series, stats):
+            normalized.append(series.steps)
+            return normalize(series, stats)
+
+        monkeypatch.setattr(data_module, "normalize", normalize_part)
+        rng = np.random.default_rng(26)
+        bundle = prepare_datasets(make_series(rng.random((50, 3)) + 1.0), n=2, missing_rate=0.3, seed=4)
+        assert len(bundle.test) == 8 and bundle.test is bundle.test
+        assert normalized == [10]
+        assert bundle.test_label_times.size == 8 and normalized == [10]
+        assert len(bundle.train) == 28 and len(bundle.val) == 8
+        assert normalized == [10, 30, 10]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_parts_match_the_windows_of_the_whole_normalized_series(self, rate):
+        """Windowing each part after normalizing it alone gives the windows
+        of the whole series normalized once, behind the injected masks."""
+        rng = np.random.default_rng(27)
+        mask = rng.random((60, 4)) < 0.8
+        s = make_series(np.where(mask, rng.random((60, 4)) * 50.0 + 5.0, 0.0), mask)
+        bundle = prepare_datasets(s, n=3, missing_rate=rate, seed=8)
+        gates = split(inject_missing(s, rate, 8), SplitSpec())
+        assert bundle.stats == observed_stats(gates[0])
+        parts = split(normalize(s, bundle.stats), SplitSpec())
+        for data, part, gate in zip((bundle.train, bundle.val, bundle.test), parts, gates):
+            expected = last_observations(part, 3, gate.mask)
+            for name in ("value", "lag", "label", "label_mask"):
+                assert getattr(data, name).tobytes() == getattr(expected, name).tobytes()
+        np.testing.assert_array_equal(bundle.test_label_times, parts[2].timestamps[3:])
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)

@@ -31,7 +31,12 @@ def test_small_chain_records_each_command(tmp_path):
         ("simulate", None), ("train", "gmn"), ("eval", "gmn"), ("train", "sgmn"), ("eval", "sgmn"),
     ]
     assert all(c["exit"] == 0 and c["seconds"] > 0 and c["peak_rss_mb"] > 0 for c in commands)
-    assert all(c["epochs"] >= 1 for c in commands if c["command"] == "train")
+    for c in commands:
+        if c["command"] == "train":
+            assert c["epochs"] >= 1 and len(c["epoch_seconds"]) == c["epochs"]
+            assert all(isinstance(s, float) and s >= 0 for s in c["epoch_seconds"])
+        else:
+            assert "epoch_seconds" not in c
     for c in commands:
         if c["command"] == "eval":
             assert float(c["mae"]) > 0 and float(c["carry_forward_mae"]) > 0

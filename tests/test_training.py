@@ -395,6 +395,76 @@ class TestTrainLoop:
         assert not trained.theta.flags.writeable
         assert trained.theta.tobytes() != before
 
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_adam_gets_the_full_gradient_at_the_active_entries(self, kind, monkeypatch):
+        """Each step's compact gradient is loss_and_grad's full gradient of
+        the params Adam holds, gathered at the active entries, bit for bit,
+        on batches missing some lags and on the short final batch."""
+        g, bundle = simulated_bundle(seed=17, steps=120, noise=0.01, n=3, missing=0.2)
+        data = bundle.train
+        config = TrainConfig(batch_size=8, seed=4, max_epochs=2, lr_init=1e-2)
+        params = init_params(kind, g, n=3, gamma=0.9)
+        active = params.active_entries(data)
+        steps = []
+
+        def recording_adam_step(values, grad, *args, **kwargs):
+            steps.append((values.copy(), grad.copy()))
+            return adam_step(values, grad, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        _, history = train(params, data, bundle.val, config)
+        rng = np.random.default_rng(config.seed)
+        batches = []
+        for _ in range(history.epochs):
+            order = rng.permutation(len(data))
+            batches += [data[order[lo : lo + 8]] for lo in range(0, len(data), 8)]
+        assert len(batches) == len(steps) and len(data) % 8
+        assert any(0 < len(b.present_lags()) < 3 for b in batches)
+        for batch, (values, grad) in zip(batches, steps):
+            theta = params.theta.copy()
+            theta[active] = values
+            _, _, full = replace(params, theta=theta).loss_and_grad(batch)
+            assert grad.tobytes() == full[active].tobytes()
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    @pytest.mark.parametrize("where", ["reading", "label"])
+    def test_non_finite_gradient_stops_before_any_write(self, kind, where, monkeypatch):
+        """A reading of 1e300 overflows the gradient at an active entry; a
+        label of 1e308 overflows the output gradient of sensor 0, whose
+        gmn entries are all inactive (it is isolated and never read), so
+        only the output gradient shows it, and train checks it before
+        calling Adam. Either way nothing is written, and the caller's theta
+        is unchanged."""
+        g = build_graph(np.array([[0.0, 0, 0], [0, 0, 1], [0, 1, 0]]))
+        rows = 4
+        value = np.tile([0.0, 0.5, 0.25], (rows, 1))
+        lag = np.tile(np.array([1, 0, 0], dtype=np.uint8), (rows, 1))
+        label = np.full((rows, 3), 0.5)
+        if where == "reading":
+            value[:, 1] = 1e300
+        else:
+            label[:, 0] = 1e308
+        data = LastObservations(value=value, lag=lag, label=label, label_mask=np.ones((rows, 3)), n=1)
+        val = replace(data, value=np.tile([0.0, 0.5, 0.25], (rows, 1)), label=np.full((rows, 3), 0.5))
+        params = init_params(kind, g, n=1, gamma=0.9)
+        before = params.theta.tobytes()
+        seen = []
+
+        def recording_adam_step(values, grad, first, second, *args, **kwargs):
+            seen.append((values, values.tobytes(), first, second))
+            return adam_step(values, grad, first, second, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite gradient"
+        ):
+            train(params, data, val, TrainConfig(batch_size=rows))
+        assert params.theta.tobytes() == before
+        for values, written, first, second in seen:
+            assert values.tobytes() == written
+            assert not first.any() and not second.any()
+        assert len(seen) == (where == "reading")
+
     def test_overflowing_validation_loss_stops_training(self):
         """Readings near 1e200 square past the largest double, so the first
         epoch's validation loss is inf."""

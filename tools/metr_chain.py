@@ -13,9 +13,9 @@ removed afterwards:
 
 GRAPHMARKOV_THREADS is passed through as it is set, and printed first. For
 each command the script prints its wall seconds and its peak RSS (the
-child's own ru_maxrss, from os.wait4); for each train, the epochs run; for
-each eval, the model's test MAE and the carry-forward MAE as metrics.csv
-writes them. It ends with one JSON line of the same record, and exits 1 at
+child's own ru_maxrss, from os.wait4); for each train, the epochs run and
+the seconds of each epoch as train logs them; for each eval, the model's
+test MAE and the carry-forward MAE as metrics.csv writes them. It ends with one JSON line of the same record, and exits 1 at
 the first command that fails. The shape flags exist so that a smoke test
 can run the chain in seconds; a full run takes about a minute on two cores.
 """
@@ -52,17 +52,24 @@ def commands(work: Path, nodes: int, steps: int, n: int) -> list:
     return [(label, model, [str(a) for a in argv]) for label, model, argv in chain]
 
 
-def run(argv: list, env: dict, log: Path) -> tuple:
+def run(argv: list, env: dict, work: Path) -> tuple:
     """Run one command as a fresh process; returns (exit code, wall seconds,
-    peak RSS in MB). Its stderr goes to log."""
+    peak RSS in MB). Its stdout goes to work/stdout.txt and its stderr to
+    work/stderr.txt."""
     started = time.perf_counter()
-    with open(log, "wb") as err:
+    with open(work / "stdout.txt", "wb") as out, open(work / "stderr.txt", "wb") as err:
         proc = subprocess.Popen([sys.executable, "-m", "graphmarkov", *argv], env=env,
-                                stdout=subprocess.DEVNULL, stderr=err)
+                                stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
     seconds = time.perf_counter() - started
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, seconds, usage.ru_maxrss / 1024  # Linux reports KiB
+
+
+def epoch_seconds(log: Path) -> list:
+    """The seconds at the end of each `epoch` line train printed."""
+    return [float(line.rsplit(None, 1)[-1].rstrip("s"))
+            for line in log.read_text().splitlines() if line.startswith("epoch ")]
 
 
 def maes(metrics: Path) -> dict:
@@ -86,7 +93,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for label, model, argv in commands(work, args.nodes, args.steps, args.n):
-            code, seconds, rss = run(argv, env, work / "stderr.txt")
+            code, seconds, rss = run(argv, env, work)
             entry = {"command": label, "model": model, "exit": code,
                      "seconds": round(seconds, 3), "peak_rss_mb": round(rss, 1)}
             record["commands"].append(entry)
@@ -97,6 +104,7 @@ def main(argv=None) -> int:
                 break
             if label == "train":
                 entry["epochs"] = len((work / model / "history.csv").read_text().splitlines()) - 1
+                entry["epoch_seconds"] = epoch_seconds(work / "stdout.txt")
                 line += f"  {entry['epochs']} epochs"
             if label == "eval":
                 found = maes(work / model / "metrics.csv")
