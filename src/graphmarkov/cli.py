@@ -323,9 +323,10 @@ def cmd_simulate(args) -> dict:
     }
 
 
-def _ingest(speed, graph) -> StateSeries:
-    """The speed file's series, once its sensors match the graph's."""
-    series = ingest_csv(speed)
+def _ingest(speed, graph, digest=None) -> StateSeries:
+    """The speed file's series, once its sensors match the graph's; digest,
+    if given, is updated with the file's bytes as they are parsed."""
+    series = ingest_csv(speed, digest=digest)
     if series.size != graph.size:
         raise ValueError(
             f"speed file has {series.size} sensor columns but adjacency is {graph.size}x{graph.size}"
@@ -371,9 +372,11 @@ def cmd_train(args) -> dict:
     out = _ensure_out(args.out)
 
     graph = build_graph(read_adjacency_csv(args.adjacency))
-    # Hashed before it is parsed, so the digest describes the bytes read.
-    sha256_speed = _sha256(args.speed)
-    series = _ingest(args.speed, graph)
+    # Hashed as it is parsed, so the digest describes the bytes read, and a
+    # pipe can be read at all.
+    digest = hashlib.sha256()
+    series = _ingest(args.speed, graph, digest)
+    sha256_speed = digest.hexdigest()
     _save_series(out / SERIES_NAME, series, sha256_speed)
     bundle = prepare_datasets(series, n=args.n, missing_rate=args.missing_rate, seed=args.seed,
                               spec=args.split)

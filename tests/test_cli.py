@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line interface, driven through main()."""
 
+import hashlib
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphmarkov import cli
+from graphmarkov import data as data_module
 from graphmarkov.cli import main, read_manifest_records
 from graphmarkov.data import ingest_csv
 
@@ -338,7 +341,7 @@ class TestSavedSeries:
     def ingests(self, monkeypatch):
         """The paths cli.ingest_csv is called with."""
         calls = []
-        monkeypatch.setattr(cli, "ingest_csv", lambda path: calls.append(path) or ingest_csv(path))
+        monkeypatch.setattr(cli, "ingest_csv", lambda path, **kw: calls.append(path) or ingest_csv(path, **kw))
         return calls
 
     def trained(self, tmp_path):
@@ -412,6 +415,73 @@ class TestSavedSeries:
         capsys.readouterr()
         assert run(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")]) == 1
         assert "does not match the training manifest" in capsys.readouterr().err
+
+
+class TestSpeedDigest:
+    """train hashes the speed CSV's bytes as it parses them, so the file is
+    read once and may be a pipe."""
+
+    def train(self, speed, adjacency, out):
+        """train on speed; the sha256_speed its manifest records."""
+        assert run([
+            "train", "--model", "gmn", "--n", "2", "--missing-rate", "0.2", "--batch-size", "32",
+            "--seed", "5", "--speed", str(speed), "--adjacency", str(adjacency), "--out", str(out),
+        ]) == 0
+        return read_manifest_records(out / "manifest.txt")[-1]["sha256_speed"]
+
+    def test_digest_is_the_files_with_a_mark(self, tmp_path):
+        speed, adjacency = simulate_small(tmp_path / "sim", steps=400)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + speed.read_bytes())
+        for path, out in ((speed, "plain"), (marked, "marked")):
+            assert self.train(path, adjacency, tmp_path / out) == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert (tmp_path / "plain" / "model.ckpt").read_bytes() == (tmp_path / "marked" / "model.ckpt").read_bytes()
+
+    def test_digest_is_the_files_when_the_csv_module_carries_on(self, tmp_path, monkeypatch):
+        """A quote in the second group of pieces turns that group down, and
+        the csv module reads the file's rest; all of it is hashed."""
+        speed, adjacency = simulate_small(tmp_path / "sim", steps=400)
+        lines = speed.read_bytes().split(b"\r\n")
+        cells = lines[45].split(b",")
+        lines[45] = b",".join(cells[:2] + [b'"' + cells[2] + b'"'] + cells[3:])
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b"\r\n".join(lines))
+        monkeypatch.setattr(data_module, "_PIECE_BYTES", 1024)
+        monkeypatch.setenv("GRAPHMARKOV_THREADS", "2")
+        assert len(b"\r\n".join(lines[:45])) // 2048 == 1  # the second group of two pieces
+        starts = []
+        read_rows = data_module._read_rows
+        monkeypatch.setattr(
+            data_module, "_read_rows", lambda path, rows, first, width, t, stop=None:
+                starts.append(t) or read_rows(path, rows, first, width, t, stop)
+        )
+        digest = self.train(quoted, adjacency, tmp_path / "run")
+        assert starts[0] == 0 and 2 < starts[1] < 45  # the head, then the rest from the second group
+        assert digest == hashlib.sha256(quoted.read_bytes()).hexdigest()
+
+    def test_train_from_a_pipe_writes_the_checkpoint_of_the_file(self, tmp_path):
+        speed, adjacency = simulate_small(tmp_path / "sim", steps=400)
+        text = speed.read_bytes()
+
+        def write(fd):
+            view = memoryview(text)
+            while view:
+                view = view[os.write(fd, view) :]
+            os.close(fd)
+
+        from_file = self.train(speed, adjacency, tmp_path / "file")
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=write, args=(write_end,))
+        writer.start()
+        try:
+            from_pipe = self.train(f"/dev/fd/{read_end}", adjacency, tmp_path / "pipe")
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert from_pipe == from_file == hashlib.sha256(text).hexdigest()
+        for name in ("model.ckpt", "history.csv"):
+            assert (tmp_path / "pipe" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
 
 class TestInfluence:
     def test_writes_ranked_csv(self, tmp_path, capsys):

@@ -9,7 +9,6 @@ import re
 import subprocess
 import threading
 import tracemalloc
-import weakref
 from datetime import datetime, timedelta
 from decimal import Decimal
 
@@ -1212,6 +1211,27 @@ class TestNormalize:
         stats = observed_stats(s)
         assert stats.vmin == 5.0 and stats.vmax == 15.0
 
+    @pytest.mark.parametrize("first", [0, 700, 1400])
+    def test_stats_are_the_readings_alone_across_row_blocks(self, first):
+        """Over several row blocks, with the first reading at step `first`,
+        the stats are the min and max of the readings: neither the zeros of
+        the gaps nor values a mask hides, beyond the readings' range, leak in."""
+        rng = np.random.default_rng(first)
+        values = rng.random((1500, 3)) * 50.0 + 5.0
+        mask = rng.random((1500, 3)) < 0.3
+        mask[:first] = False
+        mask[first, 1] = True
+        hidden = ~mask & (rng.random((1500, 3)) < 0.5)
+        values[hidden] = np.where(rng.random(hidden.sum()) < 0.5, -1000.0, 1000.0)
+        expected = NormStats(vmin=values[mask].min(), vmax=values[mask].max())
+        assert data_module._observed_stats(values, mask) == expected
+        assert observed_stats(make_series(values, mask)) == expected
+
+    def test_an_extreme_counts_when_later_blocks_read_its_entry_too(self):
+        values = np.full((3 * data_module._BLOCK_ROWS, 2), 10.0)
+        values[1] = (1.0, 99.0)
+        assert observed_stats(make_series(values)) == NormStats(vmin=1.0, vmax=99.0)
+
     def test_missing_stays_zero(self):
         mask = np.array([[1.0, 0.0], [1.0, 1.0]])
         s = make_series(np.array([[5.0, 1.0], [10.0, 15.0]]), mask)
@@ -1468,27 +1488,23 @@ class TestPrepareDatasets:
         assert bundle.stats.vmin == 1.0
         assert bundle.stats.vmax == 12.0  # max of the 12-step train slice
 
-    def test_injected_values_are_freed_before_windowing(self, monkeypatch):
-        """Only the injected mask gates the windows, so the injected values
-        are no longer alive when the parts are windowed."""
-        injected, alive = [], []
-
-        def inject(*args):
-            series = inject_missing(*args)
-            injected.append(weakref.ref(series.values))
-            return series
-
-        def window(*args):
-            alive.append(injected[0]() is not None)
-            return last_observations(*args)
-
-        monkeypatch.setattr(data_module, "inject_missing", inject)
-        monkeypatch.setattr(data_module, "last_observations", window)
+    def test_builds_no_float_array_of_the_series_shape(self):
+        """The injection is drawn into a bool gate a row block at a time, and
+        the stats are taken a block at a time, so prepare_datasets never
+        holds a T x S float array: its peak allocation stays below half the
+        series' values, at ten row blocks of steps."""
+        steps = 10 * data_module._BLOCK_ROWS + 5
         rng = np.random.default_rng(25)
-        bundle = prepare_datasets(make_series(rng.random((30, 3)) + 1.0), n=2, missing_rate=0.3, seed=4)
-        assert alive == []
-        assert bundle.test is bundle.test and bundle.train is bundle.train
-        assert alive == [False, False]
+        mask = rng.random((steps, 4)) < 0.9
+        s = make_series(np.where(mask, rng.random((steps, 4)) + 1.0, 0.0), mask)
+        tracemalloc.start()
+        try:
+            bundle = prepare_datasets(s, n=2, missing_rate=0.3, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.values.nbytes / 2
+        assert bundle.stats == observed_stats(split(inject_missing(s, 0.3, 4), SplitSpec())[0])
 
     def test_each_part_is_windowed_on_first_read(self, monkeypatch):
         """A part is normalized and windowed once, when it is first read;
@@ -1525,6 +1541,32 @@ class TestPrepareDatasets:
                 assert getattr(data, name).tobytes() == getattr(expected, name).tobytes()
         np.testing.assert_array_equal(bundle.test_label_times, parts[2].timestamps[3:])
 
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_matches_the_composition_of_the_public_steps(self, rate):
+        """The gates, the stats and the windows are those of split,
+        inject_missing, observed_stats, normalize and last_observations,
+        byte for byte, over native gaps and a last row block cut short; the
+        injected mask is that of one draw of the whole shape."""
+        steps, n, seed = 2 * data_module._BLOCK_ROWS + 123, 4, 9
+        rng = np.random.default_rng(28)
+        mask = rng.random((steps, 3)) < 0.85
+        s = make_series(np.where(mask, rng.random((steps, 3)) * 50.0 + 5.0, 0.0), mask)
+        bundle = prepare_datasets(s, n=n, missing_rate=rate, seed=seed)
+
+        injected = inject_missing(s, rate, seed)
+        drop = (np.random.default_rng(seed).random(s.values.shape) < rate) & s.mask
+        assert injected.mask.tobytes() == (s.mask & ~drop).tobytes()
+        assert injected.values.tobytes() == np.where(drop, 0.0, s.values).tobytes()
+        gates = split(injected, SplitSpec())
+        stats = observed_stats(gates[0])
+        assert bundle.stats == stats
+        windows = (bundle.train, bundle.val, bundle.test)
+        for data, part, gate, kept in zip(windows, split(s, SplitSpec()), gates, bundle.gates):
+            assert kept.tobytes() == gate.mask.tobytes()
+            expected = last_observations(normalize(part, stats), n, gate.mask)
+            for name in ("value", "lag", "label", "label_mask"):
+                assert getattr(data, name).tobytes() == getattr(expected, name).tobytes(), name
+
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         s = make_series(rng.random((25, 3)) + 1.0)
@@ -1532,6 +1574,59 @@ class TestPrepareDatasets:
         b2 = prepare_datasets(s, n=2, missing_rate=0.3, seed=4)
         for name in ("value", "lag", "label", "label_mask"):
             np.testing.assert_array_equal(getattr(b1.train, name), getattr(b2.train, name))
+
+
+class TestDerivedData:
+    """Series and datasets that the module derives from checked data skip
+    the public constructors' checks; rebuilt through those constructors,
+    each still passes them."""
+
+    def series(self):
+        rng = np.random.default_rng(29)
+        mask = rng.random((1500, 4)) < 0.7
+        return make_series(np.where(mask, rng.random((1500, 4)) * 50.0 + 5.0, 0.0), mask)
+
+    def test_series_pass_the_public_checks(self):
+        s = self.series()
+        bundle = prepare_datasets(s, n=3, missing_rate=0.4, seed=2)
+        derived = [
+            *split(s, SplitSpec()),
+            normalize(s, observed_stats(s)),
+            inject_missing(s, 0.4, seed=2),
+            *bundle.parts,
+            *(normalize(part, bundle.stats) for part in bundle.parts),
+        ]
+        for series in derived:
+            rebuilt = StateSeries(series.values, series.mask, series.timestamps)
+            for name in ("values", "mask", "timestamps"):
+                np.testing.assert_array_equal(getattr(rebuilt, name), getattr(series, name))
+        for part, gate in zip(bundle.parts, bundle.gates):
+            assert_read_only_bool(gate)
+            last_observations(part, 3, gate)  # the gate is set only where the part has a reading
+
+    def test_datasets_pass_the_public_checks(self):
+        s = self.series()
+        bundle = prepare_datasets(s, n=3, missing_rate=0.4, seed=2)
+        whole = last_observations(s, 3)
+        derived = [
+            bundle.train,
+            bundle.val,
+            bundle.test,
+            whole,
+            last_observations(s, 3, inject_missing(s, 0.4, seed=2).mask),
+            whole[np.random.default_rng(30).permutation(len(whole))[:64]],
+            whole[5:9],
+            *whole.chunks(),
+        ]
+        for data in derived:
+            LastObservations(data.value, data.lag, data.label, data.label_mask, data.n)
+
+    def test_rows_keep_the_shape_checks(self):
+        data = last_observations(self.series(), 3)
+        with pytest.raises(ValueError, match="empty dataset"):
+            data[np.array([], dtype=int)]
+        with pytest.raises(ValueError, match="not N x S"):
+            data[0]
 
 
 def observations(rows, size=2, seed=0):
