@@ -76,6 +76,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _learning_rate(text: str) -> float:
+    """A learning rate, not below 0; TrainConfig names a non-finite one."""
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"learning rate must be >= 0, got {value}")
+    return value
+
+
 def _open_unit_gamma(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -119,7 +134,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sim.add_argument("--steps", type=_positive_int, default=5000)
     sim.add_argument("--gamma", type=_open_unit_gamma, default=0.9)
     sim.add_argument("--noise", type=float, default=0.01)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_nonnegative_int, default=0)
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--config", help="key=value file of flag defaults")
     sim.set_defaults(handler=cmd_simulate)
@@ -130,8 +145,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     tr.add_argument("--gamma", type=_open_unit_gamma, default=0.9)
     tr.add_argument("--missing-rate", type=_missing_rate, default=0.0)
     tr.add_argument("--batch-size", type=_positive_int, default=64)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--lr", type=_learning_rate, default=1e-3)
+    tr.add_argument("--seed", type=_nonnegative_int, default=0)
     tr.add_argument("--split", type=_split_fractions, default="6:2:2")
     tr.add_argument("--speed", required=True, help="speed CSV path")
     tr.add_argument("--adjacency", required=True, help="adjacency CSV path")
@@ -144,7 +159,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ev.add_argument("--speed", default=None, help="defaults to the training manifest's value")
     ev.add_argument("--adjacency", default=None, help="defaults to the training manifest's value")
     ev.add_argument("--missing-rate", type=_missing_rate, default=None)
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=_nonnegative_int, default=None)
     ev.add_argument("--split", type=_split_fractions, default=None)
     ev.add_argument("--n", type=_positive_int, default=None, help="must match the checkpoint if given")
     ev.add_argument("--residuals", choices=("hour", "weekday"), default=None)
@@ -368,7 +383,9 @@ def _saved_series(path: Path, sha256_speed: str, graph) -> StateSeries | None:
 
 
 def cmd_train(args) -> dict:
-    cfg = TrainConfig(batch_size=args.batch_size, lr_init=args.lr, seed=args.seed)
+    # A rate below the default floor is its own floor.
+    cfg = TrainConfig(batch_size=args.batch_size, lr_init=args.lr,
+                      lr_floor=min(args.lr, TrainConfig.lr_floor), seed=args.seed)
     out = _ensure_out(args.out)
 
     graph = build_graph(read_adjacency_csv(args.adjacency))
@@ -444,7 +461,7 @@ def cmd_eval(args) -> dict:
     speed = input_file(args.speed, "speed")
     adjacency = input_file(args.adjacency, "adjacency")
     missing_rate = resolve(args.missing_rate, "missing_rate", _missing_rate, "missing-rate")
-    seed = resolve(args.seed, "seed", int, "seed")
+    seed = resolve(args.seed, "seed", _nonnegative_int, "seed")
     split = resolve(args.split, "split", _split_fractions, "split")
 
     graph = build_graph(read_adjacency_csv(adjacency))

@@ -36,11 +36,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class HopMaskSet:
-    """Reachability masks, read-only bool arrays: masks[k-1] is True where
-    vertex j reaches vertex i within k hops under the self-connection
-    adjacency (the support of its k-th power). Models pack their own theta."""
+    """Reachability masks, one read-only n x S x S bool array: masks[k-1]
+    is True where vertex j reaches vertex i within k hops under the
+    self-connection adjacency (the support of its k-th power). gmn's theta
+    is its weights at these cells."""
 
-    masks: tuple
+    masks: np.ndarray
 
     @property
     def order(self) -> int:
@@ -105,7 +106,7 @@ def build_graph(adjacency_input: np.ndarray) -> Graph:
 
 def hop_masks(graph: Graph, n: int) -> HopMaskSet:
     """Supports of the first n powers of the self-connection adjacency, as
-    read-only bool arrays.
+    one read-only n x S x S bool array.
 
     mask(1) equals the self-connection adjacency; mask(k) grows monotonically
     and saturates once k reaches the graph diameter.
@@ -115,13 +116,12 @@ def hop_masks(graph: Graph, n: int) -> HopMaskSet:
     """
     if n < 1:
         raise ValueError("hop mask order must be >= 1")
-    masks = []
-    reach = graph.self_adjacency > 0
-    for _ in range(n):
-        reach.setflags(write=False)
-        masks.append(reach)
-        reach = (reach @ graph.self_adjacency) > 0
-    return HopMaskSet(masks=tuple(masks))
+    masks = np.empty((n, graph.size, graph.size), dtype=bool)
+    masks[0] = graph.self_adjacency > 0
+    for k in range(1, n):
+        masks[k] = masks[k - 1] @ graph.self_adjacency > 0
+    masks.setflags(write=False)
+    return HopMaskSet(masks=masks)
 
 
 def normalized_laplacian(graph: Graph) -> np.ndarray:

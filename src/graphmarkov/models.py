@@ -21,9 +21,11 @@ their per-hop linear maps:
 Each params class packs its free parameters into one float64 vector, theta:
 every vector of the right length is a valid model. The `from_*` constructors
 check per-hop arrays that come from outside. The maps are applied from
-`blocks`, one array per hop (gmn's dense weight stack, sgmn's gain rows);
-`hop_entries` places each hop's slice of theta in its block. `train` keeps a
-writable copy of the blocks and Adam's state on the entries it can reach.
+`blocks`, one array per hop (gmn's dense weight stack, sgmn's gain rows).
+One read-only bool array of the blocks' shape, `support`, fixes the layout
+for both kinds: theta is `blocks[support]`, and the blocks are theta
+scattered through `support`, zero elsewhere. `train` keeps a writable copy
+of the blocks and Adam's state on the entries it can reach.
 Backward passes are analytic, not autodiff; their correctness is pinned by
 finite-difference tests.
 """
@@ -50,12 +52,11 @@ def _check_history(n: int) -> None:
 
 class _DampedHopSum:
     """The sum over lags i of gamma^(i+1) times hop i+1's map of the lag-i
-    input. A kind supplies its per-hop arrays (`blocks`), where theta's
-    entries sit in them (`hop_entries`), the coordinates its maps act in
-    (`_coords`), one hop's map of its block (`_hop`), the batch-summed
-    gradient over a block's entries (`_hop_grad`), the entries of a hop that
-    a set of input sensors reaches (`_hop_active`), and the checkpoint block
-    of an identity hop map (`_identity_block`)."""
+    input. A kind supplies the block cells theta fills (`support`), the
+    coordinates its maps act in (`_coords`), one hop's map of its block
+    (`_hop`), the batch-summed gradient over a block's cells (`_hop_grad`),
+    the cells of a block that a set of input sensors reaches (`_reached`),
+    and the checkpoint block of an identity hop map (`_identity_block`)."""
 
     @classmethod
     def warm_start(cls, graph: Graph, n: int, gamma: float):
@@ -71,6 +72,30 @@ class _DampedHopSum:
         reduces bit-for-bit to the single newest-step term."""
         return self._forward(data, self.blocks)[1]
 
+    @property
+    def n(self) -> int:
+        return len(self.support)
+
+    @property
+    def size(self) -> int:
+        return self.support.shape[-1]
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The per-hop arrays the maps read and a checkpoint writes: theta
+        scattered through support, zero elsewhere; built once per params
+        object."""
+        blocks = np.zeros(self.support.shape)
+        blocks[self.support] = self.theta
+        blocks.setflags(write=False)
+        return blocks
+
+    @cached_property
+    def hop_entries(self) -> tuple:
+        """Per hop, the slice it takes in theta and the flat indices of its
+        support cells within its block."""
+        return self._gather(np.flatnonzero(self.support))
+
     def loss_and_grad(self, data: LastObservations) -> tuple:
         """Masked squared-error sum, observed label count, and the gradient
         of their ratio with respect to theta."""
@@ -82,26 +107,24 @@ class _DampedHopSum:
         data. Hop k's map takes input only from the sensors with a reading at
         lag k-1 in some window, so every other entry's gradient is zero on
         every batch of data's rows."""
-        active = np.zeros(self.theta.size, dtype=bool)
+        reached = self.support.copy()
         for i in range(self.n):
-            entries, reached = self._hop_active(i, (data.lag == i).any(axis=0))
-            active[entries] = reached
-        return np.flatnonzero(active)
+            reached[i] &= self._reached((data.lag == i).any(axis=0))
+        return np.flatnonzero(reached[self.support])
 
-    def active_hops(self, active: np.ndarray) -> tuple:
-        """hop_entries cut down to the sorted theta indices `active`: per hop,
-        the slice of `active` it takes and the flat indices of those entries
-        in its block."""
-        hops = []
-        for entries, flat in self.hop_entries:
-            lo, hi = np.searchsorted(active, (entries.start, entries.stop))
-            hops.append((slice(lo, hi), flat[active[lo:hi] - entries.start]))
-        return tuple(hops)
+    def _gather(self, cells: np.ndarray) -> tuple:
+        """The gather table of the sorted flat block cells `cells`: per hop,
+        the slice of `cells` that lies in its block and their flat indices
+        within it."""
+        size = self.support[0].size
+        bounds = np.searchsorted(cells, size * np.arange(self.n + 1))
+        return tuple((slice(lo, hi), cells[lo:hi] - i * size)
+                     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
 
     def _loss_and_grad(self, data: LastObservations, blocks: np.ndarray, hops: tuple) -> tuple:
         """The loss, its observed label count, the output gradient in the
-        maps' coordinates, and the gradient at the entries hops names (as
-        hop_entries or active_hops give them), of the model whose per-hop
+        maps' coordinates, and the gradient at the cells hops names (a
+        `_gather` table, such as hop_entries), of the model whose per-hop
         arrays are blocks. Each lag's input and the output gradient are moved
         into the maps' coordinates once. Hop k's gradient is gamma^k times
         its batch-summed gradient at the lag-(k-1) input, read at the named
@@ -137,11 +160,10 @@ class _DampedHopSum:
 class GmnParams(_DampedHopSum):
     """Dense per-hop weights confined to the graph's hop reachability.
 
-    theta holds each hop's weights inside its support, hop by hop in the
-    slices of hop_entries; weights outside have no entry, so they are zero.
-    weights[k-1] is the S x S matrix applied to the state k-1 steps back;
-    the n x S x S stack is built once per params object and is what the
-    maps read.
+    The support is the hop masks' n x S x S stack: theta holds each hop's
+    weights inside its mask, and weights outside have no entry, so they are
+    zero. weights[k-1] is the S x S matrix applied to the state k-1 steps
+    back.
     """
 
     kind: ClassVar[str] = "gmn"
@@ -158,14 +180,13 @@ class GmnParams(_DampedHopSum):
         if len(weights) != masks.order:
             raise ValueError(f"{len(weights)} weight matrices but {masks.order} hop masks")
         packed = []
-        for k, w in enumerate(weights, start=1):
+        for k, (w, mask) in enumerate(zip(weights, masks.masks), start=1):
             w = np.asarray(w, dtype=np.float64)
-            mask = masks.mask(k)
             if w.shape != mask.shape:
                 raise ValueError(f"weight {k} shape {w.shape} != mask shape {mask.shape}")
             if np.any(w[~mask] != 0.0):
                 raise ValueError(f"weight {k} has nonzero entries outside its {k}-hop support")
-            packed.append(w[mask])
+            packed.append(w[mask])  # hop by hop: theta is the stacked weights at the masks
         theta = np.concatenate(packed)
         theta.setflags(write=False)
         return cls(theta=theta, masks=masks, gamma=gamma)
@@ -177,34 +198,13 @@ class GmnParams(_DampedHopSum):
         return cls.from_weights(blocks, hop_masks(graph, len(blocks)), gamma)
 
     @property
-    def n(self) -> int:
-        return self.masks.order
+    def support(self) -> np.ndarray:
+        return self.masks.masks
 
     @property
-    def size(self) -> int:
-        return self.masks.mask(1).shape[0]
-
-    @cached_property
-    def hop_entries(self) -> tuple:
-        """Per hop, the slice it takes in theta and the flat indices of its
-        support entries within one S x S matrix."""
-        flats = [np.flatnonzero(mask) for mask in self.masks.masks]
-        ends = np.cumsum([flat.size for flat in flats])
-        return tuple((slice(end - flat.size, end), flat) for flat, end in zip(flats, ends))
-
-    @cached_property
     def weights(self) -> np.ndarray:
-        """n x S x S dense weights (n S^2 doubles); the stacked masks' True
-        cells, in order, hold theta."""
-        dense = np.zeros((self.n, self.size, self.size))
-        dense[np.stack(self.masks.masks)] = self.theta
-        dense.setflags(write=False)
-        return dense
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """The per-hop arrays a checkpoint writes: the weight matrices."""
-        return self.weights
+        """n x S x S dense weights (n S^2 doubles): the blocks."""
+        return self.blocks
 
     def step_map(self, k: int) -> np.ndarray:
         """The S x S linear map of hop k."""
@@ -224,18 +224,18 @@ class GmnParams(_DampedHopSum):
         """The batch-summed outer product, one entry per weight."""
         return grad_out.T @ z
 
-    def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
-        """Hop i+1's support entries in the columns of the given sensors."""
-        entries, flat = self.hop_entries[i]
-        return entries, sensors[flat % self.size]
+    @staticmethod
+    def _reached(seen: np.ndarray) -> np.ndarray:
+        return seen  # a row over the block: the columns of the sensors seen
 
 
 @dataclass(frozen=True)
 class SgmnParams(_DampedHopSum):
     """Spectral per-hop gains in a fixed Laplacian eigenbasis.
 
-    theta holds the gain vectors hop by hop; gains[k-1] is the length-S
-    vector of per-frequency multipliers applied to the state k-1 steps back.
+    theta holds the gain vectors hop by hop, and the support is every cell
+    of each hop's 1 x S gain row; gains[k-1] is the length-S vector of
+    per-frequency multipliers applied to the state k-1 steps back.
     """
 
     kind: ClassVar[str] = "sgmn"
@@ -269,29 +269,13 @@ class SgmnParams(_DampedHopSum):
         return cls.from_gains([block[0] for block in blocks], basis, gamma)
 
     @property
-    def n(self) -> int:
-        return self.theta.size // self.basis.size
-
-    @property
-    def size(self) -> int:
-        return self.basis.size
-
-    @property
     def gains(self) -> np.ndarray:
         """n x S gains, a view of theta."""
         return self.theta.reshape(self.n, self.size)
 
     @property
-    def blocks(self) -> np.ndarray:
-        """The per-hop arrays a checkpoint writes: each gain vector as a row."""
-        return self.gains[:, None, :]
-
-    @cached_property
-    def hop_entries(self) -> tuple:
-        """Per hop, the slice it takes in theta and the flat indices of its
-        gains within its 1 x S block: all of them."""
-        every = np.arange(self.size)
-        return tuple((slice(i * self.size, (i + 1) * self.size), every) for i in range(self.n))
+    def support(self) -> np.ndarray:
+        return np.broadcast_to(True, (self.theta.size // self.basis.size, 1, self.basis.size))
 
     def step_map(self, k: int) -> np.ndarray:
         """The S x S linear map of hop k, U diag(gains[k-1]) U^T."""
@@ -313,9 +297,9 @@ class SgmnParams(_DampedHopSum):
         """The map is diagonal in the eigenbasis: one batch sum per frequency."""
         return (grad_out * c).sum(axis=0)
 
-    def _hop_active(self, i: int, sensors: np.ndarray) -> tuple:
-        """Every frequency of hop i+1 mixes every sensor's input."""
-        return slice(i * self.size, (i + 1) * self.size), sensors.any()
+    @staticmethod
+    def _reached(seen: np.ndarray) -> bool:
+        return seen.any()  # every frequency mixes every sensor's input
 
 
 # Params classes by the kind name that checkpoints and the CLI use.

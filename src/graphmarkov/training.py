@@ -105,20 +105,17 @@ def write_history_csv(path, history: TrainHistory) -> None:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray, second: np.ndarray, step: int,
-              lr: float, active=slice(None)) -> None:
+              lr: float) -> None:
     """The step-th (from 1) bias-corrected Adam update, in place, of the
-    entries `active` of the packed parameter vector theta (all of it by
-    default), whose moment estimates `first` and `second` are updated in
-    place too. The other entries are left alone, which is exact while
-    their gradients are zero.
+    parameter vector theta, whose moment estimates `first` and `second` are
+    updated in place too.
 
     Raises:
-        ValueError: non-finite gradient entries, inside `active` or not;
-            theta and the moments are left as they were.
+        ValueError: non-finite gradient entries; theta and the moments are
+            left as they were.
     """
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient; aborting the update")
-    grad = grad[active]
 
     scale1 = 1.0 - ADAM_BETA1**step
     scale2 = 1.0 - ADAM_BETA2**step
@@ -138,7 +135,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, first: np.ndarray, second: np
     update = np.divide(first, scale1)
     update *= lr
     update /= scratch
-    theta[active] -= update
+    theta -= update
 
 
 def _dataset_loss(params, data, blocks=None) -> float:
@@ -167,9 +164,8 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
     config.batch_size (final short batch included), updates via Adam, then
     scores the validation set with the working blocks. Batches without a
     single observed label are skipped. At an epoch that lowers the
-    validation loss, the values are written into a read-only copy of theta,
-    which becomes the best params. `log`, if given, receives one line per
-    epoch.
+    validation loss, the working blocks at the support become the best
+    params' read-only theta. `log`, if given, receives one line per epoch.
 
     Raises:
         ValueError: a non-finite gradient, before the update it would spoil.
@@ -177,12 +173,12 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
     """
     rng = np.random.default_rng(config.seed)
     active = params.active_entries(train_data)
-    hops = params.active_hops(active)
+    # Each active entry's cell in the blocks, to copy the values there.
+    cells = np.flatnonzero(params.support)[active]
+    hops = params._gather(cells)
     values = params.theta[active]
     # Copied from a copy of params, so that the caller's params cache no stack.
     blocks = replace(params).blocks.copy()
-    # Each active entry's place in the blocks, to copy the values there.
-    placed = np.concatenate([i * blocks[0].size + flat for i, (_, flat) in enumerate(hops)])
     first, second = np.zeros(active.size), np.zeros(active.size)
     step = 0
     lr = config.lr_init
@@ -211,7 +207,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
             epoch_obs += observed
             step += 1
             adam_step(values, grad, first, second, step, lr)
-            blocks.reshape(-1)[placed] = values
+            blocks.reshape(-1)[cells] = values
 
         train_loss = epoch_sq / epoch_obs if epoch_obs else np.nan
         val_loss = _dataset_loss(params, val_data, blocks)
@@ -232,8 +228,7 @@ def train(params, train_data, val_data, config: TrainConfig, log=None):
         improved = val_loss < best_val - config.min_delta
         if val_loss < best_val:
             best_val = val_loss
-            theta = params.theta.copy()
-            theta[active] = values
+            theta = blocks[params.support]
             theta.setflags(write=False)
             best_params = replace(params, theta=theta)
 

@@ -239,7 +239,8 @@ class TestEval:
         assert "history depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("split", "6:2"), ("seed", "x"), ("missing_rate", ""), ("missing_rate", "1.5")]
+        "key, value",
+        [("split", "6:2"), ("seed", "x"), ("seed", "-1"), ("missing_rate", ""), ("missing_rate", "1.5")],
     )
     def test_corrupt_manifest_value_is_single_line_error(self, tmp_path, capsys, key, value):
         simulate_small(tmp_path / "sim")
@@ -567,6 +568,74 @@ class TestConfigFile:
         code = run(["simulate", "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
         assert "key=value" in capsys.readouterr().err
+
+
+# The flags each command needs besides the one under test.
+REQUIRED = {
+    "simulate": [],
+    "train": ["--model", "gmn", "--speed", "s.csv", "--adjacency", "a.csv"],
+    "eval": ["--checkpoint", "model.ckpt"],
+}
+
+
+class TestNumbersCheckedWhereParsed:
+    """A learning rate or seed out of range fails as its flag or config key
+    is parsed, with a message naming it; a rate below the default floor
+    trains with the rate itself as the floor."""
+
+    @pytest.mark.parametrize("lr", ["1e-6", "0"])
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    def test_a_rate_below_the_default_floor_trains(self, tmp_path, lr, source):
+        simulate_small(tmp_path / "sim")
+        flags = ["--lr", lr]
+        if source == "config":
+            config = tmp_path / "run.cfg"
+            config.write_text(f"lr={lr}\n")
+            flags = ["--config", str(config)]
+        code = run([
+            "train", "--model", "gmn", "--n", "2", *flags,
+            "--speed", str(tmp_path / "sim" / "speed.csv"),
+            "--adjacency", str(tmp_path / "sim" / "adjacency.csv"),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        history = (tmp_path / "run" / "history.csv").read_text().splitlines()[1:]
+        assert len(history) >= 2
+        assert {float(line.split(",")[-1]) for line in history} == {float(lr)}
+        assert read_manifest_records(tmp_path / "run" / "manifest.txt")[-1]["lr"] == str(float(lr))
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("train", "lr", "-0.001", "learning rate must be >= 0, got -0.001"),
+            ("simulate", "seed", "-1", "must be >= 0, got -1"),
+            ("train", "seed", "-1", "must be >= 0, got -1"),
+            ("eval", "seed", "-1", "must be >= 0, got -1"),
+        ],
+    )
+    def test_argv_names_the_flag(self, tmp_path, capsys, command, flag, value, message):
+        with pytest.raises(SystemExit) as exited:
+            run([command, *REQUIRED[command], f"--{flag}", value, "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --{flag}: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("train", "lr", "-0.001", "learning rate must be >= 0, got -0.001"),
+            ("simulate", "seed", "-1", "must be >= 0, got -1"),
+            ("train", "seed", "-1", "must be >= 0, got -1"),
+            ("eval", "seed", "-1", "must be >= 0, got -1"),
+        ],
+    )
+    def test_config_names_the_key(self, tmp_path, capsys, command, flag, value, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{flag}={value}\n")
+        code = run([command, "--config", str(config), *REQUIRED[command], "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: config key '{flag}': {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestManifest:

@@ -127,6 +127,24 @@ class TestHopMasks:
             assert mask.dtype == np.bool_
             assert not mask.flags.writeable
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_masks_are_one_read_only_stack(self, seed):
+        """masks is one n x S x S bool array, and mask(k) a view of its
+        (k-1)-th matrix; hop orders outside 1..n still raise."""
+        rng = np.random.default_rng(seed)
+        size, n = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+        ms = hop_masks(build_graph((rng.random((size, size)) < 0.3).astype(float)), n)
+        assert isinstance(ms.masks, np.ndarray)
+        assert ms.masks.shape == (n, size, size) and ms.masks.dtype == np.bool_
+        assert_read_only(ms.masks)
+        assert ms.order == n
+        for k in range(1, n + 1):
+            assert np.shares_memory(ms.mask(k), ms.masks[k - 1])
+            np.testing.assert_array_equal(ms.mask(k), ms.masks[k - 1])
+        for k in (0, n + 1):
+            with pytest.raises(ValueError, match=f"hop order {k} outside 1..{n}"):
+                ms.mask(k)
+
     def test_order_and_bounds(self):
         ms = hop_masks(path_graph(3), 2)
         assert ms.order == 2

@@ -423,6 +423,57 @@ class TestPresentLags:
         for rows in (slice(None), [0], [1], [2], [0, 2]):
             assert not params.loss_and_grad(data[rows])[2][idle].any()
 
+class TestLayout:
+    """One bool array per params object, `support`, lays theta out in the
+    blocks for both kinds."""
+
+    @staticmethod
+    def random_params(kind, seed):
+        rng = np.random.default_rng(seed)
+        size, n = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        g = build_graph((rng.random((size, size)) < 0.3).astype(float))
+        params = init_params(kind, g, n, 0.8)
+        theta = rng.standard_normal(params.theta.size)
+        theta[::3] = -0.0
+        return replace(params, theta=theta)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_theta_is_the_blocks_at_the_support(self, kind, seed):
+        params = self.random_params(kind, seed)
+        support, blocks = params.support, params.blocks
+        assert support.dtype == np.bool_ and not support.flags.writeable
+        assert support.shape == blocks.shape and not blocks.flags.writeable
+        if kind == "gmn":
+            assert support is params.masks.masks
+            assert params.weights is blocks
+        else:
+            assert support.shape == (params.n, 1, params.size) and support.all()
+        assert blocks[support].tobytes() == params.theta.tobytes()
+        off = blocks[~support]
+        np.testing.assert_array_equal(off, 0.0)
+        assert not np.signbit(off).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_hop_entries_is_the_per_hop_table(self, kind, seed):
+        """gmn: each mask's flat support cells, in cumulative slices of
+        theta; sgmn: every gain of each hop, S entries per hop."""
+        params = self.random_params(kind, seed)
+        if kind == "gmn":
+            flats = [np.flatnonzero(mask) for mask in params.masks.masks]
+            ends = np.cumsum([flat.size for flat in flats])
+            expected = [(slice(end - flat.size, end), flat) for flat, end in zip(flats, ends)]
+        else:
+            s = params.size
+            expected = [(slice(i * s, (i + 1) * s), np.arange(s)) for i in range(params.n)]
+        assert len(params.hop_entries) == params.n
+        for (part, flat), (want_part, want_flat) in zip(params.hop_entries, expected):
+            assert part == want_part
+            np.testing.assert_array_equal(flat, want_flat)
+        assert params.hop_entries[-1][0].stop == params.theta.size
+
+
 class TestInitParams:
     def test_gmn_support_holds_at_init(self):
         rng = np.random.default_rng(24)

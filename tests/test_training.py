@@ -194,41 +194,6 @@ class TestAdamStep:
         for k in (1, 2):
             np.testing.assert_array_equal(weights[k - 1] * (1 - params.masks.mask(k)), 0.0)
 
-    def test_active_update_matches_full_update(self):
-        """While the gradient is zero outside `active`, a call on the active
-        entries with moments of that size gives the full call's theta and
-        moments, and leaves the other entries bit for bit, negative zeros
-        included."""
-        _, theta, _ = self.make()
-        rng = np.random.default_rng(5)
-        theta = rng.standard_normal(theta.shape)
-        active = np.flatnonzero(rng.random(theta.size) < 0.5)
-        idle = np.setdiff1d(np.arange(theta.size), active)
-        theta[idle[::3]] = -0.0
-        full = self.fresh(theta)
-        moments = np.zeros(active.size), np.zeros(active.size)
-        a, b = theta.copy(), theta.copy()
-        for step in range(1, 6):
-            grad = np.zeros(theta.shape)
-            grad[active] = rng.standard_normal(active.size)
-            adam_step(a, grad, *full, step, lr=1e-2)
-            adam_step(b, grad, *moments, step, lr=1e-2, active=active)
-        assert a.tobytes() == b.tobytes()
-        assert b[idle].tobytes() == theta[idle].tobytes()
-        for x, y in zip(full, moments):
-            assert x[active].tobytes() == y.tobytes()
-
-    def test_rejects_nonfinite_grads_outside_the_active_set(self):
-        params, theta, grad = self.make()
-        active = np.arange(4)
-        first, second = np.zeros(active.size), np.zeros(active.size)
-        grad[-1] = np.nan
-        with pytest.raises(ValueError, match="non-finite gradient; aborting the update"):
-            adam_step(theta, grad, first, second, 1, lr=1e-3, active=active)
-        assert theta.tobytes() == params.theta.tobytes()
-        np.testing.assert_array_equal(first, 0.0)
-        np.testing.assert_array_equal(second, 0.0)
-
     def test_rejects_nonfinite_grads(self):
         params, theta, grad = self.make()
         grad[3] = np.nan
@@ -394,6 +359,13 @@ class TestTrainLoop:
         assert not np.shares_memory(written[0], trained.theta)
         assert not trained.theta.flags.writeable
         assert trained.theta.tobytes() != before
+
+    @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
+    def test_leaves_no_cached_blocks_on_the_callers_params(self, kind):
+        g, bundle = simulated_bundle(seed=13, noise=0.01, n=2, missing=0.1)
+        params = init_params(kind, g, n=2, gamma=0.95)
+        train(params, bundle.train, bundle.val, TrainConfig(batch_size=8, seed=5, max_epochs=2))
+        assert "blocks" not in params.__dict__
 
     @pytest.mark.parametrize("kind", ["gmn", "sgmn"])
     def test_adam_gets_the_full_gradient_at_the_active_entries(self, kind, monkeypatch):
