@@ -15,7 +15,6 @@ from graphmarkov.evaluation import (
     evaluate,
     format_metrics,
     persistence_baseline,
-    predict,
     residual_summary,
 )
 from graphmarkov.models import init_params
@@ -50,19 +49,15 @@ def main():
         print(f"\ntraining {kind} ({params.theta.size} free parameters over {HISTORY} steps)")
         trained, history = train(params, bundle.train, bundle.val, config, log=print)
         print(f"  best epoch {history.best_epoch} of {history.epochs}")
-        reports[kind] = evaluate(trained, bundle.test, bundle.stats)
+        reports[kind], residual = evaluate(trained, bundle.test, bundle.stats)
         if kind == "gmn":
-            gmn_trained = trained
+            gmn_residual = residual
 
     print("\ntest-set error (original units):")
     print(format_metrics(reports))
 
     # Where do the dense model's errors live across the day?
-    label_times = bundle.test_label_times
-    predictions = predict(gmn_trained, bundle.test)
-    summary = residual_summary(
-        predictions, bundle.test.label, bundle.test.label_mask, label_times, "hour", bundle.stats
-    )
+    summary = residual_summary(gmn_residual, bundle.test.label_mask, bundle.test_label_times, "hour")
     populated = summary.keys[summary.counts > 0]
     print(f"\nresiduals by hour: {populated.size} populated of {summary.keys.size} groups")
     for key in populated[:4]:

@@ -40,10 +40,8 @@ from .data import (
     StateSeries,
     denormalize,
     ingest_csv,
-    inject_missing,
     last_observations,
     normalize,
-    observed_stats,
     prepare_datasets,
     split,
     write_speed_csv,
@@ -77,11 +75,9 @@ __all__ = [
     "denormalize",
     "hop_masks",
     "ingest_csv",
-    "inject_missing",
     "last_observations",
     "normalize",
     "normalized_laplacian",
-    "observed_stats",
     "prepare_datasets",
     "random_transition",
     "read_adjacency_csv",

@@ -53,7 +53,6 @@ from .evaluation import (
     format_metrics,
     influence_scores,
     persistence_baseline,
-    predict,
     residual_summary,
     write_influence_csv,
     write_metrics_csv,
@@ -478,10 +477,8 @@ def cmd_eval(args) -> dict:
     # Only the test part is windowed: the bundle does so on first read.
     bundle = prepare_datasets(series, n=params.n, missing_rate=missing_rate, seed=seed, spec=split)
 
-    reports = {
-        "model": evaluate(params, bundle.test, bundle.stats),
-        "baseline": persistence_baseline(bundle.test, bundle.stats),
-    }
+    report, residual = evaluate(params, bundle.test, bundle.stats)
+    reports = {"model": report, "baseline": persistence_baseline(bundle.test, bundle.stats)}
     metrics_path = out / "metrics.csv"
     write_metrics_csv(metrics_path, reports)
     print(format_metrics(reports))
@@ -498,10 +495,7 @@ def cmd_eval(args) -> dict:
     }
 
     if args.residuals:
-        summary = residual_summary(
-            predict(params, bundle.test), bundle.test.label, bundle.test.label_mask,
-            bundle.test_label_times, args.residuals, bundle.stats,
-        )
+        summary = residual_summary(residual, bundle.test.label_mask, bundle.test_label_times, args.residuals)
         residual_path = out / f"residuals_{args.residuals}.csv"
         write_residual_csv(residual_path, summary)
         print(f"residual groups written to {residual_path}")

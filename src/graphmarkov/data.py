@@ -652,25 +652,6 @@ def _rounded_text(stamps, values, mask, decimals):
 _BLOCK_ROWS = 512
 
 
-def inject_missing(series: StateSeries, rate: float, seed: int) -> StateSeries:
-    """Drop a random fraction of the currently-observed entries.
-
-    Each observed entry is independently masked out with probability `rate`
-    (so the new missing count is binomial). Previously missing entries stay
-    missing. Deterministic for a given seed.
-
-    Raises:
-        ValueError: rate outside [0, 1).
-    """
-    gate = _injected_gate(series.mask, rate, seed)
-    if gate is series.mask:
-        return series
-    values = np.array(series.values)
-    values[series.mask & ~gate] = 0.0  # the dropped readings
-    values.setflags(write=False)
-    return StateSeries._derived(values, gate, series.timestamps)
-
-
 def _injected_gate(mask: np.ndarray, rate: float, seed: int) -> np.ndarray:
     """mask less its injected gaps, read-only: entry [t, s] of a T x S mask
     stays True where the (t*S + s)-th uniform draw of default_rng(seed) is
@@ -698,24 +679,19 @@ def _injected_gate(mask: np.ndarray, rate: float, seed: int) -> np.ndarray:
     return gate
 
 
-def observed_stats(series: StateSeries) -> NormStats:
-    """Min/max over observed entries only.
-
-    Raises:
-        ValueError: no observed entries, or constant observed values.
-    """
-    return _observed_stats(series.values, series.mask)
-
-
 def _observed_stats(values: np.ndarray, mask: np.ndarray) -> NormStats:
-    """observed_stats of the readings of values where mask is True, taken
+    """Min/max over the readings of values where mask is True, taken
     _BLOCK_ROWS rows at a time without a copy of the readings.
 
     One block-sized buffer holds readings only: it starts filled with the
     first reading, and each block writes its readings over it where its
     mask is set. So the buffer's min and max, taken after each block, range
     over readings, each reading among them once its block is written, and
-    a NaN reading gives NaN stats as a min over all readings does."""
+    a NaN reading gives NaN stats as a min over all readings does.
+
+    Raises:
+        ValueError: no readings, or constant readings.
+    """
     if not mask.any():
         raise ValueError("series has no observed entries to compute stats from")
     first = np.argmax(mask)  # the flat index of the first reading
@@ -733,8 +709,8 @@ def _observed_stats(values: np.ndarray, mask: np.ndarray) -> NormStats:
 
 def normalize(series: StateSeries, stats: NormStats) -> StateSeries:
     """Map observed values through (v - min) / (max - min); missing entries
-    stay zero. Pass training-split stats (observed_stats of the training
-    part) to normalize validation/test data without leakage."""
+    stay zero. Pass training-split stats (the min and max of the training
+    part's readings) to normalize validation/test data without leakage."""
     if stats.span == 0:
         raise ValueError("degenerate stats: max equals min")
     values = series.values - stats.vmin
@@ -954,9 +930,9 @@ def prepare_datasets(
     series' own, so injected entries still serve as labels while genuinely
     unknown ones stay excluded from the loss. The gate is drawn over the
     whole series, so the draws do not depend on the split; the training
-    part's readings under it give the stats. Only the gate is built: it is
-    inject_missing(series, missing_rate, seed).mask, and no injected values
-    are made.
+    part's readings under it give the stats. Only the gate is built: the
+    series' mask less entry [t, s] where the (t*S + s)-th uniform draw of
+    default_rng(seed) is below missing_rate. No injected values are made.
     """
     if spec is None:
         spec = SplitSpec()

@@ -2,9 +2,9 @@
 summaries grouped by time of day or day of week, per-vertex influence
 scores, and a carry-forward baseline.
 
-Predictions flow through the models in normalized space; everything here
-converts back to original units first, because the error magnitudes people
-compare against are in those units.
+Predictions flow through the models in normalized space; scoring converts
+the observed entries back to original units first, because the error
+magnitudes people compare against are in those units.
 """
 
 import math
@@ -89,19 +89,12 @@ class InfluenceTable:
             raise ValueError("ranks must be a permutation of 1..S")
 
 
-def metrics(
+def _score(
     pred: np.ndarray, truth: np.ndarray, truth_mask: np.ndarray, stats: NormStats
-) -> MetricsReport:
-    """Score normalized predictions against normalized truth.
-
-    Both arrays are converted to original units; means run over entries with
-    truth_mask = 1. The percentage error additionally drops entries whose
-    true value is within 1e-6 of zero (division blows up there) and reports
-    how many were dropped.
-
-    Raises:
-        ValueError: shape mismatch or no evaluable entries.
-    """
+) -> tuple[MetricsReport, np.ndarray]:
+    """metrics' report, and the residuals (truth minus prediction, original
+    units) it reduces: one per entry with truth_mask = 1, row-major. Only
+    those entries are denormalized."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.shape != truth_mask.shape:
@@ -109,26 +102,36 @@ def metrics(
     observed = truth_mask == 1.0
     if not observed.any():
         raise ValueError("no evaluable entries (truth mask is all zero)")
+    truth = denormalize(truth[observed], stats)
+    residual = truth - denormalize(pred[observed], stats)
 
-    pred_units = denormalize(pred, stats)[observed]
-    truth_units = denormalize(truth, stats)[observed]
-    err = pred_units - truth_units
-
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err * err).mean()))
-    nonzero = np.abs(truth_units) > MAPE_TRUTH_FLOOR
-    excluded = int(observed.sum() - nonzero.sum())
+    nonzero = np.abs(truth) > MAPE_TRUTH_FLOOR
     if nonzero.any():
-        mape = float(np.abs(err[nonzero] / truth_units[nonzero]).mean() * 100.0)
+        mape = float(np.abs(residual[nonzero] / truth[nonzero]).mean() * 100.0)
     else:
         mape = 0.0
-    return MetricsReport(
-        mae=mae,
-        rmse=rmse,
+    report = MetricsReport(
+        mae=float(np.abs(residual).mean()),
+        rmse=float(np.sqrt((residual * residual).mean())),
         mape=mape,
-        evaluated_count=int(observed.sum()),
-        excluded_zero_truth_count=excluded,
+        evaluated_count=residual.size,
+        excluded_zero_truth_count=int(residual.size - nonzero.sum()),
     )
+    return report, residual
+
+
+def metrics(
+    pred: np.ndarray, truth: np.ndarray, truth_mask: np.ndarray, stats: NormStats
+) -> MetricsReport:
+    """Score normalized predictions against normalized truth, in original
+    units, over the entries with truth_mask = 1. The percentage error also
+    drops entries whose true value is within 1e-6 of zero (division blows up
+    there) and reports how many were dropped.
+
+    Raises:
+        ValueError: shape mismatch or no evaluable entries.
+    """
+    return _score(pred, truth, truth_mask, stats)[0]
 
 
 def predict(params, data) -> np.ndarray:
@@ -137,9 +140,11 @@ def predict(params, data) -> np.ndarray:
     return np.concatenate([params.predict(chunk) for chunk in data.chunks()], axis=0)
 
 
-def evaluate(params, data, stats: NormStats) -> MetricsReport:
-    """Run the model over a test set and score it."""
-    return metrics(predict(params, data), data.label, data.label_mask, stats)
+def evaluate(params, data, stats: NormStats) -> tuple[MetricsReport, np.ndarray]:
+    """Run the model over a test set once and score it. Also returns the
+    observed residuals (truth minus prediction, original units, row-major),
+    which residual_summary groups."""
+    return _score(predict(params, data), data.label, data.label_mask, stats)
 
 
 def persistence_baseline(data, stats: NormStats) -> MetricsReport:
@@ -149,19 +154,15 @@ def persistence_baseline(data, stats: NormStats) -> MetricsReport:
 
 
 def residual_summary(
-    pred: np.ndarray,
-    truth: np.ndarray,
-    truth_mask: np.ndarray,
-    timestamps: np.ndarray,
-    grouping: str,
-    stats: NormStats,
+    residual: np.ndarray, truth_mask: np.ndarray, timestamps: np.ndarray, grouping: str
 ) -> ResidualSummary:
-    """Group denormalized residuals (truth minus prediction) by hour of day
-    or by weekday (Monday = 0).
+    """Group residuals as evaluate returns them (one per entry with
+    truth_mask = 1, row-major) by their row's hour of day or weekday
+    (Monday = 0).
 
     Raises:
-        ValueError: unknown grouping, or timestamps not matching prediction
-            rows one-to-one.
+        ValueError: unknown grouping, timestamps not matching truth_mask's
+            rows one-to-one, or not one residual per observed entry.
     """
     if grouping == "hour":
         n_groups = HOURS_PER_DAY
@@ -173,24 +174,19 @@ def residual_summary(
     else:
         raise ValueError(f"grouping must be 'hour' or 'weekday', got {grouping!r}")
 
-    pred = np.asarray(pred, dtype=np.float64)
-    if np.asarray(timestamps).shape != (pred.shape[0],):
-        raise ValueError("need exactly one timestamp per prediction row")
-    if pred.shape != np.asarray(truth).shape or pred.shape != np.asarray(truth_mask).shape:
-        raise ValueError("pred, truth, and truth_mask must share a shape")
-
-    residual = denormalize(truth, stats) - denormalize(pred, stats)
+    observed_per_row = np.count_nonzero(np.asarray(truth_mask) == 1.0, axis=1)
+    if keys_per_row.shape != observed_per_row.shape:
+        raise ValueError("need exactly one timestamp per truth_mask row")
+    if residual.shape != (observed_per_row.sum(),):
+        raise ValueError("need exactly one residual per observed truth entry")
+    # int8 keys: each group's comparison below reads an eighth of int64's bytes.
+    entry_keys = np.repeat(keys_per_row.astype(np.int8), observed_per_row)
 
     keys = np.arange(n_groups)
     counts = np.zeros(n_groups, dtype=np.int64)
-    means = np.full(n_groups, np.nan)
-    stds = np.full(n_groups, np.nan)
-    q25 = np.full(n_groups, np.nan)
-    q50 = np.full(n_groups, np.nan)
-    q75 = np.full(n_groups, np.nan)
+    means, stds, q25, q50, q75 = np.full((5, n_groups), np.nan)
     for k in keys:
-        rows = keys_per_row == k
-        chosen = residual[rows][np.asarray(truth_mask)[rows] == 1.0]
+        chosen = residual[entry_keys == k]
         counts[k] = chosen.size
         if chosen.size:
             means[k] = chosen.mean()

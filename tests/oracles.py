@@ -11,7 +11,11 @@ supports at every step, as the models once did; the packed parameter
 vectors must reproduce them bit for bit. The speed CSV reader and writer
 here hold the whole file as Python strings and walk it one cell at a time,
 as the package once did; the block-streaming versions must read the same
-arrays, raise the same errors and write the same bytes.
+arrays, raise the same errors and write the same bytes. The metrics and
+residual summary here denormalize and mask whole test-sized arrays, as the
+package once did; scoring only the observed entries must give the same
+numbers. inject_missing and observed_stats turn the data layer's gate and
+stats passes into whole-series steps, which the composition tests chain.
 """
 
 import csv
@@ -20,7 +24,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from graphmarkov.data import StateSeries, synthesize_timestamps
+from graphmarkov.data import (
+    NormStats,
+    StateSeries,
+    _injected_gate,
+    _observed_stats,
+    denormalize,
+    synthesize_timestamps,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -135,6 +146,112 @@ def series_windows(series, n, label_series=None):
         np.stack([series.mask[k : k + n] for k in starts]),
         np.stack([labels.values[k + n] for k in starts]),
         np.stack([labels.mask[k + n] for k in starts]),
+    )
+
+
+def inject_missing(series, rate, seed):
+    """Drop a random fraction of the currently-observed entries.
+
+    Each observed entry is independently masked out with probability `rate`
+    (so the new missing count is binomial). Previously missing entries stay
+    missing. Deterministic for a given seed.
+
+    Raises:
+        ValueError: rate outside [0, 1).
+    """
+    gate = _injected_gate(series.mask, rate, seed)
+    if gate is series.mask:
+        return series
+    values = np.array(series.values)
+    values[series.mask & ~gate] = 0.0  # the dropped readings
+    values.setflags(write=False)
+    return StateSeries._derived(values, gate, series.timestamps)
+
+
+def observed_stats(series) -> NormStats:
+    """Min/max over observed entries only.
+
+    Raises:
+        ValueError: no observed entries, or constant observed values.
+    """
+    return _observed_stats(series.values, series.mask)
+
+
+def metrics_reference(pred, truth, truth_mask, stats):
+    """evaluation.metrics over whole arrays: both denormalized in full,
+    then masked, with the error taken as prediction minus truth."""
+    from graphmarkov.evaluation import MAPE_TRUTH_FLOOR, MetricsReport
+
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape or pred.shape != truth_mask.shape:
+        raise ValueError("pred, truth, and truth_mask must share a shape")
+    observed = truth_mask == 1.0
+    if not observed.any():
+        raise ValueError("no evaluable entries (truth mask is all zero)")
+
+    pred_units = denormalize(pred, stats)[observed]
+    truth_units = denormalize(truth, stats)[observed]
+    err = pred_units - truth_units
+
+    mae = float(np.abs(err).mean())
+    rmse = float(np.sqrt((err * err).mean()))
+    nonzero = np.abs(truth_units) > MAPE_TRUTH_FLOOR
+    excluded = int(observed.sum() - nonzero.sum())
+    if nonzero.any():
+        mape = float(np.abs(err[nonzero] / truth_units[nonzero]).mean() * 100.0)
+    else:
+        mape = 0.0
+    return MetricsReport(
+        mae=mae,
+        rmse=rmse,
+        mape=mape,
+        evaluated_count=int(observed.sum()),
+        excluded_zero_truth_count=excluded,
+    )
+
+
+def residual_summary_reference(pred, truth, truth_mask, timestamps, grouping, stats):
+    """evaluation.residual_summary from whole arrays: the full residual
+    array, cut per group by a boolean row selection and then by the mask."""
+    from graphmarkov.evaluation import DAYS_PER_WEEK, HOURS_PER_DAY, ResidualSummary, _EPOCH_WEEKDAY
+
+    if grouping == "hour":
+        n_groups = HOURS_PER_DAY
+        keys_per_row = (np.asarray(timestamps) // 3600).astype(np.int64) % HOURS_PER_DAY
+    elif grouping == "weekday":
+        n_groups = DAYS_PER_WEEK
+        days = (np.asarray(timestamps) // 86400).astype(np.int64)
+        keys_per_row = (days + _EPOCH_WEEKDAY) % DAYS_PER_WEEK
+    else:
+        raise ValueError(f"grouping must be 'hour' or 'weekday', got {grouping!r}")
+
+    pred = np.asarray(pred, dtype=np.float64)
+    if np.asarray(timestamps).shape != (pred.shape[0],):
+        raise ValueError("need exactly one timestamp per prediction row")
+    if pred.shape != np.asarray(truth).shape or pred.shape != np.asarray(truth_mask).shape:
+        raise ValueError("pred, truth, and truth_mask must share a shape")
+
+    residual = denormalize(truth, stats) - denormalize(pred, stats)
+
+    keys = np.arange(n_groups)
+    counts = np.zeros(n_groups, dtype=np.int64)
+    means = np.full(n_groups, np.nan)
+    stds = np.full(n_groups, np.nan)
+    q25 = np.full(n_groups, np.nan)
+    q50 = np.full(n_groups, np.nan)
+    q75 = np.full(n_groups, np.nan)
+    for k in keys:
+        rows = keys_per_row == k
+        chosen = residual[rows][np.asarray(truth_mask)[rows] == 1.0]
+        counts[k] = chosen.size
+        if chosen.size:
+            means[k] = chosen.mean()
+            stds[k] = chosen.std()
+            q25[k], q50[k], q75[k] = np.percentile(chosen, [25, 50, 75])
+    return ResidualSummary(
+        grouping=grouping, keys=keys, counts=counts, means=means, stds=stds,
+        q25=q25, q50=q50, q75=q75,
     )
 
 

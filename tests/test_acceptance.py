@@ -175,7 +175,7 @@ class TestAcceptance:
             params = init_params(kind, graph, n=6, gamma=DATA_DAMPING)
             trained, _ = train(params, bundle.train, bundle.val,
                                TrainConfig(batch_size=64, seed=17))
-            maes[kind] = evaluate(trained, bundle.test, bundle.stats).mae
+            maes[kind] = evaluate(trained, bundle.test, bundle.stats)[0].mae
         elapsed = time.perf_counter() - started
         ok = (maes["gmn"] < baseline.mae and maes["sgmn"] < baseline.mae
               and elapsed < 300.0)
@@ -278,7 +278,7 @@ class TestAcceptance:
         params = init_sgmn(graph, n=10, gamma=0.9)
         trained, _ = train(params, bundle.train, bundle.val,
                            TrainConfig(batch_size=64, seed=0))
-        mae = evaluate(trained, bundle.test, bundle.stats).mae
+        mae = evaluate(trained, bundle.test, bundle.stats)[0].mae
         elapsed = time.perf_counter() - started
         ok = abs(mae - 3.152) <= 0.15 * 3.152
         _verdict(8, "dataset benchmark", ok,

@@ -620,6 +620,15 @@ class TestNumbersCheckedWhereParsed:
         assert capsys.readouterr().err.endswith(f"argument --{flag}: {message}\n")
         assert not (tmp_path / "o").exists()
 
+    def test_argv_names_the_flag_of_a_joined_exponent_rate(self, tmp_path, capsys):
+        """argparse takes `--lr -1e-3` for two options; `--lr=-1e-3` reaches
+        the range check."""
+        with pytest.raises(SystemExit) as exited:
+            run(["train", *REQUIRED["train"], "--lr=-1e-3", "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.endswith("argument --lr: learning rate must be >= 0, got -0.001\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [
@@ -756,6 +765,7 @@ class TestBenchmarkTargets:
         ("graphmarkov.evaluation", "forward"),
         ("graphmarkov.checkpoint", "hop_masks"),
         ("graphmarkov.checkpoint", "spectral_basis"),
+        ("graphmarkov.cli", "predict"),
     }
 
     def test_stage_functions_resolve_in_cli(self):
@@ -767,6 +777,29 @@ class TestBenchmarkTargets:
         for module, attr, _ in tracing.STAGES:
             assert module == "graphmarkov.cli"
             assert callable(getattr(cli, attr, None)), attr
+
+    def test_eval_records_each_evaluation_span_once(self, tmp_path, monkeypatch):
+        """An eval with residuals, its evaluation targets wrapped as the
+        traced run wraps them, predicts the test set once, and scores the
+        baseline and groups the residuals once each."""
+        simulate_small(tmp_path / "sim", steps=400)
+        ckpt = train_small(tmp_path / "sim", tmp_path / "run")
+        calls = []
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, attr, name in load_tracing().LAYERS:
+            fn = getattr(importlib.import_module(module), attr, None)
+            if name.startswith("evaluation.") and callable(fn):
+                monkeypatch.setattr(importlib.import_module(module), attr, counted(fn, name))
+        assert run(["eval", "--checkpoint", str(ckpt), "--residuals", "hour", "--out", str(tmp_path / "eval")]) == 0
+        spans = ("evaluation.evaluate", "evaluation.predict", "evaluation.persistence_baseline",
+                 "evaluation.residual_summary")
+        assert {span: calls.count(span) for span in spans} == dict.fromkeys(spans, 1)
 
     def test_layer_targets_resolve(self):
         """Every per-layer target of the traced run but the known absent ones

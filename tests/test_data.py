@@ -23,10 +23,8 @@ from graphmarkov.data import (
     StateSeries,
     denormalize,
     ingest_csv,
-    inject_missing,
     last_observations,
     normalize,
-    observed_stats,
     prepare_datasets,
     split,
     synthesize_timestamps,
@@ -36,7 +34,9 @@ from graphmarkov.data import (
 from oracles import (
     gated_lags,
     ingest_csv_reference,
+    inject_missing,
     masked_mse,
+    observed_stats,
     series_windows,
     write_speed_csv_reference,
 )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphmarkov.data import NormStats, prepare_datasets
+from graphmarkov.data import NormStats, _fmt, prepare_datasets
 from graphmarkov.evaluation import (
     InfluenceTable,
     MetricsReport,
@@ -24,9 +24,21 @@ from graphmarkov.models import init_gmn, init_sgmn
 from graphmarkov.simulate import random_transition, simulate_gmp
 from graphmarkov.training import TrainConfig, train
 
-from oracles import complete_dataset, masked_params, windows_dataset
+from oracles import (
+    complete_dataset,
+    masked_params,
+    metrics_reference,
+    residual_summary_reference,
+    windows_dataset,
+)
 
 IDENTITY_STATS = NormStats(vmin=0.0, vmax=1.0)
+
+
+def observed_residuals(pred, truth, mask):
+    """Truth minus prediction at the entries with mask = 1, row-major: the
+    residuals evaluate returns, under IDENTITY_STATS."""
+    return (np.asarray(truth) - np.asarray(pred))[np.asarray(mask) == 1.0]
 
 
 def path_graph(size):
@@ -136,8 +148,9 @@ class TestEvaluate:
         params = init_gmn(g, n=2, gamma=1.0)
         x = np.full(3, 0.6)
         samples = complete_dataset(np.tile(x, (4, 2, 1)), labels=np.tile(x, (4, 1)))
-        r = evaluate(params, samples, NormStats(vmin=0.0, vmax=70.0))
+        r, residual = evaluate(params, samples, NormStats(vmin=0.0, vmax=70.0))
         assert r.mae == 0.0
+        np.testing.assert_array_equal(residual, np.zeros(12))
 
     def test_trained_model_beats_baseline(self):
         g = path_graph(6)
@@ -147,7 +160,7 @@ class TestEvaluate:
         params = init_gmn(g, n=1, gamma=0.9)
         cfg = TrainConfig(batch_size=32, seed=1, max_epochs=30)
         trained, _ = train(params, bundle.train, bundle.val, cfg)
-        model = evaluate(trained, bundle.test, bundle.stats)
+        model, _ = evaluate(trained, bundle.test, bundle.stats)
         base = persistence_baseline(bundle.test, bundle.stats)
         assert model.mae < base.mae
 
@@ -191,7 +204,7 @@ class TestPersistenceBaseline:
         samples = complete_dataset(rng.random((6, 1, 5)), labels=rng.random((6, 5)))
         stats = NormStats(vmin=2.0, vmax=66.0)
         base = persistence_baseline(samples, stats)
-        model = evaluate(params, samples, stats)
+        model, _ = evaluate(params, samples, stats)
         np.testing.assert_allclose(base.mae, model.mae, atol=1e-10)
         np.testing.assert_allclose(base.rmse, model.rmse, atol=1e-10)
 
@@ -200,7 +213,7 @@ class TestResidualSummary:
     def test_perfect_prediction_all_zero(self):
         pred = np.random.default_rng(0).random((12, 3))
         ts = np.arange(12) * 300.0
-        summary = residual_summary(pred, pred, np.ones((12, 3)), ts, "hour", IDENTITY_STATS)
+        summary = residual_summary(observed_residuals(pred, pred, np.ones((12, 3))), np.ones((12, 3)), ts, "hour")
         assert summary.total == 36
         present = summary.counts > 0
         np.testing.assert_array_equal(summary.means[present], 0.0)
@@ -211,7 +224,7 @@ class TestResidualSummary:
         pred = rng.random((12, 2))
         truth = pred + rng.standard_normal((12, 2)) * 0.1
         ts = np.arange(12) * 300.0  # all within hour 0
-        summary = residual_summary(pred, truth, np.ones((12, 2)), ts, "hour", IDENTITY_STATS)
+        summary = residual_summary(observed_residuals(pred, truth, np.ones((12, 2))), np.ones((12, 2)), ts, "hour")
         residuals = (truth - pred).ravel()
         assert summary.counts[0] == 24
         assert summary.counts[1:].sum() == 0
@@ -220,9 +233,8 @@ class TestResidualSummary:
         np.testing.assert_allclose(summary.q50[0], np.median(residuals), atol=1e-12)
 
     def test_weekday_of_epoch_is_thursday(self):
-        pred = np.zeros((2, 1))
         ts = np.array([0.0, 300.0])
-        summary = residual_summary(pred, pred, np.ones((2, 1)), ts, "weekday", IDENTITY_STATS)
+        summary = residual_summary(np.zeros(2), np.ones((2, 1)), ts, "weekday")
         assert summary.counts[3] == 2  # Monday=0, so Thursday is 3
         assert summary.total == 2
 
@@ -232,7 +244,7 @@ class TestResidualSummary:
         truth = rng.random((50, 4))
         mask = (rng.random((50, 4)) < 0.6).astype(float)
         ts = np.arange(50) * 300.0
-        summary = residual_summary(pred, truth, mask, ts, "hour", IDENTITY_STATS)
+        summary = residual_summary(observed_residuals(pred, truth, mask), mask, ts, "hour")
         assert summary.total == int(mask.sum())
 
     def test_unbiased_errors_have_small_group_means(self):
@@ -241,24 +253,103 @@ class TestResidualSummary:
         pred = rng.random((rows, 5))
         noise = rng.standard_normal((rows, 5)) * 0.2
         ts = np.arange(rows) * 300.0
-        summary = residual_summary(pred, pred + noise, np.ones((rows, 5)), ts, "hour", IDENTITY_STATS)
+        summary = residual_summary(observed_residuals(pred, pred + noise, np.ones((rows, 5))),
+                                   np.ones((rows, 5)), ts, "hour")
         for k in range(24):
             bound = 3 * 0.2 / np.sqrt(summary.counts[k])
             assert abs(summary.means[k]) < bound
 
     def test_rejects_misaligned_timestamps(self):
         with pytest.raises(ValueError, match="timestamp"):
-            residual_summary(
-                np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2)),
-                np.arange(4) * 300.0, "hour", IDENTITY_STATS,
-            )
+            residual_summary(np.ones(6), np.ones((3, 2)), np.arange(4) * 300.0, "hour")
 
     def test_rejects_unknown_grouping(self):
         with pytest.raises(ValueError, match="grouping"):
-            residual_summary(
-                np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)),
-                np.arange(2) * 300.0, "month", IDENTITY_STATS,
-            )
+            residual_summary(np.ones(4), np.ones((2, 2)), np.arange(2) * 300.0, "month")
+
+
+def scoring_case(rng, rows):
+    """A random gmn model and test windows of `rows` label rows at 5-minute
+    steps, scored in units where values are negative and some truths lie
+    within 1e-6 of zero. Some rows have no observed label, and gaps of 65
+    minutes between rows leave hours empty."""
+    size, n = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    vmin = float(rng.uniform(-50.0, 10.0))
+    stats = NormStats(vmin=vmin, vmax=vmin + float(rng.uniform(1.0, 80.0)))
+    units = rng.uniform(stats.vmin, stats.vmax, (rows, size))
+    near_zero = rng.random((rows, size)) < 0.2
+    units[near_zero] = rng.uniform(-2e-6, 2e-6, near_zero.sum())
+    label_mask = rng.random((rows, size)) < 0.7
+    label_mask[rng.random(rows) < 0.2] = False
+    label_mask.flat[rng.integers(label_mask.size)] = True
+    input_mask = rng.random((rows, n, size)) < 0.6
+    data = windows_dataset(rng.random((rows, n, size)) * input_mask, input_mask,
+                           (units - stats.vmin) / stats.span, label_mask)
+    g = path_graph(size)
+    params = masked_params(init_gmn(g, n=n, gamma=0.8), [rng.standard_normal((size, size)) for _ in range(n)])
+    steps = np.cumsum(rng.choice([1, 1, 1, 13], rows)) + rng.integers(0, 10**6)
+    return params, data, steps * 300.0, stats
+
+
+def printed(result):
+    """A MetricsReport or ResidualSummary as the CSV writers print it."""
+    if isinstance(result, MetricsReport):
+        return (_fmt(result.mae), _fmt(result.rmse), _fmt(result.mape),
+                result.evaluated_count, result.excluded_zero_truth_count)
+    stats = (result.means, result.stds, result.q25, result.q50, result.q75)
+    return (result.grouping, result.keys.tolist(), result.counts.tolist(),
+            [[_fmt(v) for v in a] for a in stats])
+
+
+class TestAgainstWholeArrayReference:
+    """Scoring only the observed entries, from one prediction, prints the
+    numbers of the reference that denormalizes and masks whole arrays."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_reports_and_summaries_print_the_same(self, seed):
+        rng = np.random.default_rng(seed)
+        params, data, times, stats = scoring_case(rng, 1100 if seed == 0 else int(rng.integers(1, 80)))
+        pred = predict(params, data)
+        report, residual = evaluate(params, data, stats)
+        assert printed(report) == printed(metrics_reference(pred, data.label, data.label_mask, stats))
+        assert printed(metrics(pred, data.label, data.label_mask, stats)) == printed(report)
+        assert printed(persistence_baseline(data, stats)) == \
+            printed(metrics_reference(data.value, data.label, data.label_mask, stats))
+        for grouping in ("hour", "weekday"):
+            expected = residual_summary_reference(pred, data.label, data.label_mask, times, grouping, stats)
+            assert printed(residual_summary(residual, data.label_mask, times, grouping)) == printed(expected)
+
+    def test_the_cases_cover_their_edges(self):
+        """Across the seeds: rows with no observed label, empty hours, truths
+        excluded from MAPE, and negative truths."""
+        seen = {"empty row": 0, "empty hour": 0, "excluded": 0, "negative": 0}
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            params, data, times, stats = scoring_case(rng, 1100 if seed == 0 else int(rng.integers(1, 80)))
+            report, _ = evaluate(params, data, stats)
+            truth = (data.label * stats.span + stats.vmin)[data.label_mask == 1.0]
+            seen["empty row"] += (data.label_mask.sum(axis=1) == 0).any()
+            seen["empty hour"] += (residual_summary_reference(
+                predict(params, data), data.label, data.label_mask, times, "hour", stats).counts == 0).any()
+            seen["excluded"] += report.excluded_zero_truth_count > 0
+            seen["negative"] += (truth < 0).any()
+        assert min(seen.values()) >= 5, seen
+
+    def test_validation_errors_are_kept(self):
+        mask = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for score in (metrics, metrics_reference):
+            with pytest.raises(ValueError, match="no evaluable"):
+                score(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)), IDENTITY_STATS)
+            with pytest.raises(ValueError, match="share a shape"):
+                score(np.ones((2, 3)), np.ones((2, 2)), mask, IDENTITY_STATS)
+            with pytest.raises(ValueError, match="share a shape"):
+                score(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3)), IDENTITY_STATS)
+        with pytest.raises(ValueError, match="grouping"):
+            residual_summary(np.ones(1), mask, np.arange(2) * 300.0, "month")
+        with pytest.raises(ValueError, match="timestamp"):
+            residual_summary(np.ones(1), mask, np.arange(3) * 300.0, "weekday")
+        with pytest.raises(ValueError, match="one residual per observed"):
+            residual_summary(np.ones(2), mask, np.arange(2) * 300.0, "hour")
 
 
 class TestInfluenceScores:
@@ -320,9 +411,8 @@ class TestWriters:
         assert lines[1].startswith("model,1.5,2,12.5,100,3")
 
     def test_residual_csv_has_all_hour_rows(self, tmp_path):
-        pred = np.zeros((12, 2))
         ts = np.arange(12) * 300.0
-        summary = residual_summary(pred, pred, np.ones((12, 2)), ts, "hour", IDENTITY_STATS)
+        summary = residual_summary(np.zeros(24), np.ones((12, 2)), ts, "hour")
         path = tmp_path / "res.csv"
         write_residual_csv(path, summary)
         lines = path.read_text().splitlines()
